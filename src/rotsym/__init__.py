@@ -58,8 +58,8 @@ from .theory import (
     builtin_gfs,
     conjecture_check,
     f2_weight_sequence,
-    f3_table,
     f3_weight_sequence,
+    family_table,
     gf_series,
     nl_f2,
     nl_lower_bound_fk,

@@ -159,7 +159,7 @@ class OpCounter:
 # string operators
 # ---------------------------------------------------------------------------
 
-def repeat(u: BitString, k: int, counter: OpCounter | None = None) -> BitString:
+def repeat(u: BitString, k: int) -> BitString:
     """Concatenation of k copies of u; free of complement charges."""
     if k < 1:
         raise ValueError("repeat count must be >= 1")

@@ -13,35 +13,25 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .builders import (
     OpCounter,
-    build_f2,
-    build_f3,
     complement_first_half,
     f2_block_complements,
     f3_block_complements_claimed,
     f3_component,
     hat,
-    monomial_table_general,
-    rots_orbit_anf,
 )
-from .core import (
-    TruthTable,
-    anf_to_truth_table,
-    pc_profile,
-    walsh_transform,
-    weight,
-)
+from .core import TruthTable, check_pc_vars, pc_profile, walsh_transform
 from .refdata import load_reference_tables, weight_table_columns
 from .theory import (
+    FAMILY_GENERATORS,
+    FAST_MIN_N,
     builtin_gfs,
     conjecture_check,
     f2_weight_sequence,
     f3_weight_sequence,
+    family_table,
     gf_series,
-    t_chain,
 )
 
 DEFAULT_MAX_N = 20
@@ -108,31 +98,6 @@ def _check_range(cfg: RunConfig, cap: int) -> None:
             + ("" if limit >= cap else " (raise with --max-n)"))
 
 
-def _table_for(cfg: RunConfig, n: int,
-               counter: OpCounter | None = None) -> tuple[TruthTable, bool]:
-    """Build the selected table; returns (table, fast-path-used)."""
-    sel = cfg.selector
-    if sel == "f2":
-        if n >= 5:
-            return build_f2(n, counter), True
-        return anf_to_truth_table(rots_orbit_anf((1, 2), n)), False
-    if sel == "f3":
-        if n >= 7:
-            return build_f3(n, counter), True
-        return anf_to_truth_table(rots_orbit_anf((1, 2, 3), n)), False
-    if sel == "t":
-        return t_chain(n), False
-    if sel == "monomial":
-        if not cfg.generator:
-            raise UsageError("monomial needs --generator")
-        return monomial_table_general(cfg.generator, n), False
-    if sel == "orbit":
-        if not cfg.generator:
-            raise UsageError("orbit needs --generator")
-        return anf_to_truth_table(rots_orbit_anf(cfg.generator, n)), False
-    raise UsageError(f"unknown selector {sel!r}")
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -150,9 +115,9 @@ def cmd_build(cfg: RunConfig) -> int:
         raise UsageError("build takes a single n, not a range")
     _check_range(cfg, HARD_MAX_N)
     counter = OpCounter()
-    table, fast = _table_for(cfg, cfg.n_lo, counter)
+    table = family_table(cfg.selector, cfg.n_lo, cfg.generator, counter)
     _emit(table.to_text(), cfg.out)
-    if fast:
+    if cfg.selector in FAST_MIN_N and cfg.n_lo >= FAST_MIN_N[cfg.selector]:
         print(f"block-complements: {counter.block_complements}", file=sys.stderr)
     return 0
 
@@ -163,25 +128,13 @@ def cmd_build(cfg: RunConfig) -> int:
 
 def _analyze_one(table: TruthTable) -> dict:
     spec = walsh_transform(table)
-    vals = spec.values
-    n = table.n
-    nl = (1 << (n - 1)) - spec.max_abs() // 2
-    bent = n % 2 == 0 and bool(np.all(np.abs(vals) == (1 << (n // 2))))
-    semibent = False
-    if n % 2 == 1:
-        k = (n - 1) // 2
-        mags = np.abs(vals)
-        flat = bool(np.all((mags == 0) | (mags == (1 << (k + 1)))))
-        zeros = int(np.count_nonzero(mags == 0))
-        semibent = (flat and zeros == (1 << (2 * k))
-                    and table.is_balanced())
     return {
-        "n": n,
+        "n": table.n,
         "weight": table.weight(),
-        "nonlinearity": nl,
+        "nonlinearity": spec.nonlinearity(),
         "balanced": table.is_balanced(),
-        "bent": bent,
-        "semibent": semibent,
+        "bent": spec.is_bent(),
+        "semibent": spec.is_semi_bent(),
     }
 
 
@@ -195,9 +148,10 @@ def _fmt_cell(v) -> str:
 
 
 def _rows_to_csv(cols, rows) -> str:
+    """CSV with a header line; a cell missing from a row is left empty."""
     lines = [",".join(cols)]
     for r in rows:
-        lines.append(",".join(_fmt_cell(r[c]) for c in cols))
+        lines.append(",".join(_fmt_cell(r.get(c, "")) for c in cols))
     return "\n".join(lines) + "\n"
 
 
@@ -215,14 +169,18 @@ def cmd_analyze(cfg: RunConfig) -> int:
             with open(cfg.from_file, encoding="utf-8") as fh:
                 text = fh.read()
         tables = [TruthTable.from_text(text)]
+        n_hi = tables[0].n
     else:
         if cfg.selector is None:
             raise UsageError("analyze needs a selector or --from-file")
         _check_range(cfg, HARD_MAX_N)
-        tables = [_table_for(cfg, n)[0] for n in range(cfg.n_lo, cfg.n_hi + 1)]
-
-    if cfg.spectrum_csv is not None and len(tables) != 1:
-        raise UsageError("--spectrum-csv needs a single n")
+        if cfg.spectrum_csv is not None and cfg.n_lo != cfg.n_hi:
+            raise UsageError("--spectrum-csv needs a single n")
+        tables = (family_table(cfg.selector, n, cfg.generator)
+                  for n in range(cfg.n_lo, cfg.n_hi + 1))
+        n_hi = cfg.n_hi
+    if cfg.pc:
+        check_pc_vars(n_hi)  # before any table is built or transformed
 
     for table in tables:
         rows.append(_analyze_one(table))
@@ -260,17 +218,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
 # tables
 # ---------------------------------------------------------------------------
 
-def _f3_table_any(n: int) -> TruthTable:
-    if n >= 7:
-        return build_f3(n)
-    return anf_to_truth_table(rots_orbit_anf((1, 2, 3), n))
-
-
 def _computed_weight_rows() -> list[dict]:
     """Weight/component rows for n = 3..12, every cell computed."""
     rows = []
     for n in range(3, 13):
-        row: dict = {"n": n, "weight": weight(_f3_table_any(n))}
+        row: dict = {"n": n, "weight": family_table("f3", n).weight()}
         if n >= 5:
             row["h1"] = f3_component(1, n - 1).weight()
         if n >= 6:
@@ -284,11 +236,9 @@ def _computed_weight_rows() -> list[dict]:
 
 
 def _computed_nl_rows() -> list[dict]:
-    rows = []
-    for n in range(3, 10):
-        spec = walsh_transform(_f3_table_any(n))
-        rows.append({"n": n, "nonlinearity": (1 << (n - 1)) - spec.max_abs() // 2})
-    return rows
+    return [{"n": n,
+             "nonlinearity": walsh_transform(family_table("f3", n)).nonlinearity()}
+            for n in range(3, 10)]
 
 
 def cmd_tables(cfg: RunConfig) -> int:
@@ -313,15 +263,9 @@ def cmd_tables(cfg: RunConfig) -> int:
                 f"mismatch: nonlinearity n={row['n']}:"
                 f" computed {row['nonlinearity']}, reference {want}")
 
-    cols = ("n",) + weight_table_columns()
     if cfg.fmt == "csv":
-        w_csv = [",".join(cols)]
-        for row in w_rows:
-            w_csv.append(",".join(str(row.get(c, "")) for c in cols))
-        nl_csv = ["n,nonlinearity"]
-        for row in nl_rows:
-            nl_csv.append(f"{row['n']},{row['nonlinearity']}")
-        _emit("\n".join(w_csv) + "\n\n" + "\n".join(nl_csv) + "\n", cfg.out)
+        _emit(_rows_to_csv(("n",) + weight_table_columns(), w_rows) + "\n"
+              + _rows_to_csv(("n", "nonlinearity"), nl_rows), cfg.out)
     elif cfg.fmt == "json":
         _emit(json.dumps({
             "weights": w_rows,
@@ -395,25 +339,21 @@ def cmd_conjecture(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bench(cfg: RunConfig) -> int:
-    if cfg.selector not in ("f2", "f3"):
+    if cfg.selector not in FAST_MIN_N:
         raise UsageError("bench selector must be f2 or f3")
-    fast_min = 5 if cfg.selector == "f2" else 7
+    fast_min = FAST_MIN_N[cfg.selector]
     if cfg.n_lo < fast_min:
         raise UsageError(f"bench {cfg.selector} needs n >= {fast_min}")
     _check_range(cfg, BENCH_MAX_N)
 
-    gen = (1, 2) if cfg.selector == "f2" else (1, 2, 3)
     rows = []
     for n in range(cfg.n_lo, cfg.n_hi + 1):
         counter = OpCounter()
         t0 = time.perf_counter()
-        if cfg.selector == "f2":
-            build_f2(n, counter)
-        else:
-            build_f3(n, counter)
+        family_table(cfg.selector, n, counter=counter)
         t_fast = time.perf_counter() - t0
         t0 = time.perf_counter()
-        anf_to_truth_table(rots_orbit_anf(gen, n))
+        family_table("orbit", n, FAMILY_GENERATORS[cfg.selector])
         t_oracle = time.perf_counter() - t0
         claimed = (f2_block_complements(n) if cfg.selector == "f2"
                    else f3_block_complements_claimed(n))
@@ -483,12 +423,8 @@ def cmd_gf(cfg: RunConfig) -> int:
     agree_all = all(r.get("agree", True) for r in rows)
 
     if cfg.fmt == "csv":
-        lines = ["degree,coefficient,weight,agree"]
-        for r in rows:
-            lines.append(f"{r['degree']},{r['coefficient']},"
-                         f"{r.get('weight', '')},"
-                         f"{_fmt_cell(r['agree']) if 'agree' in r else ''}")
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit(_rows_to_csv(("degree", "coefficient", "weight", "agree"), rows),
+              cfg.out)
     elif cfg.fmt == "json":
         _emit(json.dumps({"rows": rows, "agree": agree_all}, indent=2) + "\n",
               cfg.out)

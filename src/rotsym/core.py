@@ -332,7 +332,52 @@ class WalshSpectrum:
                 and bool(np.array_equal(self.values, other.values)))
 
     def max_abs(self) -> int:
-        return int(np.max(np.abs(self.values.astype(np.int64))))
+        # |W(w)| <= 2^n <= 2^MAX_VARS = 2^26 < 2^31, so int32 abs is exact
+        return int(np.max(np.abs(self.values)))
+
+    def nonlinearity(self) -> int:
+        """Minimum distance to the 2^(n+1) affine functions."""
+        return (1 << (self.n - 1)) - self.max_abs() // 2
+
+    def is_bent(self) -> bool:
+        """Flat spectrum |W| = 2^(n/2); always false for odd n."""
+        if self.n % 2 == 1:
+            return False
+        return bool(np.all(np.abs(self.values) == (1 << (self.n // 2))))
+
+    def is_semi_bent(self) -> bool:
+        """Spectral semi-bent test for n = 2k+1; always false for even n.
+
+        Requires values in {0, +-2^(k+1)} and a balanced function, W(0) = 0.
+        By Parseval such a spectrum has exactly 2^(2k) zeros.
+        """
+        if self.n % 2 == 0:
+            return False
+        mags = np.abs(self.values)
+        amp = 1 << ((self.n + 1) // 2)
+        return self[0] == 0 and bool(np.all((mags == 0) | (mags == amp)))
+
+    def pc_profile(self) -> dict[int, tuple[int, int]]:
+        """Per-weight-class tallies of balanced derivatives over all directions.
+
+        Returns {w: (satisfied, total)} for w = 1..n.  PC(s) holds iff classes
+        1..s are fully satisfied; SAC is class 1.  Computed through the
+        autocorrelation spectrum (one extra butterfly) rather than 2^n calls
+        to pc_check, so the 2^n - 1 directions cost O(n 2^n) total.  Every
+        partial sum is bounded by sum W^2 = 2^(2n) <= 2^40 (Parseval), so
+        int64 is exact.
+        """
+        check_pc_vars(self.n)
+        auto = self.values.astype(np.int64)
+        np.square(auto, out=auto)
+        auto = _fwht_inplace(auto)  # auto[c] = 2^n * sum_x (-1)^(f(x)+f(x+c))
+        wt_of_index = np.bitwise_count(np.arange(auto.size, dtype=np.uint32))
+        out: dict[int, tuple[int, int]] = {}
+        for w in range(1, self.n + 1):
+            in_class = wt_of_index == w
+            satisfied = int(np.count_nonzero(in_class & (auto == 0)))
+            out[w] = (satisfied, comb(self.n, w))
+        return out
 
     def zero_count(self) -> int:
         return int(np.count_nonzero(self.values == 0))
@@ -420,7 +465,7 @@ def walsh_transform(tt: TruthTable) -> WalshSpectrum:
 
 def nonlinearity(tt: TruthTable) -> int:
     """Minimum distance to the 2^(n+1) affine functions, via the spectrum."""
-    return (1 << (tt.n - 1)) - walsh_transform(tt).max_abs() // 2
+    return walsh_transform(tt).nonlinearity()
 
 
 def correlation(g: TruthTable, h: TruthTable) -> Fraction:
@@ -449,52 +494,26 @@ def pc_check(f: TruthTable, c: int) -> bool:
     return int(np.sum(arr ^ shifted, dtype=np.int64)) == f.size // 2
 
 
-def pc_profile(f: TruthTable) -> dict[int, tuple[int, int]]:
-    """Per-weight-class tallies of balanced derivatives over all directions.
-
-    Returns {w: (satisfied, total)} for w = 1..n.  PC(s) holds iff classes
-    1..s are fully satisfied; SAC is class 1.  Computed through the
-    autocorrelation spectrum (one extra butterfly) rather than 2^n calls to
-    pc_check, so the 2^n - 1 directions cost O(n 2^n) total.
-    """
-    if f.n > PC_PROFILE_MAX_VARS:
+def check_pc_vars(n: int) -> None:
+    """Raise ValueError when a PC profile on n variables is over the cap."""
+    if n > PC_PROFILE_MAX_VARS:
         raise ValueError(f"pc_profile capped at n <= {PC_PROFILE_MAX_VARS}")
-    spec = walsh_transform(f).values.astype(np.int64)
-    auto = _fwht_inplace(spec * spec)  # auto[c] = 2^n * sum_x (-1)^(f(x)+f(x+c))
-    idx = np.arange(f.size, dtype=np.uint32)
-    wt_of_index = np.bitwise_count(idx)
-    out: dict[int, tuple[int, int]] = {}
-    for w in range(1, f.n + 1):
-        in_class = wt_of_index == w
-        satisfied = int(np.count_nonzero(in_class & (auto == 0)))
-        out[w] = (satisfied, comb(f.n, w))
-    return out
+
+
+def pc_profile(f: TruthTable) -> dict[int, tuple[int, int]]:
+    """{w: (satisfied, total)} per direction weight; see WalshSpectrum.pc_profile."""
+    check_pc_vars(f.n)
+    return walsh_transform(f).pc_profile()
 
 
 def is_bent(f: TruthTable) -> bool:
     """Flat spectrum test; always false for odd n."""
-    if f.n % 2 == 1:
-        return False
-    target = 1 << (f.n // 2)
-    return bool(np.all(np.abs(walsh_transform(f).values) == target))
+    return walsh_transform(f).is_bent()
 
 
 def is_semi_bent_spectral(f: TruthTable) -> bool:
-    """Spectral semi-bent test for n = 2k+1; always false for even n.
-
-    Requires values in {0, +-2^(k+1)}, exactly 2^(2k) zeros and 2^(2k)
-    nonzeros, and a balanced function.
-    """
-    if f.n % 2 == 0:
-        return False
-    k = (f.n - 1) // 2
-    amp = 1 << (k + 1)
-    mags = np.abs(walsh_transform(f).values)
-    if not bool(np.all((mags == 0) | (mags == amp))):
-        return False
-    zeros = int(np.count_nonzero(mags == 0))
-    half = 1 << (2 * k)
-    return zeros == half and (f.size - zeros) == half and f.is_balanced()
+    """Spectral semi-bent test for n = 2k+1; always false for even n."""
+    return walsh_transform(f).is_semi_bent()
 
 
 def apply_affine_transform(h: TruthTable, t: AffineTransform) -> TruthTable:

@@ -2,18 +2,30 @@
 
 Closed forms and recurrences for the degree-2 weights, the recurrence and
 rational generating functions for both families, the open-chain quadratic
-used in the semi-bent constructions, and the weight-equals-nonlinearity
-scan for the degree-3 family.  All arithmetic is exact integer arithmetic.
+used in the semi-bent constructions, the one dispatch from a selector to a
+table (family_table), and the weight-equals-nonlinearity scan for the
+degree-3 family.  All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .builders import build_f3, rots_orbit_anf
+from .builders import (
+    OpCounter,
+    build_f2,
+    build_f3,
+    monomial_table_general,
+    rots_orbit_anf,
+)
 from .core import AnfPolynomial, TruthTable, anf_to_truth_table, nonlinearity, weight
 
 F3_REFERENCE_NL_RANGE = (3, 9)  # range covered by the published table
+
+# the two rotation-symmetric families: the monomial whose orbit defines each,
+# and the least n at which its fast builder applies
+FAMILY_GENERATORS = {"f2": (1, 2), "f3": (1, 2, 3)}
+FAST_MIN_N = {"f2": 5, "f3": 7}
 
 
 @dataclass(frozen=True)
@@ -28,9 +40,6 @@ class RationalGF:
         object.__setattr__(self, "denominator", tuple(self.denominator))
         if not self.denominator or self.denominator[0] == 0:
             raise ValueError("denominator needs a nonzero constant term")
-
-    def series(self, upto: int) -> list[int]:
-        return gf_series(self, upto)
 
 
 @dataclass(frozen=True)
@@ -166,11 +175,28 @@ def t_chain(n: int) -> TruthTable:
     return anf_to_truth_table(anf)
 
 
-def f3_table(n: int) -> TruthTable:
-    """Degree-3 table: fast build for n >= 7, direct expansion below."""
-    if n >= 7:
-        return build_f3(n)
-    return anf_to_truth_table(rots_orbit_anf((1, 2, 3), n))
+def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
+                 counter: OpCounter | None = None) -> TruthTable:
+    """The table a selector names, one per n.
+
+    f2/f3 use the fast builder from FAST_MIN_N on (charging counter) and the
+    ANF expansion of their orbit below it; t is the open chain; monomial and
+    orbit need a generator (the CLI's --generator).
+    """
+    if selector in FAST_MIN_N:
+        if n >= FAST_MIN_N[selector]:
+            build = build_f2 if selector == "f2" else build_f3
+            return build(n, counter)
+        selector, generator = "orbit", FAMILY_GENERATORS[selector]
+    if selector == "t":
+        return t_chain(n)
+    if selector not in ("monomial", "orbit"):
+        raise ValueError(f"unknown selector {selector!r}")
+    if not generator:
+        raise ValueError(f"{selector} needs --generator")
+    if selector == "monomial":
+        return monomial_table_general(generator, n)
+    return anf_to_truth_table(rots_orbit_anf(generator, n))
 
 
 @dataclass(frozen=True)
@@ -193,7 +219,7 @@ def conjecture_check(n_lo: int, n_hi: int) -> list[ConjectureRow]:
     rows = []
     lo, hi = F3_REFERENCE_NL_RANGE
     for n in range(n_lo, n_hi + 1):
-        tab = f3_table(n)
+        tab = family_table("f3", n)
         w = weight(tab)
         nl = nonlinearity(tab)
         rows.append(ConjectureRow(

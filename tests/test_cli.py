@@ -1,5 +1,7 @@
 import json
 
+import rotsym.cli
+import rotsym.core
 from rotsym import TruthTable
 from rotsym.cli import main
 
@@ -148,6 +150,22 @@ def test_analyze_spectrum_csv(tmp_path, capsys):
 
 def test_analyze_needs_selector_or_file(capsys):
     assert run(capsys, "analyze", "--n", "5")[0] == 1
+
+
+def test_analyze_pc_above_cap_fails_before_any_transform(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_transform(table):
+        raise AssertionError(f"transform ran at n={table.n}")
+
+    monkeypatch.setattr(rotsym.cli, "walsh_transform", no_transform)
+    monkeypatch.setattr(rotsym.core, "walsh_transform", no_transform)
+    cap_message = "error: pc_profile capped at n <= 20\n"
+    assert run(capsys, "analyze", "f2", "--n", "19..21", "--pc",
+               "--max-n", "21") == (1, "", cap_message)
+    path = tmp_path / "n21.tt"
+    path.write_text("n=21\n" + "0" * (1 << 19) + "\n")
+    assert run(capsys, "analyze", "--from-file", str(path),
+               "--pc") == (1, "", cap_message)
 
 
 # ---------------------------------------------------------------------------

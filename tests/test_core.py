@@ -29,7 +29,7 @@ from rotsym import (
     walsh_transform,
     weight,
 )
-from rotsym.core import dot2, gf2_apply, gf2_invert, gf2_transpose
+from rotsym.core import MAX_VARS, dot2, gf2_apply, gf2_invert, gf2_transpose
 
 from oracles import (
     affine_nonlinearity,
@@ -220,7 +220,9 @@ def test_nonlinearity_equals_affine_enumeration():
     for n in (3, 4, 6, 8, 10):
         for _ in range(3):
             t = random_table(rng, n)
-            assert nonlinearity(t) == affine_nonlinearity(t)
+            want = affine_nonlinearity(t)
+            assert nonlinearity(t) == want
+            assert walsh_transform(t).nonlinearity() == want
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +283,7 @@ def test_pc_profile_matches_pc_check():
     for n in (4, 5, 6):
         t = random_table(rng, n)
         profile = pc_profile(t)
+        assert walsh_transform(t).pc_profile() == profile
         for w in range(1, n + 1):
             directions = [c for c in range(1, 1 << n) if c.bit_count() == w]
             sat = sum(1 for c in directions if pc_check(t, c))
@@ -328,6 +331,8 @@ def test_pc_profile_linear_function():
 def test_pc_profile_cap():
     with pytest.raises(ValueError):
         pc_profile(TruthTable.zeros(21))
+    with pytest.raises(ValueError):
+        walsh_transform(TruthTable.zeros(21)).pc_profile()
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +340,32 @@ def test_pc_profile_cap():
 # ---------------------------------------------------------------------------
 
 def test_is_bent():
-    assert is_bent(t_chain(6)) is True
-    assert is_bent(build_f2(6)) is False
-    assert is_bent(TruthTable.zeros(4)) is False
-    assert is_bent(t_chain(5)) is False  # odd n short-circuits
+    for bent in (is_bent, lambda f: walsh_transform(f).is_bent()):
+        assert bent(t_chain(6)) is True
+        assert bent(build_f2(6)) is False
+        assert bent(TruthTable.zeros(4)) is False
+        assert bent(t_chain(5)) is False  # odd n short-circuits
 
 
 def test_is_semi_bent():
-    for n in (5, 7, 9):
-        assert is_semi_bent_spectral(build_f2(n)) is True
-    assert is_semi_bent_spectral(linear_function_table(5, 3)) is False
-    assert is_semi_bent_spectral(t_chain(6)) is False  # even n short-circuits
+    for semi_bent in (is_semi_bent_spectral,
+                      lambda f: walsh_transform(f).is_semi_bent()):
+        for n in (5, 7, 9):
+            assert semi_bent(build_f2(n)) is True
+        assert semi_bent(linear_function_table(5, 3)) is False
+        assert semi_bent(t_chain(6)) is False  # even n short-circuits
+        # spectrum {0, +-2^3} but W(0) != 0: unbalanced, so not semi-bent
+        assert semi_bent(t_chain(5)) is False
+
+
+def test_max_abs_int32_bound():
+    # max_abs takes |W| in int32, exact while |W| <= 2^MAX_VARS < 2^31
+    assert MAX_VARS <= 30
+    for n in (1, 5, 12):
+        for t in (TruthTable.zeros(n), TruthTable.ones(n),
+                  linear_function_table(n, 1),
+                  linear_function_table(n, (1 << n) - 1)):
+            assert walsh_transform(t).max_abs() == 1 << n
 
 
 # ---------------------------------------------------------------------------
