@@ -185,6 +185,8 @@ def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
     """
     if selector in FAST_MIN_N:
         if n >= FAST_MIN_N[selector]:
+            # read from the module globals on each call, so a wrapper set on
+            # build_f2/build_f3 here (perfbench/bench_trace.py) sees the build
             build = build_f2 if selector == "f2" else build_f3
             return build(n, counter)
         selector, generator = "orbit", FAMILY_GENERATORS[selector]
