@@ -501,7 +501,10 @@ def check_pc_vars(n: int) -> None:
 
 
 def pc_profile(f: TruthTable) -> dict[int, tuple[int, int]]:
-    """{w: (satisfied, total)} per direction weight; see WalshSpectrum.pc_profile."""
+    """{w: (satisfied, total)} per direction weight; see WalshSpectrum.pc_profile.
+
+    The cap is checked before the spectrum is taken.
+    """
     check_pc_vars(f.n)
     return walsh_transform(f).pc_profile()
 
