@@ -19,6 +19,22 @@ import numpy as np
 MAX_VARS = 26          # 2^26-bit tables; the spectrum still fits int32
 PC_PROFILE_MAX_VARS = 20
 
+# The Walsh kernel (see walsh_transform).  float32 holds every integer of
+# magnitude <= 2^24 exactly, so the low 24 index bits are transformed in
+# float32 and any higher bits in int32.
+_FLOAT_BITS = 24
+_GROUP_BITS = 5        # index bits per GEMM stage, against one 32x32 matrix
+_GEMM_ROWS = 256       # rows per GEMM call, so 2^18 multiply-adds (see below)
+_SLAB = 1 << 16        # chunk length of the integer butterfly and the sign lookup
+_CSV_ROWS = 4096       # rows per formatted chunk of WalshSpectrum.write_csv
+
+# Sylvester-Hadamard H[j, k] = (-1)^(j.k); its leading 2^g block is H_(2^g)
+_GROUP = np.arange(1 << _GROUP_BITS)
+_HADAMARD = 1 - 2 * (np.bitwise_count(np.bitwise_and.outer(_GROUP, _GROUP))
+                     & 1).astype(np.float32)
+# _SIGNS[byte, j] = (-1)^(bit j of byte): the +-1 values of 8 table positions
+_SIGNS = (1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)).astype(np.float32)
+
 
 # ---------------------------------------------------------------------------
 # bit packing helpers
@@ -311,12 +327,21 @@ class WalshSpectrum:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values: np.ndarray | Sequence[int]):
-        arr = np.asarray(values, dtype=np.int32).copy()
+        arr = np.array(values, dtype=np.int32)  # a private copy
         if arr.size != 1 << n:
             raise ValueError(f"spectrum length {arr.size} != 2^{n}")
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _adopt(cls, n: int, arr: np.ndarray) -> "WalshSpectrum":
+        """Wrap a 2^n int32 array nothing else references, without a copy."""
+        arr.setflags(write=False)
+        spec = cls.__new__(cls)
+        object.__setattr__(spec, "n", n)
+        object.__setattr__(spec, "values", arr)
+        return spec
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("WalshSpectrum is immutable")
@@ -332,18 +357,28 @@ class WalshSpectrum:
                 and bool(np.array_equal(self.values, other.values)))
 
     def max_abs(self) -> int:
-        # |W(w)| <= 2^n <= 2^MAX_VARS = 2^26 < 2^31, so int32 abs is exact
-        return int(np.max(np.abs(self.values)))
+        # two reductions, no |W| array; -min is taken on a Python int
+        return max(int(self.values.max()), -int(self.values.min()))
+
+    def _count_of(self, *targets: int) -> int:
+        """How many values equal one of the (distinct) targets."""
+        return sum(int(np.count_nonzero(self.values == t)) for t in targets)
 
     def nonlinearity(self) -> int:
         """Minimum distance to the 2^(n+1) affine functions."""
         return (1 << (self.n - 1)) - self.max_abs() // 2
 
     def is_bent(self) -> bool:
-        """Flat spectrum |W| = 2^(n/2); always false for odd n."""
+        """Flat spectrum |W| = 2^(n/2); always false for odd n.
+
+        max|W| = 2^(n/2) is checked first; then the values equal to +2^(n/2)
+        or -2^(n/2) are counted.  Both are exact for any values and build no
+        |W| array.
+        """
         if self.n % 2 == 1:
             return False
-        return bool(np.all(np.abs(self.values) == (1 << (self.n // 2))))
+        amp = 1 << (self.n // 2)
+        return self.max_abs() == amp and self._count_of(amp, -amp) == len(self)
 
     def is_semi_bent(self) -> bool:
         """Spectral semi-bent test for n = 2k+1; always false for even n.
@@ -353,9 +388,9 @@ class WalshSpectrum:
         """
         if self.n % 2 == 0:
             return False
-        mags = np.abs(self.values)
         amp = 1 << ((self.n + 1) // 2)
-        return self[0] == 0 and bool(np.all((mags == 0) | (mags == amp)))
+        return (self[0] == 0 and self.max_abs() <= amp
+                and self._count_of(0, amp, -amp) == len(self))
 
     def pc_profile(self) -> dict[int, tuple[int, int]]:
         """Per-weight-class tallies of balanced derivatives over all directions.
@@ -370,14 +405,15 @@ class WalshSpectrum:
         check_pc_vars(self.n)
         auto = self.values.astype(np.int64)
         np.square(auto, out=auto)
-        auto = _fwht_inplace(auto)  # auto[c] = 2^n * sum_x (-1)^(f(x)+f(x+c))
-        wt_of_index = np.bitwise_count(np.arange(auto.size, dtype=np.uint32))
-        out: dict[int, tuple[int, int]] = {}
-        for w in range(1, self.n + 1):
-            in_class = wt_of_index == w
-            satisfied = int(np.count_nonzero(in_class & (auto == 0)))
-            out[w] = (satisfied, comb(self.n, w))
-        return out
+        _fwht_inplace(auto)  # auto[c] = 2^n * sum_x (-1)^(f(x)+f(x+c))
+        zero = auto == 0
+        del auto
+        wt_of_index = np.zeros(zero.size, dtype=np.uint8)
+        for p in range(self.n):
+            np.add(wt_of_index[:1 << p], 1, out=wt_of_index[1 << p:2 << p])
+        zero_wts = wt_of_index[zero]  # weight classes of the balanced directions
+        return {w: (int(np.count_nonzero(zero_wts == w)), comb(self.n, w))
+                for w in range(1, self.n + 1)}
 
     def zero_count(self) -> int:
         return int(np.count_nonzero(self.values == 0))
@@ -386,10 +422,18 @@ class WalshSpectrum:
         return int(np.sum(self.values.astype(np.int64) ** 2))
 
     def write_csv(self, fileobj) -> None:
-        """CSV export with columns w, value."""
+        """CSV export with columns w, value.
+
+        Rows are formatted _CSV_ROWS at a time, one %-format per chunk.
+        """
         fileobj.write("w,value\n")
-        for w, v in enumerate(self.values):
-            fileobj.write(f"{w},{int(v)}\n")
+        pairs = np.empty((_CSV_ROWS, 2), dtype=np.int64)
+        for start in range(0, len(self), _CSV_ROWS):
+            chunk = self.values[start:start + _CSV_ROWS]
+            m = chunk.size
+            pairs[:m, 0] = np.arange(start, start + m)
+            pairs[:m, 1] = chunk
+            fileobj.write(("%d,%d\n" * m) % tuple(pairs[:m].ravel().tolist()))
 
     def __repr__(self) -> str:
         return f"WalshSpectrum(n={self.n}, max_abs={self.max_abs()})"
@@ -444,23 +488,89 @@ def distance(f: TruthTable, g: TruthTable) -> int:
     return (f ^ g).weight()
 
 
-def _fwht_inplace(v: np.ndarray) -> np.ndarray:
-    """In-place butterfly, n*2^n additions; returns the flattened array."""
+def _fwht_inplace(v: np.ndarray, h: int = 1,
+                  slab: np.ndarray | None = None) -> None:
+    """Integer butterfly over the index bits of weight h, 2h, ... of v.
+
+    Each pass maps the pair (a, b) = (v[i], v[i + h]) to (a + b, a - b) in
+    place, log2(size/h) passes of size/2 additions and size/2 subtractions.
+    The old a is kept in a slab of at most _SLAB elements (or the one given,
+    of v's dtype): copy a into the slab, a += b, b = slab - b.  So a pass
+    makes no copy of half the array and no temporaries, and its chunks stay
+    in cache.
+    """
     size = v.size
-    h = 1
+    if slab is None:
+        slab = np.empty(min(size // 2, _SLAB), dtype=v.dtype)
     while h < size:
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h].copy()
-        v[:, :h] = left + v[:, h:]
-        v[:, h:] = left - v[:, h:]
+        pairs = v.reshape(-1, 2, h)
+        cols = min(h, slab.size)
+        rows = slab.size // cols
+        for r in range(0, pairs.shape[0], rows):
+            for c in range(0, h, cols):
+                a = pairs[r:r + rows, 0, c:c + cols]
+                b = pairs[r:r + rows, 1, c:c + cols]
+                old_a = slab[:a.size].reshape(a.shape)
+                np.copyto(old_a, a)
+                a += b
+                np.subtract(old_a, b, out=b)
         h *= 2
-    return v.reshape(size)
 
 
 def walsh_transform(tt: TruthTable) -> WalshSpectrum:
-    """Spectrum values[w] = sum over x of (-1)^(f(x) + w.x)."""
-    signs = 1 - 2 * tt.to_array().astype(np.int32)
-    return WalshSpectrum(tt.n, _fwht_inplace(signs))
+    """Spectrum values[w] = sum over x of (-1)^(f(x) + w.x), as int32.
+
+    H_(2^n) is the Kronecker product of one H_2 per index bit, so the bits
+    can be transformed in groups.  The +-1 values are read from the packed
+    bytes through _SIGNS into a float32 buffer.  The low min(n, 24) index
+    bits are then transformed _GROUP_BITS at a time, each group by a matmul
+    against the leading block of the 32x32 _HADAMARD, between two float32
+    buffers in turn.  This is exact: after the groups below bit b are done
+    every value, and every partial sum a GEMM forms, is a signed sum of at
+    most 2^b <= 2^24 of the +-1 inputs, an integer float32 holds exactly in
+    any summation order and with or without FMA.  The result is cast to
+    int32 into the other buffer.  For n = 25, 26 the top one or two bits
+    follow as an int32 butterfly, with the dead float buffer as its slab;
+    |W| <= 2^26 < 2^31.  Peak memory is the two 4*2^n-byte buffers.
+
+    Each GEMM call covers at most _GEMM_ROWS rows of 32, 2^18 multiply-adds
+    whose operands stay in cache.  OpenBLAS runs a call that small on the
+    calling thread; on a 2-vCPU virtual machine larger calls were handed to
+    its worker thread and often took 8 ms each instead of 0.1 ms.
+    """
+    n, size = tt.n, tt.size
+    nbytes = max(1, size // 8)
+    signs = np.empty((nbytes, 8), dtype=np.float32)
+    raw = np.frombuffer(tt.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
+    for i in range(0, nbytes, _SLAB):  # take casts each index chunk to intp
+        np.take(_SIGNS, raw[i:i + _SLAB], axis=0, out=signs[i:i + _SLAB],
+                mode="clip")
+    del raw  # freed before the second buffer exists
+    src = signs.reshape(-1)[:size]  # n < 3: a table shorter than a byte
+    dst = np.empty_like(src)
+    low = min(n, _FLOAT_BITS)
+    done = 0
+    while done < low:
+        g = min(_GROUP_BITS, low - done)
+        group = 1 << g
+        stride = 1 << done
+        h = _HADAMARD[:group, :group]
+        if stride == 1:  # rows of `group` consecutive values: rows @ H
+            rows = min(size // group, _GEMM_ROWS)
+            np.matmul(src.reshape(-1, rows, group), h,
+                      out=dst.reshape(-1, rows, group))
+        else:  # H @ (group x stride) blocks, split into column tiles
+            tile = min(stride, _GEMM_ROWS)
+            shape = (-1, group, stride // tile, tile)
+            np.matmul(h, src.reshape(shape).transpose(0, 2, 1, 3),
+                      out=dst.reshape(shape).transpose(0, 2, 1, 3))
+        src, dst = dst, src
+        done += g
+    out = dst.view(np.int32)
+    np.copyto(out, src, casting="unsafe")
+    if n > _FLOAT_BITS:
+        _fwht_inplace(out, 1 << _FLOAT_BITS, src.view(np.int32)[:_SLAB])
+    return WalshSpectrum._adopt(n, out)
 
 
 def nonlinearity(tt: TruthTable) -> int:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from rotsym import TruthTable
 
 
@@ -47,6 +49,31 @@ def slow_walsh(bits: list[int]) -> list[int]:
             acc += -1 if (bits[x] ^ (bin(w & x).count("1") & 1)) else 1
         out.append(acc)
     return out
+
+
+def butterfly_walsh(tt: TruthTable) -> np.ndarray:
+    """The plain radix-2 integer butterfly, one pass per index bit.
+
+    Works on a copy of the unpacked bits in int32: every partial sum is a
+    signed count of at most 2^n <= 2^26 < 2^31 terms.
+    """
+    size = tt.size
+    raw = np.frombuffer(tt.bits.to_bytes(max(1, size // 8), "little"),
+                        dtype=np.uint8)
+    v = 1 - 2 * np.unpackbits(raw, bitorder="little", count=size).astype(np.int32)
+    h = 1
+    while h < size:
+        v = v.reshape(-1, 2 * h)
+        left = v[:, :h].copy()
+        v[:, :h] = left + v[:, h:]
+        v[:, h:] = left - v[:, h:]
+        h *= 2
+    return v.reshape(size)
+
+
+def line_by_line_csv(values) -> str:
+    """The spectrum CSV written one formatted line per value."""
+    return "w,value\n" + "".join(f"{w},{int(v)}\n" for w, v in enumerate(values))
 
 
 def mobius_anf(tt: TruthTable) -> set[frozenset[int]]:

@@ -1,8 +1,12 @@
 import io
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotsym import (
     AffineTransform,
@@ -29,11 +33,21 @@ from rotsym import (
     walsh_transform,
     weight,
 )
-from rotsym.core import MAX_VARS, dot2, gf2_apply, gf2_invert, gf2_transpose
+from rotsym.core import (
+    MAX_VARS,
+    WalshSpectrum,
+    _fwht_inplace,
+    dot2,
+    gf2_apply,
+    gf2_invert,
+    gf2_transpose,
+)
 
 from oracles import (
     affine_nonlinearity,
+    butterfly_walsh,
     derivative_sum,
+    line_by_line_csv,
     mobius_anf,
     random_invertible_rows,
     random_table,
@@ -179,8 +193,9 @@ def test_walsh_linear_functions():
 
 
 def test_walsh_matches_slow_transform():
+    # n = 1..8: every last-group size of the kernel and tables under a byte
     rng = random.Random(7)
-    for n in (1, 2, 3, 5, 7):
+    for n in range(1, 9):
         for _ in range(3):
             t = random_table(rng, n)
             assert list(walsh_transform(t).values) == slow_walsh(table_to_list(t))
@@ -195,6 +210,88 @@ def test_walsh_invariants_random():
         assert spec[0] == (1 << n) - 2 * weight(t)
         assert all(v % 2 == 0 for v in spec.values)
         assert t.is_balanced() == (spec[0] == 0)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 14, 24])
+def test_walsh_kernel_matches_plain_butterfly(n):
+    # 10 is a multiple of the 5-bit group, 9, 11 and 14 are not; 24 is the
+    # last bit done in float32
+    t = random_table(random.Random(n), n)
+    got = walsh_transform(t).values
+    assert got.dtype == np.int32
+    assert np.array_equal(got, butterfly_walsh(t))
+
+
+def test_walsh_n25_concatenation_identity():
+    # bit 24 goes through the int32 butterfly: W(g0||g1) = [W0 + W1, W0 - W1]
+    rng = random.Random(25)
+    g0, g1 = random_table(rng, 24), random_table(rng, 24)
+    w0, w1 = walsh_transform(g0).values, walsh_transform(g1).values
+    got = walsh_transform(concatenate(g0, g1)).values
+    assert np.array_equal(got[:1 << 24], w0 + w1)
+    assert np.array_equal(got[1 << 24:], w0 - w1)
+
+
+def test_walsh_zeros_25_reaches_the_exactness_limit():
+    # the float32 stages end with W(0) = 2^24 in each half, the largest
+    # value they must hold; bit 24 then doubles it in int32
+    values = walsh_transform(TruthTable.zeros(25)).values
+    assert values[0] == 1 << 25
+    assert np.count_nonzero(values) == 1
+
+
+def test_walsh_n26_needs_the_int32_top_bits():
+    # f = 1 only at x = 0: W(0) = 2^26 - 2, every other W(w) = -2.  In
+    # float32 the last bits would form partial sums above 2^25 that are
+    # 2 mod 4, which float32 rounds; bits 24 and 25 are done in int32.
+    values = walsh_transform(TruthTable(26, 1)).values
+    assert values[0] == (1 << 26) - 2
+    assert np.count_nonzero(values[1:] != -2) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 18).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+def test_walsh_twice_is_scaled_identity(table):
+    # W(W(s)) = 2^n s for s = (-1)^f; the second transform is the int64
+    # slab butterfly, which chunks its passes from n = 18
+    n, bits = table
+    twice = walsh_transform(TruthTable(n, bits)).values.astype(np.int64)
+    _fwht_inplace(twice)
+    signs = 1 - 2 * np.array([(bits >> i) & 1 for i in range(1 << n)])
+    assert np.array_equal(twice, signs << n)
+
+
+def test_slab_butterfly_chunks_rows_and_columns():
+    # a 4-element slab splits the early passes by rows, the late by columns
+    t = random_table(random.Random(17), 7)
+    v = np.array(slow_walsh(table_to_list(t)), dtype=np.int64)
+    _fwht_inplace(v, slab=np.empty(4, dtype=np.int64))
+    assert np.array_equal(v, (1 - 2 * np.array(table_to_list(t))) << 7)
+
+
+def test_walsh_transform_hands_off_read_only_int32():
+    values = walsh_transform(build_f2(7)).values
+    assert values.dtype == np.int32
+    assert not values.flags.writeable
+    arr = np.array(slow_walsh(table_to_list(build_f2(7))), dtype=np.int32)
+    spec = WalshSpectrum(7, arr)
+    assert spec.values is not arr and arr.flags.writeable
+    arr[0] += 2
+    assert spec[0] == values[0]
+
+
+def test_walsh_transform_memory_is_two_buffers():
+    # two float32 buffers of 2^n values; no unpacked copy, no third buffer
+    n = 20
+    t = build_f2(n)
+    tracemalloc.start()
+    try:
+        walsh_transform(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 4 * (1 << n) + (1 << 20)
 
 
 def test_t4_is_flat():
@@ -530,3 +627,13 @@ def test_spectrum_csv():
     buf = io.StringIO()
     walsh_transform(TruthTable.zeros(2)).write_csv(buf)
     assert buf.getvalue() == "w,value\n0,4\n1,0\n2,0\n3,0\n"
+
+
+def test_spectrum_csv_matches_line_by_line_writer():
+    # n = 13 spans two 4096-row chunks
+    rng = random.Random(59)
+    for n in range(1, 14):
+        spec = walsh_transform(random_table(rng, n))
+        buf = io.StringIO()
+        spec.write_csv(buf)
+        assert buf.getvalue() == line_by_line_csv(spec.values)
