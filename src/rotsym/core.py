@@ -24,8 +24,10 @@ PC_PROFILE_MAX_VARS = 20
 # float32 and any higher bits in int32.
 _FLOAT_BITS = 24
 _GROUP_BITS = 5        # index bits per GEMM stage, against one 32x32 matrix
-_GEMM_ROWS = 256       # rows per GEMM call, so 2^18 multiply-adds (see below)
-_SLAB = 1 << 16        # chunk length of the integer butterfly and the sign lookup
+_GEMM_MACS = 1 << 18   # multiply-adds per GEMM call (see _gemm_bits)
+_CHUNK_BITS = 16       # low index bits done per chunk of walsh_transform's pass 1
+_PANEL = 1 << 17       # values per panel of its pass 2, gathered into scratch
+_SLAB = 1 << 16        # chunk length of the integer butterfly
 _CSV_ROWS = 4096       # rows per formatted chunk of WalshSpectrum.write_csv
 
 # Sylvester-Hadamard H[j, k] = (-1)^(j.k); its leading 2^g block is H_(2^g)
@@ -324,24 +326,26 @@ def anf_to_truth_table(anf: AnfPolynomial) -> TruthTable:
 class WalshSpectrum:
     """The 2^n signed values of the Walsh-Hadamard transform of (-1)^f."""
 
-    __slots__ = ("n", "values")
+    __slots__ = ("n", "values", "_max_abs")
 
     def __init__(self, n: int, values: np.ndarray | Sequence[int]):
         arr = np.array(values, dtype=np.int32)  # a private copy
         if arr.size != 1 << n:
             raise ValueError(f"spectrum length {arr.size} != 2^{n}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", arr)
+        self._init(n, arr)
 
     @classmethod
     def _adopt(cls, n: int, arr: np.ndarray) -> "WalshSpectrum":
         """Wrap a 2^n int32 array nothing else references, without a copy."""
-        arr.setflags(write=False)
         spec = cls.__new__(cls)
-        object.__setattr__(spec, "n", n)
-        object.__setattr__(spec, "values", arr)
+        spec._init(n, arr)
         return spec
+
+    def _init(self, n: int, arr: np.ndarray) -> None:
+        arr.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_max_abs", None)
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("WalshSpectrum is immutable")
@@ -357,8 +361,12 @@ class WalshSpectrum:
                 and bool(np.array_equal(self.values, other.values)))
 
     def max_abs(self) -> int:
-        # two reductions, no |W| array; -min is taken on a Python int
-        return max(int(self.values.max()), -int(self.values.min()))
+        # taken once per spectrum: two reductions, no |W| array; -min is
+        # taken on a Python int
+        if self._max_abs is None:
+            object.__setattr__(self, "_max_abs", max(int(self.values.max()),
+                                                     -int(self.values.min())))
+        return self._max_abs
 
     def _count_of(self, *targets: int) -> int:
         """How many values equal one of the (distinct) targets."""
@@ -497,7 +505,9 @@ def _fwht_inplace(v: np.ndarray, h: int = 1,
     The old a is kept in a slab of at most _SLAB elements (or the one given,
     of v's dtype): copy a into the slab, a += b, b = slab - b.  So a pass
     makes no copy of half the array and no temporaries, and its chunks stay
-    in cache.
+    in cache.  walsh_transform runs it on each int32 panel of its second
+    pass for index bits 24 and 25, with the panel's dead float32 scratch
+    buffer as the slab; pc_profile runs it on the whole int64 array.
     """
     size = v.size
     if slab is None:
@@ -517,60 +527,97 @@ def _fwht_inplace(v: np.ndarray, h: int = 1,
         h *= 2
 
 
+def _gemm_bits(src: np.ndarray, spare: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Transform index bits lo..hi-1 of the flat float32 array src.
+
+    The bits go _GROUP_BITS at a time, each group one batched matmul against
+    the leading block of _HADAMARD, from src into spare and back in turn.
+    Returns whichever of the two holds the result.  Each GEMM call against
+    H_(2^g) covers at most _GEMM_MACS / 4^g rows or columns, so at most
+    _GEMM_MACS multiply-adds whose operands stay in cache.  OpenBLAS runs a
+    call that small on the calling thread; on a 2-vCPU virtual machine
+    larger calls were handed to its worker thread and often took 8 ms each
+    instead of 0.1 ms.
+    """
+    size = src.size
+    while lo < hi:
+        g = min(_GROUP_BITS, hi - lo)
+        group = 1 << g
+        stride = 1 << lo
+        h = _HADAMARD[:group, :group]
+        most = _GEMM_MACS >> (2 * g)  # rows or columns per GEMM call
+        if stride == 1:  # rows of `group` consecutive values: rows @ H
+            rows = min(size // group, most)
+            np.matmul(src.reshape(-1, rows, group), h,
+                      out=spare.reshape(-1, rows, group))
+        else:  # H @ (group x stride) blocks, split into column tiles
+            tile = min(stride, most)
+            shape = (-1, group, stride // tile, tile)
+            np.matmul(h, src.reshape(shape).transpose(0, 2, 1, 3),
+                      out=spare.reshape(shape).transpose(0, 2, 1, 3))
+        src, spare = spare, src
+        lo += g
+    return src
+
+
 def walsh_transform(tt: TruthTable) -> WalshSpectrum:
     """Spectrum values[w] = sum over x of (-1)^(f(x) + w.x), as int32.
 
     H_(2^n) is the Kronecker product of one H_2 per index bit, so the bits
-    can be transformed in groups.  The +-1 values are read from the packed
-    bytes through _SIGNS into a float32 buffer.  The low min(n, 24) index
-    bits are then transformed _GROUP_BITS at a time, each group by a matmul
-    against the leading block of the 32x32 _HADAMARD, between two float32
-    buffers in turn.  This is exact: after the groups below bit b are done
-    every value, and every partial sum a GEMM forms, is a signed sum of at
-    most 2^b <= 2^24 of the +-1 inputs, an integer float32 holds exactly in
-    any summation order and with or without FMA.  The result is cast to
-    int32 into the other buffer.  For n = 25, 26 the top one or two bits
-    follow as an int32 butterfly, with the dead float buffer as its slab;
-    |W| <= 2^26 < 2^31.  Peak memory is the two 4*2^n-byte buffers.
+    can be transformed in groups and in any order.  The spectrum is built in
+    one 4*2^n-byte buffer, in two passes through two scratch buffers of at
+    most _PANEL values that stay in cache:
 
-    Each GEMM call covers at most _GEMM_ROWS rows of 32, 2^18 multiply-adds
-    whose operands stay in cache.  OpenBLAS runs a call that small on the
-    calling thread; on a 2-vCPU virtual machine larger calls were handed to
-    its worker thread and often took 8 ms each instead of 0.1 ms.
+    1. Chunks.  For each run of 2^_CHUNK_BITS values (256 KiB), the +-1
+       values are read from the packed bytes through _SIGNS into scratch,
+       the low min(n, 16) index bits are transformed there by _gemm_bits,
+       and the chunk is stored in the buffer (for n <= 16 already as int32).
+    2. Panels (n > 16).  The buffer is a 2^(n-16) x 2^16 grid whose row
+       index holds bits 16..n-1.  A panel of all the rows and the next
+       _PANEL / rows columns is gathered into contiguous scratch, bits
+       16..min(n, 24)-1 are transformed there by _gemm_bits, the panel is
+       cast to int32, for n = 25, 26 bits 24 and 25 follow as an int32
+       butterfly inside it, and the int32 values are written back over the
+       bytes they came from.
+
+    So every GEMM runs on contiguous data in cache, and the grid's rows,
+    256 KiB apart, are read and written once per panel only.  The buffer's
+    int32 view becomes the spectrum, without a copy.  This is exact: after
+    the bits below b are done every value, and every partial sum a GEMM
+    forms, is a signed sum of at most 2^b <= 2^24 of the +-1 inputs, an
+    integer float32 holds exactly in any summation order and with or
+    without FMA; |W| <= 2^26 < 2^31 for the int32 bits.  Peak memory is the
+    one buffer, the packed bytes and the 2 * 4 * _PANEL bytes of scratch.
     """
     n, size = tt.n, tt.size
-    nbytes = max(1, size // 8)
-    signs = np.empty((nbytes, 8), dtype=np.float32)
-    raw = np.frombuffer(tt.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-    for i in range(0, nbytes, _SLAB):  # take casts each index chunk to intp
-        np.take(_SIGNS, raw[i:i + _SLAB], axis=0, out=signs[i:i + _SLAB],
-                mode="clip")
-    del raw  # freed before the second buffer exists
-    src = signs.reshape(-1)[:size]  # n < 3: a table shorter than a byte
-    dst = np.empty_like(src)
-    low = min(n, _FLOAT_BITS)
-    done = 0
-    while done < low:
-        g = min(_GROUP_BITS, low - done)
-        group = 1 << g
-        stride = 1 << done
-        h = _HADAMARD[:group, :group]
-        if stride == 1:  # rows of `group` consecutive values: rows @ H
-            rows = min(size // group, _GEMM_ROWS)
-            np.matmul(src.reshape(-1, rows, group), h,
-                      out=dst.reshape(-1, rows, group))
-        else:  # H @ (group x stride) blocks, split into column tiles
-            tile = min(stride, _GEMM_ROWS)
-            shape = (-1, group, stride // tile, tile)
-            np.matmul(h, src.reshape(shape).transpose(0, 2, 1, 3),
-                      out=dst.reshape(shape).transpose(0, 2, 1, 3))
-        src, dst = dst, src
-        done += g
-    out = dst.view(np.int32)
-    np.copyto(out, src, casting="unsafe")
-    if n > _FLOAT_BITS:
-        _fwht_inplace(out, 1 << _FLOAT_BITS, src.view(np.int32)[:_SLAB])
-    return WalshSpectrum._adopt(n, out)
+    chunk = min(size, 1 << _CHUNK_BITS)
+    rows = size // chunk  # of the grid of pass 2
+    width = min(chunk, _PANEL // rows)  # of a panel
+    raw = np.frombuffer(tt.bits.to_bytes(max(1, size // 8), "little"),
+                        dtype=np.uint8)
+    buf = np.empty(size, dtype=np.float32)
+    ints = buf.view(np.int32)
+    a, b = np.empty((2, max(8, rows * width)), dtype=np.float32)
+    nb = max(1, chunk // 8)  # packed bytes per chunk; n < 3: a partial byte
+    dest = ints if rows == 1 else buf
+    for start in range(0, size, chunk):
+        np.take(_SIGNS, raw[start // 8:start // 8 + nb], axis=0,
+                out=a[:8 * nb].reshape(nb, 8), mode="clip")
+        done = _gemm_bits(a[:chunk], b[:chunk], 0, min(n, _CHUNK_BITS))
+        np.copyto(dest[start:start + chunk], done, casting="unsafe")
+    del raw  # pass 2 reads only the buffer
+    if rows > 1:  # a and b hold exactly one panel
+        high = min(n, _FLOAT_BITS) - _CHUNK_BITS  # float bits of pass 2
+        wbits = width.bit_length() - 1
+        grid, igrid = buf.reshape(rows, chunk), ints.reshape(rows, chunk)
+        for col in range(0, chunk, width):
+            np.copyto(a.reshape(rows, width), grid[:, col:col + width])
+            done = _gemm_bits(a, b, wbits, wbits + high)
+            panel = (b if done is a else a).view(np.int32)
+            np.copyto(panel, done, casting="unsafe")
+            _fwht_inplace(panel, width << high, done.view(np.int32))
+            np.copyto(igrid[:, col:col + width], panel.reshape(rows, width))
+    return WalshSpectrum._adopt(n, ints)
 
 
 def nonlinearity(tt: TruthTable) -> int:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import rotsym.cli
 import rotsym.core
 from rotsym import TruthTable
@@ -166,6 +168,19 @@ def test_analyze_pc_above_cap_fails_before_any_transform(tmp_path, capsys,
     path.write_text("n=21\n" + "0" * (1 << 19) + "\n")
     assert run(capsys, "analyze", "--from-file", str(path),
                "--pc") == (1, "", cap_message)
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 2.00 KiB"),
+     "error: out of memory (Unable to allocate 2.00 KiB)\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch, exc, message):
+    def no_memory(table):
+        raise exc
+
+    monkeypatch.setattr(rotsym.cli, "walsh_transform", no_memory)
+    assert run(capsys, "analyze", "f2", "--n", "9") == (1, "", message)
 
 
 # ---------------------------------------------------------------------------

@@ -212,10 +212,13 @@ def test_walsh_invariants_random():
         assert t.is_balanced() == (spec[0] == 0)
 
 
-@pytest.mark.parametrize("n", [9, 10, 11, 14, 24])
+@pytest.mark.parametrize("n", [9, 10, 11, 14, 15, 16, 17, 18, 20, 21, 22,
+                               24, 25])
 def test_walsh_kernel_matches_plain_butterfly(n):
-    # 10 is a multiple of the 5-bit group, 9, 11 and 14 are not; 24 is the
-    # last bit done in float32
+    # 10 is a multiple of the 5-bit group, 9, 11 and 14 are not; 16 is the
+    # largest table done in one chunk, 17 takes one panel, 18 the first of
+    # several; the panel pass does 4 bits at 20, 5 at 21 and 5 + 1 at 22;
+    # 24 is the last bit done in float32, 25 adds an int32 bit in the panel
     t = random_table(random.Random(n), n)
     got = walsh_transform(t).values
     assert got.dtype == np.int32
@@ -292,6 +295,20 @@ def test_walsh_transform_memory_is_two_buffers():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 4 * (1 << n) + (1 << 20)
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_walsh_transform_memory_is_one_buffer(n):
+    # one 4*2^n-byte buffer; the packed bytes and the cache-sized scratch
+    # buffers of the two passes fit in the 2 MiB beyond it
+    t = build_f2(n)
+    tracemalloc.start()
+    try:
+        walsh_transform(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (1 << n) + (2 << 20)
 
 
 def test_t4_is_flat():
@@ -463,6 +480,21 @@ def test_max_abs_int32_bound():
                   linear_function_table(n, 1),
                   linear_function_table(n, (1 << n) - 1)):
             assert walsh_transform(t).max_abs() == 1 << n
+
+
+def test_max_abs_is_taken_once_per_spectrum():
+    class CountedMax(np.ndarray):
+        calls = 0
+
+        def max(self, *args, **kwargs):
+            CountedMax.calls += 1
+            return super().max(*args, **kwargs)
+
+    values = walsh_transform(t_chain(6)).values.copy().view(CountedMax)
+    spec = WalshSpectrum._adopt(6, values)
+    assert (spec.nonlinearity(), spec.is_bent(), spec.max_abs()) == (28, True, 8)
+    repr(spec)
+    assert CountedMax.calls == 1
 
 
 # ---------------------------------------------------------------------------
