@@ -54,11 +54,8 @@ from .core import (
 from .theory import (
     ConjectureRow,
     RationalGF,
-    WeightSequence,
     builtin_gfs,
     conjecture_check,
-    f2_weight_sequence,
-    f3_weight_sequence,
     family_table,
     gf_series,
     nl_f2,

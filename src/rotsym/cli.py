@@ -8,18 +8,19 @@ only in bench's text output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
 from .builders import (
     OpCounter,
-    complement_first_half,
+    component_weights_f3,
     f2_block_complements,
     f3_block_complements_claimed,
     f3_component,
-    hat,
 )
 from .core import TruthTable, check_pc_vars, pc_profile, walsh_transform
 from .refdata import load_reference_tables, weight_table_columns
@@ -28,10 +29,10 @@ from .theory import (
     FAST_MIN_N,
     builtin_gfs,
     conjecture_check,
-    f2_weight_sequence,
-    f3_weight_sequence,
     family_table,
     gf_series,
+    wt_f2_closed,
+    wt_f3_recurrence,
 )
 
 DEFAULT_MAX_N = 20
@@ -49,22 +50,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's default 2
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    selector: str | None = None
-    n_lo: int = 0
-    n_hi: int = 0
-    generator: tuple[int, ...] = field(default_factory=tuple)
-    fmt: str = "text"
-    out: str | None = None
-    from_file: str | None = None
-    pc: bool = False
-    spectrum_csv: str | None = None
-    max_n: int = DEFAULT_MAX_N
-    upto: int = 0
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -88,36 +73,73 @@ def _parse_generator(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad generator {text!r} (expected e.g. 1,2,3)") from None
 
 
-def _check_range(cfg: RunConfig, cap: int) -> None:
-    if not 3 <= cfg.n_lo <= cfg.n_hi <= HARD_MAX_N:
-        raise UsageError(f"n must lie in 3..{HARD_MAX_N}, got {cfg.n_lo}..{cfg.n_hi}")
-    limit = min(max(cfg.max_n, DEFAULT_MAX_N), HARD_MAX_N)
-    if cfg.n_hi > min(cap, limit):
+def _check_range(args: argparse.Namespace, cap: int) -> None:
+    if not 3 <= args.n_lo <= args.n_hi <= HARD_MAX_N:
+        raise UsageError(f"n must lie in 3..{HARD_MAX_N}, got {args.n_lo}..{args.n_hi}")
+    limit = min(max(args.max_n, DEFAULT_MAX_N), HARD_MAX_N)
+    if args.n_hi > min(cap, limit):
         raise UsageError(
-            f"n={cfg.n_hi} above the cap {min(cap, limit)}"
+            f"n={args.n_hi} above the cap {min(cap, limit)}"
             + ("" if limit >= cap else " (raise with --max-n)"))
+
+
+@contextlib.contextmanager
+def _replace_file(path: str):
+    """Write through a sibling temp file that replaces path only on success.
+
+    The temp file is removed on any exception, so path never holds partial
+    output.  Plain open keeps the file mode under the umask.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # name the file that was asked for, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _replace_file(out) as fh:
             fh.write(text)
+
+
+def _output(args: argparse.Namespace, csv_text: str, json_doc,
+            text_lines: list[str], errors: Sequence[str] = ()) -> None:
+    """Emit one command's result in its --format.
+
+    The text format ends with the error lines; csv and json leave them out
+    of the data and print them to stderr after it.
+    """
+    if args.format == "text":
+        _emit("\n".join([*text_lines, *errors]) + "\n", args.out)
+        return
+    _emit(csv_text if args.format == "csv"
+          else json.dumps(json_doc, indent=2) + "\n", args.out)
+    for line in errors:
+        print(line, file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
 
-def cmd_build(cfg: RunConfig) -> int:
-    if cfg.n_lo != cfg.n_hi:
+def cmd_build(args: argparse.Namespace) -> int:
+    if args.n_lo != args.n_hi:
         raise UsageError("build takes a single n, not a range")
-    _check_range(cfg, HARD_MAX_N)
+    _check_range(args, HARD_MAX_N)
     counter = OpCounter()
-    table = family_table(cfg.selector, cfg.n_lo, cfg.generator, counter)
-    _emit(table.to_text(), cfg.out)
-    if cfg.selector in FAST_MIN_N and cfg.n_lo >= FAST_MIN_N[cfg.selector]:
+    table = family_table(args.selector, args.n_lo, args.generator, counter)
+    _emit(table.to_text(), args.out)
+    if args.selector in FAST_MIN_N and args.n_lo >= FAST_MIN_N[args.selector]:
         print(f"block-complements: {counter.block_complements}", file=sys.stderr)
     return 0
 
@@ -155,36 +177,34 @@ def _rows_to_csv(cols, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows_to_json(rows) -> str:
-    return json.dumps(rows, indent=2) + "\n"
-
-
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     rows = []
-    pc_lines: dict[int, str] = {}
-    if cfg.from_file is not None:
-        if cfg.from_file == "-":
+    lines = []
+    if args.from_file is not None:
+        if args.from_file == "-":
             text = sys.stdin.read()
         else:
-            with open(cfg.from_file, encoding="utf-8") as fh:
+            with open(args.from_file, encoding="utf-8") as fh:
                 text = fh.read()
         tables = [TruthTable.from_text(text)]
         n_hi = tables[0].n
     else:
-        if cfg.selector is None:
+        if args.selector is None:
             raise UsageError("analyze needs a selector or --from-file")
-        _check_range(cfg, HARD_MAX_N)
-        if cfg.spectrum_csv is not None and cfg.n_lo != cfg.n_hi:
+        _check_range(args, HARD_MAX_N)
+        if args.spectrum_csv is not None and args.n_lo != args.n_hi:
             raise UsageError("--spectrum-csv needs a single n")
-        tables = (family_table(cfg.selector, n, cfg.generator)
-                  for n in range(cfg.n_lo, cfg.n_hi + 1))
-        n_hi = cfg.n_hi
-    if cfg.pc:
+        tables = (family_table(args.selector, n, args.generator)
+                  for n in range(args.n_lo, args.n_hi + 1))
+        n_hi = args.n_hi
+    if args.pc:
         check_pc_vars(n_hi)  # before any table is built or transformed
 
     for table in tables:
-        rows.append(_analyze_one(table))
-        if cfg.pc:
+        row = _analyze_one(table)
+        rows.append(row)
+        lines.append(" ".join(f"{c}={_fmt_cell(row[c])}" for c in _ANALYZE_COLS))
+        if args.pc:
             profile = pc_profile(table)
             through = 0
             for w in range(1, table.n + 1):
@@ -194,23 +214,13 @@ def cmd_analyze(cfg: RunConfig) -> int:
                 else:
                     break
             detail = " ".join(f"{w}:{s}/{t}" for w, (s, t) in profile.items())
-            pc_lines[table.n] = (f"  pc-satisfied-through: {through}"
-                                 f"  profile: {detail}")
-        if cfg.spectrum_csv is not None:
-            with open(cfg.spectrum_csv, "w", encoding="utf-8") as fh:
-                walsh_transform(table).write_csv(fh)
+            lines.append(f"  pc-satisfied-through: {through}  profile: {detail}")
+        if args.spectrum_csv is not None:
+            spec = walsh_transform(table)  # before the file exists
+            with _replace_file(args.spectrum_csv) as fh:
+                spec.write_csv(fh)
 
-    if cfg.fmt == "csv":
-        _emit(_rows_to_csv(_ANALYZE_COLS, rows), cfg.out)
-    elif cfg.fmt == "json":
-        _emit(_rows_to_json(rows), cfg.out)
-    else:
-        lines = []
-        for r in rows:
-            lines.append(" ".join(f"{c}={_fmt_cell(r[c])}" for c in _ANALYZE_COLS))
-            if r["n"] in pc_lines:
-                lines.append(pc_lines[r["n"]])
-        _emit("\n".join(lines) + "\n", cfg.out)
+    _output(args, _rows_to_csv(_ANALYZE_COLS, rows), rows, lines)
     return 0
 
 
@@ -223,14 +233,12 @@ def _computed_weight_rows() -> list[dict]:
     rows = []
     for n in range(3, 13):
         row: dict = {"n": n, "weight": family_table("f3", n).weight()}
-        if n >= 5:
-            row["h1"] = f3_component(1, n - 1).weight()
-        if n >= 6:
-            row["h2"] = f3_component(2, n - 2).weight()
         if n >= 7:
-            h3 = f3_component(3, n - 3)
-            row["h3"] = h3.weight()
-            row["h4"] = complement_first_half(hat(h3)).weight()
+            row.update(zip(("h1", "h2", "h3", "h4"), component_weights_f3(n)))
+        elif n >= 5:
+            row["h1"] = f3_component(1, n - 1).weight()
+            if n == 6:
+                row["h2"] = f3_component(2, n - 2).weight()
         rows.append(row)
     return rows
 
@@ -241,7 +249,7 @@ def _computed_nl_rows() -> list[dict]:
             for n in range(3, 10)]
 
 
-def cmd_tables(cfg: RunConfig) -> int:
+def cmd_tables(args: argparse.Namespace) -> int:
     ref = load_reference_tables()
     w_rows = _computed_weight_rows()
     nl_rows = _computed_nl_rows()
@@ -263,74 +271,48 @@ def cmd_tables(cfg: RunConfig) -> int:
                 f"mismatch: nonlinearity n={row['n']}:"
                 f" computed {row['nonlinearity']}, reference {want}")
 
-    if cfg.fmt == "csv":
-        _emit(_rows_to_csv(("n",) + weight_table_columns(), w_rows) + "\n"
-              + _rows_to_csv(("n", "nonlinearity"), nl_rows), cfg.out)
-    elif cfg.fmt == "json":
-        _emit(json.dumps({
-            "weights": w_rows,
-            "nonlinearity": nl_rows,
-            "match": not mismatches,
-            "mismatches": mismatches,
-        }, indent=2) + "\n", cfg.out)
-    else:
-        lines = ["degree-3 weight table (computed)"]
-        lines.append("  n  weight     h1     h2     h3     h4")
-        for row in w_rows:
-            cells = [f"{row['n']:3d}", f"{row['weight']:7d}"]
-            for c in ("h1", "h2", "h3", "h4"):
-                cells.append(f"{row[c]:6d}" if c in row else "     -")
-            lines.append(" ".join(cells))
-        lines.append("")
-        lines.append("degree-3 nonlinearity table (computed)")
-        lines.append("  n  N")
-        for row in nl_rows:
-            lines.append(f"{row['n']:3d}  {row['nonlinearity']}")
-        lines.append("")
-        if mismatches:
-            lines.extend(mismatches)
-        else:
-            lines.append("all cells match the reference tables")
-        _emit("\n".join(lines) + "\n", cfg.out)
+    lines = ["degree-3 weight table (computed)",
+             "  n  weight     h1     h2     h3     h4"]
+    for row in w_rows:
+        cells = [f"{row['n']:3d}", f"{row['weight']:7d}"]
+        for c in ("h1", "h2", "h3", "h4"):
+            cells.append(f"{row[c]:6d}" if c in row else "     -")
+        lines.append(" ".join(cells))
+    lines += ["", "degree-3 nonlinearity table (computed)", "  n  N"]
+    for row in nl_rows:
+        lines.append(f"{row['n']:3d}  {row['nonlinearity']}")
+    lines.append("")
+    if not mismatches:
+        lines.append("all cells match the reference tables")
 
-    if mismatches:
-        if cfg.fmt != "text":
-            for m in mismatches:
-                print(m, file=sys.stderr)
-        return 2
-    return 0
+    _output(args,
+            _rows_to_csv(("n",) + weight_table_columns(), w_rows) + "\n"
+            + _rows_to_csv(("n", "nonlinearity"), nl_rows),
+            {"weights": w_rows, "nonlinearity": nl_rows,
+             "match": not mismatches, "mismatches": mismatches},
+            lines, mismatches)
+    return 2 if mismatches else 0
 
 
 # ---------------------------------------------------------------------------
 # conjecture
 # ---------------------------------------------------------------------------
 
-def cmd_conjecture(cfg: RunConfig) -> int:
-    _check_range(cfg, HARD_MAX_N)
-    rows = conjecture_check(cfg.n_lo, cfg.n_hi)
+def cmd_conjecture(args: argparse.Namespace) -> int:
+    _check_range(args, HARD_MAX_N)
+    rows = conjecture_check(args.n_lo, args.n_hi)
     dicts = [{"n": r.n, "weight": r.weight, "nonlinearity": r.nonlinearity,
               "equal": r.equal, "source": r.source} for r in rows]
     first_bad = next((r.n for r in rows if not r.equal), None)
-    if cfg.fmt == "csv":
-        _emit(_rows_to_csv(("n", "weight", "nonlinearity", "equal", "source"),
-                           dicts), cfg.out)
-    elif cfg.fmt == "json":
-        _emit(json.dumps({
-            "rows": dicts,
-            "range": [cfg.n_lo, cfg.n_hi],
-            "holds": first_bad is None,
-            "first_counterexample": first_bad,
-        }, indent=2) + "\n", cfg.out)
-    else:
-        lines = []
-        for r in rows:
-            lines.append(f"n={r.n} weight={r.weight} nonlinearity={r.nonlinearity}"
-                         f" equal={_fmt_cell(r.equal)} source={r.source}")
-        if first_bad is None:
-            lines.append(f"conjecture holds on [{cfg.n_lo}, {cfg.n_hi}]")
-        else:
-            lines.append(f"first counterexample at n={first_bad}")
-        _emit("\n".join(lines) + "\n", cfg.out)
+    lines = [f"n={r.n} weight={r.weight} nonlinearity={r.nonlinearity}"
+             f" equal={_fmt_cell(r.equal)} source={r.source}" for r in rows]
+    lines.append(f"conjecture holds on [{args.n_lo}, {args.n_hi}]"
+                 if first_bad is None else f"first counterexample at n={first_bad}")
+    _output(args,
+            _rows_to_csv(("n", "weight", "nonlinearity", "equal", "source"), dicts),
+            {"rows": dicts, "range": [args.n_lo, args.n_hi],
+             "holds": first_bad is None, "first_counterexample": first_bad},
+            lines)
     return 0
 
 
@@ -338,24 +320,24 @@ def cmd_conjecture(cfg: RunConfig) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def cmd_bench(cfg: RunConfig) -> int:
-    if cfg.selector not in FAST_MIN_N:
+def cmd_bench(args: argparse.Namespace) -> int:
+    if args.selector not in FAST_MIN_N:
         raise UsageError("bench selector must be f2 or f3")
-    fast_min = FAST_MIN_N[cfg.selector]
-    if cfg.n_lo < fast_min:
-        raise UsageError(f"bench {cfg.selector} needs n >= {fast_min}")
-    _check_range(cfg, BENCH_MAX_N)
+    fast_min = FAST_MIN_N[args.selector]
+    if args.n_lo < fast_min:
+        raise UsageError(f"bench {args.selector} needs n >= {fast_min}")
+    _check_range(args, BENCH_MAX_N)
 
     rows = []
-    for n in range(cfg.n_lo, cfg.n_hi + 1):
+    for n in range(args.n_lo, args.n_hi + 1):
         counter = OpCounter()
         t0 = time.perf_counter()
-        family_table(cfg.selector, n, counter=counter)
+        family_table(args.selector, n, counter=counter)
         t_fast = time.perf_counter() - t0
         t0 = time.perf_counter()
-        family_table("orbit", n, FAMILY_GENERATORS[cfg.selector])
+        family_table("orbit", n, FAMILY_GENERATORS[args.selector])
         t_oracle = time.perf_counter() - t0
-        claimed = (f2_block_complements(n) if cfg.selector == "f2"
+        claimed = (f2_block_complements(n) if args.selector == "f2"
                    else f3_block_complements_claimed(n))
         measured = counter.block_complements
         rows.append({
@@ -368,29 +350,20 @@ def cmd_bench(cfg: RunConfig) -> int:
             "t_oracle_s": t_oracle,
         })
 
-    if cfg.fmt == "csv":
-        cols = ("n", "naive_ops", "measured_blocks", "claimed_blocks", "match")
-        _emit(_rows_to_csv(cols, rows), cfg.out)
-    elif cfg.fmt == "json":
-        slim = [{k: r[k] for k in
-                 ("n", "naive_ops", "measured_blocks", "claimed_blocks", "match")}
-                for r in rows]
-        _emit(_rows_to_json(slim), cfg.out)
-    else:
-        lines = []
-        for r in rows:
-            lines.append(
-                f"n={r['n']} naive-ops={r['naive_ops']}"
-                f" measured-blocks={r['measured_blocks']}"
-                f" claimed-blocks={r['claimed_blocks']}"
-                f" match={_fmt_cell(r['match'])}"
-                f" fast={r['t_fast_s']:.6f}s oracle={r['t_oracle_s']:.6f}s")
-        if any(not r["match"] for r in rows):
-            lines.append(
-                "note: measured counts are complemented 4-bit blocks; the"
-                " claimed formula uses a different (unstated) operation unit"
-                " and is reported verbatim, not adjusted")
-        _emit("\n".join(lines) + "\n", cfg.out)
+    cols = ("n", "naive_ops", "measured_blocks", "claimed_blocks", "match")
+    lines = [f"n={r['n']} naive-ops={r['naive_ops']}"
+             f" measured-blocks={r['measured_blocks']}"
+             f" claimed-blocks={r['claimed_blocks']}"
+             f" match={_fmt_cell(r['match'])}"
+             f" fast={r['t_fast_s']:.6f}s oracle={r['t_oracle_s']:.6f}s"
+             for r in rows]
+    if any(not r["match"] for r in rows):
+        lines.append(
+            "note: measured counts are complemented 4-bit blocks; the"
+            " claimed formula uses a different (unstated) operation unit"
+            " and is reported verbatim, not adjusted")
+    _output(args, _rows_to_csv(cols, rows),
+            [{k: r[k] for k in cols} for r in rows], lines)
     return 0
 
 
@@ -398,49 +371,35 @@ def cmd_bench(cfg: RunConfig) -> int:
 # gf
 # ---------------------------------------------------------------------------
 
-def cmd_gf(cfg: RunConfig) -> int:
-    if cfg.selector not in ("f2", "f3"):
+def cmd_gf(args: argparse.Namespace) -> int:
+    if args.selector not in ("f2", "f3"):
         raise UsageError("gf selector must be f2 or f3")
-    if not 0 <= cfg.upto <= GF_MAX_DEGREE:
+    if not 0 <= args.upto <= GF_MAX_DEGREE:
         raise UsageError(f"--upto must lie in 0..{GF_MAX_DEGREE}")
     f2_gf, f3_gf = builtin_gfs()
-    gf = f2_gf if cfg.selector == "f2" else f3_gf
-    coeffs = gf_series(gf, cfg.upto)
-    wt_from = 5 if cfg.selector == "f2" else 3
-    weights = None
-    if cfg.upto >= wt_from:
-        seq = f2_weight_sequence if cfg.selector == "f2" else f3_weight_sequence
-        weights = seq(wt_from, cfg.upto)
+    # the weight formulas hold from n = 5 (closed form) and n = 3 (recurrence)
+    gf, wt_from, weight_at = ((f2_gf, 5, wt_f2_closed) if args.selector == "f2"
+                              else (f3_gf, 3, wt_f3_recurrence))
 
     rows = []
-    for k, c in enumerate(coeffs):
+    lines = []
+    for k, c in enumerate(gf_series(gf, args.upto)):
         row: dict = {"degree": k, "coefficient": c}
-        if weights is not None and k in weights:
-            w = weights.value_at(k)
+        note = ""
+        if k >= wt_from:
+            w = weight_at(k)
             row["weight"] = w
             row["agree"] = (w == c)
+            note = f"  (weight {w}, {'agree' if w == c else 'DISAGREE'})"
         rows.append(row)
+        lines.append(f"z^{k}: {c}{note}")
     agree_all = all(r.get("agree", True) for r in rows)
+    if args.upto >= wt_from:
+        lines.append(f"coefficients {'match' if agree_all else 'DO NOT match'}"
+                     f" computed weights on {wt_from}..{args.upto}")
 
-    if cfg.fmt == "csv":
-        _emit(_rows_to_csv(("degree", "coefficient", "weight", "agree"), rows),
-              cfg.out)
-    elif cfg.fmt == "json":
-        _emit(json.dumps({"rows": rows, "agree": agree_all}, indent=2) + "\n",
-              cfg.out)
-    else:
-        lines = []
-        for r in rows:
-            note = ""
-            if "agree" in r:
-                note = (f"  (weight {r['weight']},"
-                        f" {'agree' if r['agree'] else 'DISAGREE'})")
-            lines.append(f"z^{r['degree']}: {r['coefficient']}{note}")
-        if cfg.upto >= wt_from:
-            lines.append(
-                f"coefficients {'match' if agree_all else 'DO NOT match'}"
-                f" computed weights on {wt_from}..{cfg.upto}")
-        _emit("\n".join(lines) + "\n", cfg.out)
+    _output(args, _rows_to_csv(("degree", "coefficient", "weight", "agree"), rows),
+            {"rows": rows, "agree": agree_all}, lines)
     return 0
 
 
@@ -462,14 +421,15 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("build", help="write a truth table in the text format")
     sp.add_argument("selector", choices=SELECTORS)
     sp.add_argument("--n", required=True)
-    sp.add_argument("--generator", help="comma-separated variable indices")
+    sp.add_argument("--generator", default=(),
+                    help="comma-separated variable indices")
     sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     add_common(sp, fmt=False)
 
     sp = sub.add_parser("analyze", help="weight/nonlinearity/bent report")
     sp.add_argument("selector", nargs="?", choices=SELECTORS)
     sp.add_argument("--n")
-    sp.add_argument("--generator")
+    sp.add_argument("--generator", default=())
     sp.add_argument("--from-file", help="read a truth-table file ('-' = stdin)")
     sp.add_argument("--pc", action="store_true",
                     help="include the propagation-criterion profile (text)")
@@ -501,28 +461,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.fmt = getattr(args, "format", "text")
-    cfg.out = getattr(args, "out", None)
-    cfg.selector = getattr(args, "selector", None)
-    cfg.max_n = getattr(args, "max_n", DEFAULT_MAX_N)
-    cfg.pc = getattr(args, "pc", False)
-    cfg.from_file = getattr(args, "from_file", None)
-    cfg.spectrum_csv = getattr(args, "spectrum_csv", None)
-    cfg.upto = getattr(args, "upto", 0)
-    gen = getattr(args, "generator", None)
-    if gen:
-        cfg.generator = _parse_generator(gen)
-    n = getattr(args, "n", None)
-    if n is not None:
-        cfg.n_lo, cfg.n_hi = _parse_n_range(n)
-    elif cfg.command in ("build", "conjecture", "bench") or (
-            cfg.command == "analyze" and cfg.from_file is None):
-        raise UsageError("--n is required")
-    return cfg
-
-
 _DISPATCH = {
     "build": cmd_build,
     "analyze": cmd_analyze,
@@ -534,15 +472,16 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "generator", ()):
+            args.generator = _parse_generator(args.generator)
+        if getattr(args, "n", None) is not None:
+            args.n_lo, args.n_hi = _parse_n_range(args.n)
+        elif args.command == "analyze" and args.from_file is None:
+            raise UsageError("--n is required")
+        return _DISPATCH[args.command](args)
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy says how much it could not allocate

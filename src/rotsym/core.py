@@ -36,6 +36,8 @@ _HADAMARD = 1 - 2 * (np.bitwise_count(np.bitwise_and.outer(_GROUP, _GROUP))
                      & 1).astype(np.float32)
 # _SIGNS[byte, j] = (-1)^(bit j of byte): the +-1 values of 8 table positions
 _SIGNS = (1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)).astype(np.float32)
+# _BIT_REVERSED[b] is the byte b with its 8 bits in reverse order
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +197,13 @@ class TruthTable:
     #    as the most significant bit of the string --
 
     def to_hex(self) -> str:
-        width = -(-self.size // 4)
-        packed = np.packbits(self.to_array(), bitorder="big")
-        h = int.from_bytes(packed.tobytes(), "big") >> (8 * len(packed) - self.size)
-        return f"{h:0{width}x}"
+        # bit i is bit i % 8 of little-endian byte i // 8; reversing the bits
+        # of each byte puts index 0 first, as the string's top bit
+        nbytes = (self.size + 7) // 8
+        raw = self.bits.to_bytes(nbytes, "little").translate(_BIT_REVERSED)
+        if self.size < 8:  # n = 1, 2: one right-aligned hex digit
+            return f"{raw[0] >> (8 - self.size):x}"
+        return raw.hex()
 
     def to_text(self) -> str:
         return f"n={self.n}\n{self.to_hex()}\n"
@@ -230,9 +235,7 @@ class TruthTable:
             raise ValueError(f"bad hex line: {hexstr!r} (value out of range)")
         nbytes = (size + 7) // 8
         raw = (h << (8 * nbytes - size)).to_bytes(nbytes, "big")
-        arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="big",
-                            count=size)
-        return cls.from_array(n, arr)
+        return cls(n, int.from_bytes(raw.translate(_BIT_REVERSED), "little"))
 
     def __repr__(self) -> str:
         if self.size <= 64:

@@ -42,44 +42,6 @@ class RationalGF:
             raise ValueError("denominator needs a nonzero constant term")
 
 
-@dataclass(frozen=True)
-class WeightSequence:
-    """Weights by dimension, starting at start_n."""
-
-    start_n: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        for off, v in enumerate(self.values):
-            if not 0 <= v <= (1 << (self.start_n + off)):
-                raise ValueError(f"weight {v} impossible at n={self.start_n + off}")
-
-    def value_at(self, n: int) -> int:
-        if not self.start_n <= n < self.start_n + len(self.values):
-            raise ValueError(f"n={n} outside sequence range")
-        return self.values[n - self.start_n]
-
-    def __contains__(self, n: int) -> bool:
-        return self.start_n <= n < self.start_n + len(self.values)
-
-
-def f2_weight_sequence(n_lo: int, n_hi: int) -> WeightSequence:
-    """Degree-2 weights by dimension, from the closed form."""
-    if not 4 <= n_lo <= n_hi:
-        raise ValueError(f"need 4 <= lo <= hi, got {n_lo}..{n_hi}")
-    return WeightSequence(n_lo, tuple(wt_f2_closed(n)
-                                      for n in range(n_lo, n_hi + 1)))
-
-
-def f3_weight_sequence(n_lo: int, n_hi: int) -> WeightSequence:
-    """Degree-3 weights by dimension, from the recurrence."""
-    if not 3 <= n_lo <= n_hi:
-        raise ValueError(f"need 3 <= lo <= hi, got {n_lo}..{n_hi}")
-    return WeightSequence(n_lo, tuple(wt_f3_recurrence(n)
-                                      for n in range(n_lo, n_hi + 1)))
-
-
 def wt_f2_closed(n: int) -> int:
     """Closed-form weight of the degree-2 function: 2^(n-1), minus 2^(n/2)
     when n is even (the parity factor is handled by branching, so no

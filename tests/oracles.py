@@ -76,6 +76,14 @@ def line_by_line_csv(values) -> str:
     return "w,value\n" + "".join(f"{w},{int(v)}\n" for w, v in enumerate(values))
 
 
+def packbits_hex(tt: TruthTable) -> str:
+    """The table's hex line built through a 2^n-element uint8 unpack."""
+    width = -(-tt.size // 4)
+    packed = np.packbits(tt.to_array(), bitorder="big")
+    h = int.from_bytes(packed.tobytes(), "big") >> (8 * len(packed) - tt.size)
+    return f"{h:0{width}x}"
+
+
 def mobius_anf(tt: TruthTable) -> set[frozenset[int]]:
     """Interpolate the ANF from a table with the XOR butterfly.
 

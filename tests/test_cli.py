@@ -183,6 +183,57 @@ def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch, exc, message):
     assert run(capsys, "analyze", "f2", "--n", "9") == (1, "", message)
 
 
+def test_failed_transform_leaves_no_spectrum_csv(tmp_path, capsys, monkeypatch):
+    # the transforms run for the row, the pc profile and then the CSV
+    calls = []
+    real = rotsym.core.walsh_transform
+
+    def third_call_fails(table):
+        calls.append(table.n)
+        if len(calls) == 3:
+            raise MemoryError("Unable to allocate 2.00 KiB")
+        return real(table)
+
+    monkeypatch.setattr(rotsym.cli, "walsh_transform", third_call_fails)
+    monkeypatch.setattr(rotsym.core, "walsh_transform", third_call_fails)
+    path = tmp_path / "spec.csv"
+    assert run(capsys, "analyze", "f2", "--n", "9", "--pc", "--spectrum-csv",
+               str(path)) == (1, "", "error: out of memory"
+                              " (Unable to allocate 2.00 KiB)\n")
+    assert len(calls) == 3
+    assert not path.exists()
+
+
+def test_failed_csv_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def header_then_fail(self, fileobj):
+        fileobj.write("w,value\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(rotsym.core.WalshSpectrum, "write_csv", header_then_fail)
+    assert run(capsys, "analyze", "t", "--n", "5", "--spectrum-csv",
+               str(tmp_path / "t.csv")) == (
+        1, "", "error: [Errno 28] No space left on device\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_error_names_the_requested_path(tmp_path, capsys):
+    # the write goes through a temp file, but the message is about --out
+    out = tmp_path / "dir"
+    out.mkdir()
+    assert run(capsys, "build", "f2", "--n", "5", "--out", str(out)) == (
+        1, "", f"error: [Errno 21] Is a directory: '{out}'\n")
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
+
+
+def test_out_file_is_replaced_whole(tmp_path, capsys):
+    path = tmp_path / "f2.tt"
+    path.write_text("stale\n")
+    assert run(capsys, "build", "f2", "--n", "5", "--out", str(path))[0] == 0
+    assert path.read_text() == "n=5\n121d47b7\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------

@@ -38,10 +38,13 @@ CASES: dict[str, dict] = {
                              "--generator", "1,2,4"]},
     "build_out_file": {"argv": ["build", "f3", "--n", "9",
                                 "--out", "{tmp}/f3.tt"]},
+    "build_out_missing_dir": {"argv": ["build", "f2", "--n", "5",
+                                       "--out", "/nonexistent/f2.tt"]},
     "build_monomial_no_generator": {"argv": ["build", "monomial", "--n", "5"]},
     "build_orbit_no_generator": {"argv": ["build", "orbit", "--n", "5"]},
     "build_range": {"argv": ["build", "f2", "--n", "5..9"]},
     "build_above_cap": {"argv": ["build", "f2", "--n", "25"]},
+    "build_bad_n": {"argv": ["build", "f2", "--n", "abc"]},
     # analyze: every selector and format
     "analyze_f2_text": {"argv": ["analyze", "f2", "--n", "3..14"]},
     "analyze_f2_csv": {"argv": ["analyze", "f2", "--n", "3..14",
@@ -84,6 +87,10 @@ CASES: dict[str, dict] = {
     "analyze_no_selector": {"argv": ["analyze", "--n", "5"]},
     "analyze_no_n": {"argv": ["analyze", "f2"]},
     "analyze_orbit_no_generator": {"argv": ["analyze", "orbit", "--n", "5..7"]},
+    "analyze_orbit_bad_generator": {"argv": ["analyze", "orbit", "--n", "5",
+                                             "--generator", "1,x"]},
+    "analyze_missing_file": {"argv": ["analyze", "--from-file",
+                                      "/nonexistent/t.tt"]},
     # tables
     "tables_text": {"argv": ["tables"]},
     "tables_csv": {"argv": ["tables", "--format", "csv"]},
@@ -96,6 +103,8 @@ CASES: dict[str, dict] = {
                                  "--format", "json"]},
     "conjecture_above_cap": {"argv": ["conjecture", "--n", "3..25"]},
     "conjecture_below_range": {"argv": ["conjecture", "--n", "2..5"]},
+    "conjecture_reversed_range": {"argv": ["conjecture", "--n", "5..3"]},
+    "conjecture_csv_no_n": {"argv": ["conjecture", "--format", "csv"]},
     # bench (csv/json only: the text format carries wall times)
     "bench_f2_csv": {"argv": ["bench", "f2", "--n", "5..14",
                               "--format", "csv"]},

@@ -49,6 +49,7 @@ from oracles import (
     derivative_sum,
     line_by_line_csv,
     mobius_anf,
+    packbits_hex,
     random_invertible_rows,
     random_table,
     slow_table,
@@ -635,6 +636,15 @@ def test_text_round_trip():
     for n in (1, 2, 3, 4, 7, 10):
         t = random_table(rng, n)
         assert TruthTable.from_text(t.to_text()) == t
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 14).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+def test_text_codec_matches_packbits_and_round_trips(table):
+    t = TruthTable(*table)
+    assert t.to_hex() == packbits_hex(t)
+    assert TruthTable.from_text(t.to_text()) == t
 
 
 def test_text_format_shape():

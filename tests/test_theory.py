@@ -4,7 +4,6 @@ from rotsym import (
     AnfPolynomial,
     OpCounter,
     RationalGF,
-    WeightSequence,
     anf_to_truth_table,
     build_f2,
     build_f3,
@@ -281,28 +280,3 @@ def test_family_table_rejects_bad_selectors():
             family_table(selector, 5)
     with pytest.raises(ValueError, match="unknown selector"):
         family_table("f4", 5)
-
-
-# ---------------------------------------------------------------------------
-# weight sequences
-# ---------------------------------------------------------------------------
-
-def test_weight_sequence():
-    ws = WeightSequence(3, (1, 4, 6, 18))
-    assert ws.value_at(5) == 6
-    assert 6 in ws and 7 not in ws
-    with pytest.raises(ValueError):
-        ws.value_at(7)
-    with pytest.raises(ValueError):
-        WeightSequence(3, (9,))  # exceeds 2^3
-
-
-def test_family_weight_sequences():
-    from rotsym import f2_weight_sequence, f3_weight_sequence
-
-    f2 = f2_weight_sequence(5, 12)
-    assert [f2.value_at(n) for n in (5, 6, 12)] == [16, 24, 1984]
-    f3 = f3_weight_sequence(3, 12)
-    assert f3.values == (1, 4, 6, 18, 36, 80, 172, 360, 760, 1576)
-    with pytest.raises(ValueError):
-        f2_weight_sequence(3, 8)
