@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 import time
 from collections.abc import Sequence
@@ -87,9 +88,15 @@ def _check_range(args: argparse.Namespace, cap: int) -> None:
 def _replace_file(path: str):
     """Write through a sibling temp file that replaces path only on success.
 
-    The temp file is removed on any exception, so path never holds partial
-    output.  Plain open keeps the file mode under the umask.
+    The temp file is removed on any exception, so a regular or new file at
+    path never holds partial output.  Plain open keeps the file mode under
+    the umask.  Any other path (a symlink, a device such as /dev/stdout, a
+    FIFO) is opened and written directly, so it keeps its type.
     """
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -232,6 +234,33 @@ def test_out_file_is_replaced_whole(tmp_path, capsys):
     assert run(capsys, "build", "f2", "--n", "5", "--out", str(path))[0] == 0
     assert path.read_text() == "n=5\n121d47b7\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--spectrum-csv"])
+def test_output_writes_through_a_symlink(tmp_path, capsys, flag):
+    target = tmp_path / "target"
+    target.write_text("stale\n")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert run(capsys, "analyze", "t", "--n", "3", flag, str(link))[0] == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text().startswith("w,value\n" if flag == "--spectrum-csv"
+                                         else "n=3 weight=2 ")
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_out_writes_into_a_fifo(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # a non-blocking reader lets the writer open the FIFO without a thread
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, "build", "f2", "--n", "5", "--out", str(fifo))[0] == 0
+        assert os.read(reader, 4096) == b"n=5\n121d47b7\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 # ---------------------------------------------------------------------------
