@@ -19,21 +19,23 @@ import numpy as np
 MAX_VARS = 26          # 2^26-bit tables; the spectrum still fits int32
 PC_PROFILE_MAX_VARS = 20
 
-# The Walsh kernel (see walsh_transform).  float32 holds every integer of
-# magnitude <= 2^24 exactly, so the low 24 index bits are transformed in
-# float32 and any higher bits in int32.
+# The GEMM kernel (see _two_pass).  float32 holds every integer of magnitude
+# <= 2^24 exactly, so walsh_transform does the low 24 index bits in float32
+# and any higher bits in int32; pc_profile does all its bits in float64.
 _FLOAT_BITS = 24
 _GROUP_BITS = 5        # index bits per GEMM stage, against one 32x32 matrix
 _GEMM_MACS = 1 << 18   # multiply-adds per GEMM call (see _gemm_bits)
-_CHUNK_BITS = 16       # low index bits done per chunk of walsh_transform's pass 1
-_PANEL = 1 << 17       # values per panel of its pass 2, gathered into scratch
+_CHUNK = 1 << 16       # float32 values per chunk of walsh_transform's pass 1
+_PANEL = 1 << 17       # float32 values per panel of its pass 2
+_PC_SCRATCH_BYTES = 1 << 17  # each float64 scratch buffer of pc_profile
 _SLAB = 1 << 16        # chunk length of the integer butterfly
-_CSV_ROWS = 4096       # rows per formatted chunk of WalshSpectrum.write_csv
+_CSV_ROWS = 1 << 14    # rows per formatted block of WalshSpectrum.write_csv
 
-# Sylvester-Hadamard H[j, k] = (-1)^(j.k); its leading 2^g block is H_(2^g)
+# Sylvester-Hadamard H[j, k] = (-1)^(j.k), one copy per GEMM dtype; its
+# leading 2^g block is H_(2^g)
 _GROUP = np.arange(1 << _GROUP_BITS)
-_HADAMARD = 1 - 2 * (np.bitwise_count(np.bitwise_and.outer(_GROUP, _GROUP))
-                     & 1).astype(np.float32)
+_HADAMARD = {np.dtype(t): 1 - 2 * (np.bitwise_count(np.bitwise_and.outer(
+    _GROUP, _GROUP)) & 1).astype(t) for t in (np.float32, np.float64)}
 # _SIGNS[byte, j] = (-1)^(bit j of byte): the +-1 values of 8 table positions
 _SIGNS = (1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)).astype(np.float32)
 # _BIT_REVERSED[b] is the byte b with its 8 bits in reverse order
@@ -142,7 +144,7 @@ class TruthTable:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_VARS:
             raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {self.n}")
-        if not 0 <= self.bits < (1 << self.size):
+        if not (self.bits >= 0 and self.bits.bit_length() <= self.size):
             raise ValueError("packed bits do not fit in 2^n positions")
 
     @property
@@ -326,6 +328,27 @@ def anf_to_truth_table(anf: AnfPolynomial) -> TruthTable:
     return TruthTable(anf.n, pack_bits(acc))
 
 
+def _digits_into(work: np.ndarray, block: np.ndarray, keep: np.ndarray,
+                 last: int, count: int) -> None:
+    """Write the decimal digits of the uint32 values work[0] into `count`
+    columns of block, ending at column `last`, and mark the significant ones
+    in keep.
+
+    Each digit is q - 10 * (q // 10); the digit of 10^p is significant when
+    q // 10^p is nonzero, or when p = 0.  work is 3 x len(block) scratch,
+    and the values are used up.
+    """
+    q, quot, digit = work
+    for col in range(last, last - count, -1):
+        np.floor_divide(q, 10, out=quot)
+        np.multiply(quot, 10, out=digit)
+        np.subtract(q, digit, out=digit)
+        np.add(digit, ord("0"), out=block[:, col], casting="unsafe")
+        if col != last:
+            np.not_equal(q, 0, out=keep[:, col])
+        q, quot = quot, q
+
+
 class WalshSpectrum:
     """The 2^n signed values of the Walsh-Hadamard transform of (-1)^f."""
 
@@ -408,23 +431,47 @@ class WalshSpectrum:
 
         Returns {w: (satisfied, total)} for w = 1..n.  PC(s) holds iff classes
         1..s are fully satisfied; SAC is class 1.  Computed through the
-        autocorrelation spectrum (one extra butterfly) rather than 2^n calls
-        to pc_check, so the 2^n - 1 directions cost O(n 2^n) total.  Every
-        partial sum is bounded by sum W^2 = 2^(2n) <= 2^40 (Parseval), so
-        int64 is exact.
+        autocorrelation spectrum, the transform of W^2, rather than 2^n
+        calls to pc_check, so the 2^n - 1 directions cost O(n 2^n) total.
+        The top index bit is transformed as the values are loaded: each half
+        of the autocorrelation, top bit 0 and 1, is a float64 run of
+        _two_pass over low^2 + high^2 and low^2 - high^2, through one
+        4*2^n-byte buffer and two scratch buffers of _PC_SCRATCH_BYTES.
+        Each finished panel's zeros are tallied by weight class there,
+        since the weight of index top * 2^(n-1) + r * chunk + col + j is
+        the sum of the popcounts of top, r, col and j.  This is exact: every
+        partial sum is bounded by sum W^2 = 2^(2n) <= 2^40 < 2^53
+        (Parseval), an integer float64 holds exactly in any summation order.
         """
         check_pc_vars(self.n)
-        auto = self.values.astype(np.int64)
-        np.square(auto, out=auto)
-        _fwht_inplace(auto)  # auto[c] = 2^n * sum_x (-1)^(f(x)+f(x+c))
-        zero = auto == 0
-        del auto
-        wt_of_index = np.zeros(zero.size, dtype=np.uint8)
-        for p in range(self.n):
-            np.add(wt_of_index[:1 << p], 1, out=wt_of_index[1 << p:2 << p])
-        zero_wts = wt_of_index[zero]  # weight classes of the balanced directions
-        return {w: (int(np.count_nonzero(zero_wts == w)), comb(self.n, w))
-                for w in range(1, self.n + 1)}
+        n, half = self.n, len(self) // 2
+        low, high = self.values[:half], self.values[half:]
+        tallies = np.zeros(n + 1, dtype=np.int64)
+
+        def load(start, chunk, out):
+            # W^2 with the top index bit transformed: low^2 +- high^2
+            np.square(low[start:start + chunk], out=out[:chunk],
+                      dtype=np.float64)
+            combine(out[:chunk], np.square(high[start:start + chunk],
+                                           dtype=np.float64), out=out[:chunk])
+
+        def finish(col, done, spare):
+            # done[r, j] = 2^n * sum_x (-1)^(f(x)+f(x+c)) for the direction c
+            # of weight top + popcount(r) + popcount(col) + popcount(j); it
+            # is zero iff that derivative is balanced
+            rows, width = done.shape
+            weights = np.add.outer(
+                np.bitwise_count(np.arange(rows, dtype=np.uint32))
+                + (top + col.bit_count()),
+                np.bitwise_count(np.arange(width, dtype=np.uint32)))
+            tallies[:] += np.bincount(weights.ravel()[done.ravel() == 0],
+                                      minlength=n + 1)
+
+        buf = np.empty(half, dtype=np.float64)
+        scratch = _PC_SCRATCH_BYTES // 8
+        for top, combine in ((0, np.add), (1, np.subtract)):  # read by both
+            _two_pass(buf, n - 1, scratch, scratch, load, finish)
+        return {w: (int(tallies[w]), comb(n, w)) for w in range(1, n + 1)}
 
     def zero_count(self) -> int:
         return int(np.count_nonzero(self.values == 0))
@@ -433,18 +480,37 @@ class WalshSpectrum:
         return int(np.sum(self.values.astype(np.int64) ** 2))
 
     def write_csv(self, fileobj) -> None:
-        """CSV export with columns w, value.
+        """CSV export with columns w, value, written to a text file.
 
-        Rows are formatted _CSV_ROWS at a time, one %-format per chunk.
+        Rows are formatted _CSV_ROWS at a time in numpy.  Every row of a
+        block is laid out at one fixed width in a uint8 block: the digits of
+        w, ",", "-", the digits of |value|, "\\n", with as many digit
+        columns as the largest w and |value| need.  A keep mask of the same
+        shape drops the leading zeros and the "-" of non-negative values;
+        one flat np.compress of the block by the mask gives the block's
+        text.
         """
         fileobj.write("w,value\n")
-        pairs = np.empty((_CSV_ROWS, 2), dtype=np.int64)
-        for start in range(0, len(self), _CSV_ROWS):
-            chunk = self.values[start:start + _CSV_ROWS]
-            m = chunk.size
-            pairs[:m, 0] = np.arange(start, start + m)
-            pairs[:m, 1] = chunk
-            fileobj.write(("%d,%d\n" * m) % tuple(pairs[:m].ravel().tolist()))
+        size = len(self)
+        iw = len(str(size - 1))  # digit columns of w
+        vw = len(str(self.max_abs()))  # digit columns of |value|
+        rows = min(size, _CSV_ROWS)
+        block = np.empty((rows, iw + vw + 3), dtype=np.uint8)
+        keep = np.ones_like(block, dtype=bool)
+        block[:, iw] = ord(",")
+        block[:, iw + 1] = ord("-")
+        block[:, -1] = ord("\n")
+        base = np.arange(rows, dtype=np.uint32)
+        work = np.empty((3, rows), dtype=np.uint32)
+        for start in range(0, size, rows):
+            values = self.values[start:start + rows]
+            np.add(base, start, out=work[0])
+            _digits_into(work, block, keep, iw - 1, iw)
+            np.less(values, 0, out=keep[:, iw + 1])
+            np.abs(values, out=work[0].view(np.int32))  # |-2^31| wraps to 2^31
+            _digits_into(work, block, keep, iw + vw + 1, vw)
+            text = np.compress(keep.ravel(), block.ravel())
+            fileobj.write(str(text.data, "ascii"))
 
     def __repr__(self) -> str:
         return f"WalshSpectrum(n={self.n}, max_abs={self.max_abs()})"
@@ -508,9 +574,9 @@ def _fwht_inplace(v: np.ndarray, h: int = 1,
     The old a is kept in a slab of at most _SLAB elements (or the one given,
     of v's dtype): copy a into the slab, a += b, b = slab - b.  So a pass
     makes no copy of half the array and no temporaries, and its chunks stay
-    in cache.  walsh_transform runs it on each int32 panel of its second
-    pass for index bits 24 and 25, with the panel's dead float32 scratch
-    buffer as the slab; pc_profile runs it on the whole int64 array.
+    in cache.  It serves only index bits 24 and 25 of walsh_transform, run
+    on each int32 panel of its second pass with the panel's dead float32
+    scratch buffer as the slab.
     """
     size = v.size
     if slab is None:
@@ -531,23 +597,24 @@ def _fwht_inplace(v: np.ndarray, h: int = 1,
 
 
 def _gemm_bits(src: np.ndarray, spare: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Transform index bits lo..hi-1 of the flat float32 array src.
+    """Transform index bits lo..hi-1 of the flat float array src.
 
     The bits go _GROUP_BITS at a time, each group one batched matmul against
-    the leading block of _HADAMARD, from src into spare and back in turn.
-    Returns whichever of the two holds the result.  Each GEMM call against
-    H_(2^g) covers at most _GEMM_MACS / 4^g rows or columns, so at most
-    _GEMM_MACS multiply-adds whose operands stay in cache.  OpenBLAS runs a
-    call that small on the calling thread; on a 2-vCPU virtual machine
-    larger calls were handed to its worker thread and often took 8 ms each
-    instead of 0.1 ms.
+    the leading block of the _HADAMARD of src's dtype, from src into spare
+    and back in turn.  Returns whichever of the two holds the result.  Each
+    GEMM call against H_(2^g) covers at most _GEMM_MACS / 4^g rows or
+    columns, so at most _GEMM_MACS multiply-adds whose operands stay in
+    cache.  OpenBLAS runs a call that small on the calling thread; on a
+    2-vCPU virtual machine larger calls were handed to its worker thread and
+    often took 8 ms each instead of 0.1 ms.
     """
     size = src.size
+    hadamard = _HADAMARD[src.dtype]
     while lo < hi:
         g = min(_GROUP_BITS, hi - lo)
         group = 1 << g
         stride = 1 << lo
-        h = _HADAMARD[:group, :group]
+        h = hadamard[:group, :group]
         most = _GEMM_MACS >> (2 * g)  # rows or columns per GEMM call
         if stride == 1:  # rows of `group` consecutive values: rows @ H
             rows = min(size // group, most)
@@ -563,63 +630,97 @@ def _gemm_bits(src: np.ndarray, spare: np.ndarray, lo: int, hi: int) -> np.ndarr
     return src
 
 
+def _two_pass(buf: np.ndarray, float_bits: int, chunk: int, panel: int,
+              load, finish) -> None:
+    """Transform the low float_bits index bits of 2^n values through buf.
+
+    H_(2^n) is the Kronecker product of one H_2 per index bit, so the bits
+    can be transformed in groups and in any order.  buf is a float array of
+    the 2^n values' length; the values go through it in two passes, and
+    through two scratch buffers of at most max(chunk, panel) values that
+    stay in cache:
+
+    1. Chunks.  For each run of `chunk` values, load(start, chunk, a) writes
+       the inputs start..start+chunk-1 into a[:chunk] (it may use a beyond
+       that), and the low log2(chunk) index bits are transformed there by
+       _gemm_bits.  The chunk is stored in buf.
+    2. Panels.  buf is a (2^n / chunk) x chunk grid whose row index holds
+       the bits above the chunk's.  A panel of all the rows and the next
+       panel / rows columns is gathered into contiguous scratch, and the
+       remaining float bits are transformed there.
+
+    Each finished panel goes to finish(col, done, spare): done[r, j] is
+    output value r * chunk + col + j, and spare is the other scratch buffer,
+    of the same shape and dead.  When one chunk holds all 2^n values, it is
+    the one panel (col 0, one row) and is never stored in buf.  So every
+    GEMM runs on contiguous data in cache, and the grid's rows are read
+    once per panel only.
+    """
+    size = buf.size
+    chunk = min(size, chunk)
+    rows = size // chunk  # of the grid of pass 2
+    width = min(chunk, panel // rows)  # of a panel
+    a, b = np.empty((2, max(8, rows * width)), dtype=buf.dtype)
+    cbits = chunk.bit_length() - 1
+    x, y = a[:chunk], b[:chunk]
+    for start in range(0, size, chunk):
+        load(start, chunk, a)
+        done = _gemm_bits(x, y, 0, min(float_bits, cbits))
+        if rows == 1:
+            spare = y if done is x else x
+            finish(0, done.reshape(1, chunk), spare.reshape(1, chunk))
+        else:
+            np.copyto(buf[start:start + chunk], done)
+    if rows > 1:  # a and b hold exactly one panel
+        wbits = width.bit_length() - 1
+        grid = buf.reshape(rows, chunk)
+        for col in range(0, chunk, width):
+            np.copyto(a.reshape(rows, width), grid[:, col:col + width])
+            done = _gemm_bits(a, b, wbits, wbits + float_bits - cbits)
+            spare = b if done is a else a
+            finish(col, done.reshape(rows, width), spare.reshape(rows, width))
+
+
 def walsh_transform(tt: TruthTable) -> WalshSpectrum:
     """Spectrum values[w] = sum over x of (-1)^(f(x) + w.x), as int32.
 
-    H_(2^n) is the Kronecker product of one H_2 per index bit, so the bits
-    can be transformed in groups and in any order.  The spectrum is built in
-    one 4*2^n-byte buffer, in two passes through two scratch buffers of at
-    most _PANEL values that stay in cache:
+    The spectrum is built in one 4*2^n-byte float32 buffer by _two_pass,
+    with chunks of _CHUNK values (256 KiB) and panels of _PANEL values
+    (512 KiB).  The chunks' +-1 values are read from the packed bytes
+    through _SIGNS; the low min(n, 24) index bits are transformed as
+    float32 GEMMs.  Each finished panel is cast to int32 in its spare
+    scratch, for n = 25, 26 bits 24 and 25 follow as an int32 butterfly
+    inside it, and the int32 values are written back over the bytes they
+    came from.  The buffer's int32 view becomes the spectrum, without a
+    copy.
 
-    1. Chunks.  For each run of 2^_CHUNK_BITS values (256 KiB), the +-1
-       values are read from the packed bytes through _SIGNS into scratch,
-       the low min(n, 16) index bits are transformed there by _gemm_bits,
-       and the chunk is stored in the buffer (for n <= 16 already as int32).
-    2. Panels (n > 16).  The buffer is a 2^(n-16) x 2^16 grid whose row
-       index holds bits 16..n-1.  A panel of all the rows and the next
-       _PANEL / rows columns is gathered into contiguous scratch, bits
-       16..min(n, 24)-1 are transformed there by _gemm_bits, the panel is
-       cast to int32, for n = 25, 26 bits 24 and 25 follow as an int32
-       butterfly inside it, and the int32 values are written back over the
-       bytes they came from.
-
-    So every GEMM runs on contiguous data in cache, and the grid's rows,
-    256 KiB apart, are read and written once per panel only.  The buffer's
-    int32 view becomes the spectrum, without a copy.  This is exact: after
-    the bits below b are done every value, and every partial sum a GEMM
-    forms, is a signed sum of at most 2^b <= 2^24 of the +-1 inputs, an
-    integer float32 holds exactly in any summation order and with or
-    without FMA; |W| <= 2^26 < 2^31 for the int32 bits.  Peak memory is the
-    one buffer, the packed bytes and the 2 * 4 * _PANEL bytes of scratch.
+    This is exact: after the bits below b are done every value, and every
+    partial sum a GEMM forms, is a signed sum of at most 2^b <= 2^24 of the
+    +-1 inputs, an integer float32 holds exactly in any summation order and
+    with or without FMA; |W| <= 2^26 < 2^31 for the int32 bits.  Peak
+    memory is the one buffer, the packed bytes and the 2 * 4 * _PANEL
+    bytes of scratch.
     """
     n, size = tt.n, tt.size
-    chunk = min(size, 1 << _CHUNK_BITS)
-    rows = size // chunk  # of the grid of pass 2
-    width = min(chunk, _PANEL // rows)  # of a panel
     raw = np.frombuffer(tt.bits.to_bytes(max(1, size // 8), "little"),
                         dtype=np.uint8)
     buf = np.empty(size, dtype=np.float32)
     ints = buf.view(np.int32)
-    a, b = np.empty((2, max(8, rows * width)), dtype=np.float32)
-    nb = max(1, chunk // 8)  # packed bytes per chunk; n < 3: a partial byte
-    dest = ints if rows == 1 else buf
-    for start in range(0, size, chunk):
+
+    def load(start, chunk, out):
+        nb = max(1, chunk // 8)  # packed bytes per chunk; n < 3: a partial byte
         np.take(_SIGNS, raw[start // 8:start // 8 + nb], axis=0,
-                out=a[:8 * nb].reshape(nb, 8), mode="clip")
-        done = _gemm_bits(a[:chunk], b[:chunk], 0, min(n, _CHUNK_BITS))
-        np.copyto(dest[start:start + chunk], done, casting="unsafe")
-    del raw  # pass 2 reads only the buffer
-    if rows > 1:  # a and b hold exactly one panel
-        high = min(n, _FLOAT_BITS) - _CHUNK_BITS  # float bits of pass 2
-        wbits = width.bit_length() - 1
-        grid, igrid = buf.reshape(rows, chunk), ints.reshape(rows, chunk)
-        for col in range(0, chunk, width):
-            np.copyto(a.reshape(rows, width), grid[:, col:col + width])
-            done = _gemm_bits(a, b, wbits, wbits + high)
-            panel = (b if done is a else a).view(np.int32)
-            np.copyto(panel, done, casting="unsafe")
-            _fwht_inplace(panel, width << high, done.view(np.int32))
-            np.copyto(igrid[:, col:col + width], panel.reshape(rows, width))
+                out=out[:8 * nb].reshape(nb, 8), mode="clip")
+
+    def finish(col, done, spare):
+        rows, width = done.shape
+        panel = spare.view(np.int32)
+        np.copyto(panel, done, casting="unsafe")
+        _fwht_inplace(panel.reshape(-1), panel.size >> max(0, n - _FLOAT_BITS),
+                      done.view(np.int32).reshape(-1))
+        np.copyto(ints.reshape(rows, -1)[:, col:col + width], panel)
+
+    _two_pass(buf, min(n, _FLOAT_BITS), _CHUNK, _PANEL, load, finish)
     return WalshSpectrum._adopt(n, ints)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 
 import numpy as np
 
@@ -51,6 +52,19 @@ def slow_walsh(bits: list[int]) -> list[int]:
     return out
 
 
+def _butterfly(v: np.ndarray) -> np.ndarray:
+    """The plain radix-2 butterfly over every index bit of v, in place."""
+    size = v.size
+    h = 1
+    while h < size:
+        v = v.reshape(-1, 2 * h)
+        left = v[:, :h].copy()
+        v[:, :h] = left + v[:, h:]
+        v[:, h:] = left - v[:, h:]
+        h *= 2
+    return v.reshape(size)
+
+
 def butterfly_walsh(tt: TruthTable) -> np.ndarray:
     """The plain radix-2 integer butterfly, one pass per index bit.
 
@@ -60,15 +74,25 @@ def butterfly_walsh(tt: TruthTable) -> np.ndarray:
     size = tt.size
     raw = np.frombuffer(tt.bits.to_bytes(max(1, size // 8), "little"),
                         dtype=np.uint8)
-    v = 1 - 2 * np.unpackbits(raw, bitorder="little", count=size).astype(np.int32)
-    h = 1
-    while h < size:
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h].copy()
-        v[:, :h] = left + v[:, h:]
-        v[:, h:] = left - v[:, h:]
-        h *= 2
-    return v.reshape(size)
+    return _butterfly(
+        1 - 2 * np.unpackbits(raw, bitorder="little", count=size).astype(np.int32))
+
+
+def autocorrelation_pc_profile(values) -> dict[int, tuple[int, int]]:
+    """{w: (satisfied, total)} from a spectrum, through an int64 butterfly.
+
+    The autocorrelation is the transform of W^2; every partial sum is at most
+    sum W^2 = 2^(2n) <= 2^40 (Parseval), so int64 is exact.  Direction c is
+    balanced iff its autocorrelation is 0, and falls in class popcount(c).
+    """
+    auto = _butterfly(np.asarray(values, dtype=np.int64) ** 2)
+    n = auto.size.bit_length() - 1
+    weights = np.zeros(auto.size, dtype=np.int64)
+    for p in range(n):  # indices 2^p..2^(p+1)-1 add one bit to 0..2^p-1
+        weights[1 << p:2 << p] = weights[:1 << p] + 1
+    zero_weights = weights[auto == 0]
+    return {w: (int(np.count_nonzero(zero_weights == w)), comb(n, w))
+            for w in range(1, n + 1)}
 
 
 def line_by_line_csv(values) -> str:

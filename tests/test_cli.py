@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +206,17 @@ def test_failed_transform_leaves_no_spectrum_csv(tmp_path, capsys, monkeypatch):
                               " (Unable to allocate 2.00 KiB)\n")
     assert len(calls) == 3
     assert not path.exists()
+
+
+def test_pc_export_20_spectrum_csv_matches_benchmark_digest(tmp_path, capsys):
+    # the benchmark's pc-export-20 CSV, checked here so that a formatting
+    # slip fails in the unit tests first
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    digest = json.loads(golden.read_text())["pc-export-20"]["spectrum.csv"]
+    path = tmp_path / "spectrum.csv"
+    assert run(capsys, "analyze", "f2", "--n", "20", "--pc", "--spectrum-csv",
+               str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_failed_csv_write_leaves_no_file(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import io
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -45,6 +46,7 @@ from rotsym.core import (
 
 from oracles import (
     affine_nonlinearity,
+    autocorrelation_pc_profile,
     butterfly_walsh,
     derivative_sum,
     line_by_line_csv,
@@ -78,9 +80,25 @@ def test_truth_table_validation():
         TruthTable(27, 0)
     with pytest.raises(ValueError):
         TruthTable(2, 1 << 16)
+    with pytest.raises(ValueError, match="do not fit"):
+        TruthTable(2, 1 << 4)
+    with pytest.raises(ValueError, match="do not fit"):
+        TruthTable(2, -1)
+    assert TruthTable(2, (1 << 4) - 1).weight() == 4
     t = TruthTable(3, 0b10000001)
     assert t[0] == 1 and t[7] == 1 and t[3] == 0
     assert t.weight() == 2
+
+
+def test_truth_table_check_builds_no_2n_bit_int():
+    bits = (1 << (1 << 26)) - 1  # 8 MiB
+    tracemalloc.start()
+    try:
+        TruthTable(26, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_truth_table_xor_requires_same_n():
@@ -443,6 +461,35 @@ def test_pc_profile_linear_function():
         assert profile[w][0] == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 20), st.sampled_from(["random", "f2", "f3"]),
+       st.integers(0, 2**32 - 1))
+def test_pc_profile_matches_int64_autocorrelation(n, kind, seed):
+    # the float64 GEMM autocorrelation against the int64 butterfly; the
+    # orbit functions have many balanced directions, random tables few
+    if kind == "random" or n < 5:
+        t = random_table(random.Random(seed), n)
+    else:
+        t = build_f2(n) if kind == "f2" or n < 7 else build_f3(n)
+    spec = walsh_transform(t)
+    assert spec.pc_profile() == autocorrelation_pc_profile(spec.values)
+
+
+def test_pc_profile_memory_is_one_half_size_float64_buffer():
+    # one float64 buffer of 2^(n-1) values, 4*2^n bytes; its two scratch
+    # buffers, the loaded squares and the zero masks fit in the 0.5 MiB
+    # beyond it
+    n = 20
+    spec = walsh_transform(build_f2(n))
+    tracemalloc.start()
+    try:
+        spec.pc_profile()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (1 << n) + (1 << 19)
+
+
 def test_pc_profile_cap():
     with pytest.raises(ValueError):
         pc_profile(TruthTable.zeros(21))
@@ -672,10 +719,39 @@ def test_spectrum_csv():
 
 
 def test_spectrum_csv_matches_line_by_line_writer():
-    # n = 13 spans two 4096-row chunks
+    # real spectra, n = 1..13; the values test below crosses block boundaries
     rng = random.Random(59)
     for n in range(1, 14):
         spec = walsh_transform(random_table(rng, n))
         buf = io.StringIO()
         spec.write_csv(buf)
         assert buf.getvalue() == line_by_line_csv(spec.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 17), st.integers(0, 26), st.integers(0, 2**32 - 1),
+       st.data())
+def test_spectrum_csv_matches_line_by_line_writer_on_any_values(n, bits, seed,
+                                                                 data):
+    # n = 15..17 spans several _CSV_ROWS blocks; +-2^26 are the widest values
+    size = 1 << n
+    values = np.random.default_rng(seed).integers(
+        -(1 << bits), 1 << bits, size, endpoint=True, dtype=np.int32)
+    values[data.draw(st.integers(0, size - 1))] = -(1 << 26)
+    values[data.draw(st.integers(0, size - 1))] = 1 << 26
+    buf = io.StringIO()
+    WalshSpectrum(n, values).write_csv(buf)
+    assert buf.getvalue() == line_by_line_csv(values)
+
+
+def test_spectrum_csv_memory_is_a_few_blocks():
+    # the CSV is formatted a block of rows at a time, not as one string
+    spec = walsh_transform(build_f2(20))
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            spec.write_csv(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 4 << 20
