@@ -22,7 +22,6 @@ from .builders import (
     f3_block_complements_measured,
     f3_component,
     hat,
-    monomial_table_degree2,
     monomial_table_general,
     repeat,
     rots_orbit_anf,

@@ -229,28 +229,6 @@ def _rep_block(block: Block4, k: int) -> BitString:
     return repeat(BitString(4, block.bits), k)
 
 
-def monomial_table_degree2(i: int, j: int, n: int) -> TruthTable:
-    """Table of x_i x_j assembled from blocks (no pointwise evaluation)."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if not 1 <= i < j <= n:
-        raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j}) with n={n}")
-    if j <= n - 2:
-        inner = _rep_block(_D, 1 << (n - j - 2)) + _rep_block(
-            BLOCKS["D" + MACRON], 1 << (n - j - 2))
-        body = _rep_block(_D, 1 << (n - i - 2)) + repeat(inner, 1 << (j - i - 1))
-        return repeat(body, 1 << (i - 1)).to_truth_table()
-    if j == n - 1:
-        body = _rep_block(_D, 1 << (n - i - 2)) + _rep_block(BLOCKS["A"],
-                                                             1 << (n - i - 2))
-        return repeat(body, 1 << (i - 1)).to_truth_table()
-    if i == n - 1:  # (i, j) = (n-1, n)
-        return _rep_block(BLOCKS["V"], 1 << (n - 2)).to_truth_table()
-    body = _rep_block(_D, 1 << (n - i - 2)) + _rep_block(BLOCKS["B"],
-                                                         1 << (n - i - 2))
-    return repeat(body, 1 << (i - 1)).to_truth_table()
-
-
 def monomial_table_general(indices: Sequence[int], n: int) -> TruthTable:
     """Table of a degree-s monomial (s >= 2) assembled from blocks.
 

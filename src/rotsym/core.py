@@ -21,14 +21,14 @@ PC_PROFILE_MAX_VARS = 20
 
 # The GEMM kernel (see _two_pass).  float32 holds every integer of magnitude
 # <= 2^24 exactly, so walsh_transform does the low 24 index bits in float32
-# and any higher bits in int32; pc_profile does all its bits in float64.
+# and any higher bits in float64 (exact to 2^53); pc_profile does all its
+# bits in float64.
 _FLOAT_BITS = 24
 _GROUP_BITS = 5        # index bits per GEMM stage, against one 32x32 matrix
 _GEMM_MACS = 1 << 18   # multiply-adds per GEMM call (see _gemm_bits)
 _CHUNK = 1 << 16       # float32 values per chunk of walsh_transform's pass 1
 _PANEL = 1 << 17       # float32 values per panel of its pass 2
 _PC_SCRATCH_BYTES = 1 << 17  # each float64 scratch buffer of pc_profile
-_SLAB = 1 << 16        # chunk length of the integer butterfly
 _CSV_ROWS = 1 << 14    # rows per formatted block of WalshSpectrum.write_csv
 
 # Sylvester-Hadamard H[j, k] = (-1)^(j.k), one copy per GEMM dtype; its
@@ -74,15 +74,6 @@ def index_of_point(point: Sequence[int], n: int) -> int:
 def point_of_index(index: int, n: int) -> tuple[int, ...]:
     """The assignment (x_1, ..., x_n) encoded by an index."""
     return tuple((index >> (n - k)) & 1 for k in range(1, n + 1))
-
-
-def _parity_u32(v: np.ndarray) -> np.ndarray:
-    v = v ^ (v >> np.uint32(16))
-    v ^= v >> np.uint32(8)
-    v ^= v >> np.uint32(4)
-    v ^= v >> np.uint32(2)
-    v ^= v >> np.uint32(1)
-    return v & np.uint32(1)
 
 
 def dot2(u: int, v: int) -> int:
@@ -283,14 +274,6 @@ class AnfPolynomial:
             raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
         return AnfPolynomial(self.n, self.monomials ^ other.monomials)
 
-    def to_str(self) -> str:
-        if not self.monomials:
-            return "0"
-        parts = []
-        for m in sorted(self.monomials, key=lambda m: (len(m), sorted(m))):
-            parts.append("1" if not m else "".join(f"x{k}" for k in sorted(m)))
-        return " + ".join(parts)
-
 
 def _monomial_mask(mono: frozenset[int], n: int) -> int:
     return sum(1 << (n - k) for k in mono)
@@ -455,7 +438,7 @@ class WalshSpectrum:
             combine(out[:chunk], np.square(high[start:start + chunk],
                                            dtype=np.float64), out=out[:chunk])
 
-        def finish(col, done, spare):
+        def finish(col, done):
             # done[r, j] = 2^n * sum_x (-1)^(f(x)+f(x+c)) for the direction c
             # of weight top + popcount(r) + popcount(col) + popcount(j); it
             # is zero iff that derivative is balanced
@@ -547,9 +530,6 @@ class AffineTransform:
     def identity(cls, n: int, a: int = 0, b: int = 0, c: int = 0) -> "AffineTransform":
         return cls(n, tuple(1 << (n - 1 - j) for j in range(n)), a, b, c)
 
-    def inverse_rows(self) -> tuple[int, ...]:
-        return gf2_invert(self.rows)
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -563,37 +543,6 @@ def weight(tt: TruthTable) -> int:
 def distance(f: TruthTable, g: TruthTable) -> int:
     """Hamming distance between two functions on the same variables."""
     return (f ^ g).weight()
-
-
-def _fwht_inplace(v: np.ndarray, h: int = 1,
-                  slab: np.ndarray | None = None) -> None:
-    """Integer butterfly over the index bits of weight h, 2h, ... of v.
-
-    Each pass maps the pair (a, b) = (v[i], v[i + h]) to (a + b, a - b) in
-    place, log2(size/h) passes of size/2 additions and size/2 subtractions.
-    The old a is kept in a slab of at most _SLAB elements (or the one given,
-    of v's dtype): copy a into the slab, a += b, b = slab - b.  So a pass
-    makes no copy of half the array and no temporaries, and its chunks stay
-    in cache.  It serves only index bits 24 and 25 of walsh_transform, run
-    on each int32 panel of its second pass with the panel's dead float32
-    scratch buffer as the slab.
-    """
-    size = v.size
-    if slab is None:
-        slab = np.empty(min(size // 2, _SLAB), dtype=v.dtype)
-    while h < size:
-        pairs = v.reshape(-1, 2, h)
-        cols = min(h, slab.size)
-        rows = slab.size // cols
-        for r in range(0, pairs.shape[0], rows):
-            for c in range(0, h, cols):
-                a = pairs[r:r + rows, 0, c:c + cols]
-                b = pairs[r:r + rows, 1, c:c + cols]
-                old_a = slab[:a.size].reshape(a.shape)
-                np.copyto(old_a, a)
-                a += b
-                np.subtract(old_a, b, out=b)
-        h *= 2
 
 
 def _gemm_bits(src: np.ndarray, spare: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -649,12 +598,13 @@ def _two_pass(buf: np.ndarray, float_bits: int, chunk: int, panel: int,
        panel / rows columns is gathered into contiguous scratch, and the
        remaining float bits are transformed there.
 
-    Each finished panel goes to finish(col, done, spare): done[r, j] is
-    output value r * chunk + col + j, and spare is the other scratch buffer,
-    of the same shape and dead.  When one chunk holds all 2^n values, it is
+    Each finished panel goes to finish(col, done): done[r, j] is output
+    value r * chunk + col + j.  When one chunk holds all 2^n values, it is
     the one panel (col 0, one row) and is never stored in buf.  So every
     GEMM runs on contiguous data in cache, and the grid's rows are read
-    once per panel only.
+    once per panel only.  Beyond buf, the pass allocates only the two
+    scratch buffers; a finish that transforms further bits brings its own
+    (walsh_transform's 2 * 8 * _PANEL bytes of float64 when n > 24).
     """
     size = buf.size
     chunk = min(size, chunk)
@@ -667,8 +617,7 @@ def _two_pass(buf: np.ndarray, float_bits: int, chunk: int, panel: int,
         load(start, chunk, a)
         done = _gemm_bits(x, y, 0, min(float_bits, cbits))
         if rows == 1:
-            spare = y if done is x else x
-            finish(0, done.reshape(1, chunk), spare.reshape(1, chunk))
+            finish(0, done.reshape(1, chunk))
         else:
             np.copyto(buf[start:start + chunk], done)
     if rows > 1:  # a and b hold exactly one panel
@@ -677,8 +626,7 @@ def _two_pass(buf: np.ndarray, float_bits: int, chunk: int, panel: int,
         for col in range(0, chunk, width):
             np.copyto(a.reshape(rows, width), grid[:, col:col + width])
             done = _gemm_bits(a, b, wbits, wbits + float_bits - cbits)
-            spare = b if done is a else a
-            finish(col, done.reshape(rows, width), spare.reshape(rows, width))
+            finish(col, done.reshape(rows, width))
 
 
 def walsh_transform(tt: TruthTable) -> WalshSpectrum:
@@ -688,18 +636,19 @@ def walsh_transform(tt: TruthTable) -> WalshSpectrum:
     with chunks of _CHUNK values (256 KiB) and panels of _PANEL values
     (512 KiB).  The chunks' +-1 values are read from the packed bytes
     through _SIGNS; the low min(n, 24) index bits are transformed as
-    float32 GEMMs.  Each finished panel is cast to int32 in its spare
-    scratch, for n = 25, 26 bits 24 and 25 follow as an int32 butterfly
-    inside it, and the int32 values are written back over the bytes they
-    came from.  The buffer's int32 view becomes the spectrum, without a
-    copy.
+    float32 GEMMs.  For n = 25, 26 each finished panel is copied into a
+    float64 panel scratch, and bits 24 and 25 follow there as float64
+    GEMMs.  Each finished panel, float32 or float64, is cast straight into
+    the int32 view of the bytes it came from, and that view becomes the
+    spectrum, without a copy.
 
     This is exact: after the bits below b are done every value, and every
-    partial sum a GEMM forms, is a signed sum of at most 2^b <= 2^24 of the
-    +-1 inputs, an integer float32 holds exactly in any summation order and
-    with or without FMA; |W| <= 2^26 < 2^31 for the int32 bits.  Peak
-    memory is the one buffer, the packed bytes and the 2 * 4 * _PANEL
-    bytes of scratch.
+    partial sum a GEMM forms, is a signed sum of at most 2^b of the +-1
+    inputs, an integer that float32 holds exactly for b <= 24 and float64
+    for b <= 53, in any summation order and with or without FMA; the
+    result |W| <= 2^26 < 2^31 fits int32.  Peak memory is the one buffer,
+    the packed bytes and the 2 * 4 * _PANEL bytes of float32 scratch, plus
+    2 * 8 * _PANEL bytes (2 MiB) of float64 scratch when n > 24.
     """
     n, size = tt.n, tt.size
     raw = np.frombuffer(tt.bits.to_bytes(max(1, size // 8), "little"),
@@ -712,13 +661,21 @@ def walsh_transform(tt: TruthTable) -> WalshSpectrum:
         np.take(_SIGNS, raw[start // 8:start // 8 + nb], axis=0,
                 out=out[:8 * nb].reshape(nb, 8), mode="clip")
 
-    def finish(col, done, spare):
+    if n > _FLOAT_BITS:
+        wide = np.empty((2, _PANEL), dtype=np.float64)
+
+    def finish(col, done):
         rows, width = done.shape
-        panel = spare.view(np.int32)
-        np.copyto(panel, done, casting="unsafe")
-        _fwht_inplace(panel.reshape(-1), panel.size >> max(0, n - _FLOAT_BITS),
-                      done.view(np.int32).reshape(-1))
-        np.copyto(ints.reshape(rows, -1)[:, col:col + width], panel)
+        if n > _FLOAT_BITS:
+            # the panel's row bits sit above its log2(width) column bits and
+            # start at global bit log2(_CHUNK), so global bits 24..n-1 are
+            # panel bits lo..lo+n-25
+            lo = width.bit_length() + _FLOAT_BITS - _CHUNK.bit_length()
+            x, y = wide[:, :done.size]
+            np.copyto(x, done.reshape(-1))
+            done = _gemm_bits(x, y, lo, lo + n - _FLOAT_BITS).reshape(rows, width)
+        np.copyto(ints.reshape(rows, -1)[:, col:col + width], done,
+                  casting="unsafe")
 
     _two_pass(buf, min(n, _FLOAT_BITS), _CHUNK, _PANEL, load, finish)
     return WalshSpectrum._adopt(n, ints)
@@ -741,7 +698,7 @@ def linear_function_table(n: int, w: int) -> TruthTable:
     if not 0 <= w < (1 << n):
         raise ValueError(f"mask {w} outside 0..2^{n}-1")
     idx = np.arange(1 << n, dtype=np.uint32)
-    return TruthTable(n, pack_bits(_parity_u32(idx & np.uint32(w)).astype(np.uint8)))
+    return TruthTable(n, pack_bits(np.bitwise_count(idx & np.uint32(w)) & 1))
 
 
 def pc_check(f: TruthTable, c: int) -> bool:
@@ -788,10 +745,10 @@ def apply_affine_transform(h: TruthTable, t: AffineTransform) -> TruthTable:
     x = np.arange(h.size, dtype=np.uint32)
     y = np.zeros(h.size, dtype=np.uint32)
     for j, row in enumerate(t.rows):
-        y |= _parity_u32(x & np.uint32(row)) << np.uint32(n - 1 - j)
+        y |= (np.bitwise_count(x & np.uint32(row)) & 1) << np.uint32(n - 1 - j)
     arr = h.to_array()[y ^ np.uint32(t.a)]
     if t.b:
-        arr = arr ^ _parity_u32(x & np.uint32(t.b)).astype(np.uint8)
+        arr = arr ^ (np.bitwise_count(x & np.uint32(t.b)) & 1)
     if t.c:
         arr = arr ^ np.uint8(1)
     return TruthTable(n, pack_bits(arr))

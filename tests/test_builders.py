@@ -18,7 +18,6 @@ from rotsym import (
     f3_block_complements_measured,
     f3_component,
     hat,
-    monomial_table_degree2,
     monomial_table_general,
     repeat,
     rots_orbit_anf,
@@ -134,27 +133,6 @@ def test_operator_length_preconditions():
 # monomial tables
 # ---------------------------------------------------------------------------
 
-def test_monomial_degree2_examples():
-    assert table_to_list(monomial_table_degree2(4, 5, 5)) == [0, 0, 0, 1] * 8
-    assert table_to_list(monomial_table_degree2(1, 2, 4)) == [0] * 12 + [1] * 4
-    assert monomial_table_degree2(1, 4, 4).to_hex() == "0055"
-
-
-def test_monomial_degree2_exhaustive():
-    for n in range(3, 11):
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            assert monomial_table_degree2(i, j, n) == oracle_monomial((i, j), n)
-
-
-def test_monomial_degree2_validation():
-    with pytest.raises(ValueError):
-        monomial_table_degree2(2, 2, 4)
-    with pytest.raises(ValueError):
-        monomial_table_degree2(1, 5, 4)
-    with pytest.raises(ValueError):
-        monomial_table_degree2(1, 2, 2)
-
-
 def test_monomial_general_examples():
     # x_(n-2) x_(n-1) x_n at n=5: the 8-bit pattern DV repeated
     got = monomial_table_general((3, 4, 5), 5)
@@ -164,13 +142,11 @@ def test_monomial_general_examples():
     got = monomial_table_general((3, 4, 5), 6)
     assert table_to_list(got) == ([0] * 12 + [0, 0, 1, 1]) * 4
     assert got == oracle_monomial((3, 4, 5), 6)
-
-
-def test_monomial_general_matches_degree2():
-    for n in range(3, 11):
-        for i, j in itertools.combinations(range(1, n + 1), 2):
-            assert monomial_table_general((i, j), n) == \
-                monomial_table_degree2(i, j, n)
+    # degree 2: x_(n-1) x_n is V repeated, x_1 x_2 the top quarter, and
+    # x_1 x_n alternates in the top half
+    assert table_to_list(monomial_table_general((4, 5), 5)) == [0, 0, 0, 1] * 8
+    assert table_to_list(monomial_table_general((1, 2), 4)) == [0] * 12 + [1] * 4
+    assert monomial_table_general((1, 4), 4).to_hex() == "0055"
 
 
 def test_monomial_general_exhaustive():
@@ -188,6 +164,10 @@ def test_monomial_general_validation():
         monomial_table_general((2, 1), 5)
     with pytest.raises(ValueError):
         monomial_table_general((1, 6), 5)
+    with pytest.raises(ValueError):
+        monomial_table_general((2, 2), 4)
+    with pytest.raises(ValueError):
+        monomial_table_general((1, 5), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from rotsym import (
 from rotsym.core import (
     MAX_VARS,
     WalshSpectrum,
-    _fwht_inplace,
+    _gemm_bits,
     dot2,
     gf2_apply,
     gf2_invert,
@@ -237,7 +237,7 @@ def test_walsh_kernel_matches_plain_butterfly(n):
     # 10 is a multiple of the 5-bit group, 9, 11 and 14 are not; 16 is the
     # largest table done in one chunk, 17 takes one panel, 18 the first of
     # several; the panel pass does 4 bits at 20, 5 at 21 and 5 + 1 at 22;
-    # 24 is the last bit done in float32, 25 adds an int32 bit in the panel
+    # 24 is the last bit done in float32, 25 adds a float64 bit in the panel
     t = random_table(random.Random(n), n)
     got = walsh_transform(t).values
     assert got.dtype == np.int32
@@ -245,13 +245,22 @@ def test_walsh_kernel_matches_plain_butterfly(n):
 
 
 def test_walsh_n25_concatenation_identity():
-    # bit 24 goes through the int32 butterfly: W(g0||g1) = [W0 + W1, W0 - W1]
-    rng = random.Random(25)
-    g0, g1 = random_table(rng, 24), random_table(rng, 24)
-    w0, w1 = walsh_transform(g0).values, walsh_transform(g1).values
-    got = walsh_transform(concatenate(g0, g1)).values
-    assert np.array_equal(got[:1 << 24], w0 + w1)
-    assert np.array_equal(got[1 << 24:], w0 - w1)
+    # bits 24 and 25 go through the float64 panel stage.  Quarter j of the
+    # spectrum of the concatenation of 2^(n-24) tables g_k is
+    # sum_k (-1)^popcount(j & k) W(g_k), [W0 + W1, W0 - W1] at n = 25; n = 26
+    # pins where bits 24 and 25 land, which a symmetric spectrum cannot
+    for n in (25, 26):
+        rng = random.Random(n)
+        tables = [random_table(rng, 24) for _ in range(1 << (n - 24))]
+        parts = [walsh_transform(g).values for g in tables]
+        while len(tables) > 1:
+            tables = [concatenate(g0, g1)
+                      for g0, g1 in zip(tables[::2], tables[1::2])]
+        got = walsh_transform(tables[0]).values
+        for j in range(len(parts)):
+            want = sum(-w if (j & k).bit_count() % 2 else w
+                       for k, w in enumerate(parts))
+            assert np.array_equal(got[j << 24:(j + 1) << 24], want)
 
 
 def test_walsh_zeros_25_reaches_the_exactness_limit():
@@ -265,7 +274,8 @@ def test_walsh_zeros_25_reaches_the_exactness_limit():
 def test_walsh_n26_needs_the_int32_top_bits():
     # f = 1 only at x = 0: W(0) = 2^26 - 2, every other W(w) = -2.  In
     # float32 the last bits would form partial sums above 2^25 that are
-    # 2 mod 4, which float32 rounds; bits 24 and 25 are done in int32.
+    # 2 mod 4, which float32 rounds; bits 24 and 25 are done in float64,
+    # exact to 2^53, and the result is cast to int32.
     values = walsh_transform(TruthTable(26, 1)).values
     assert values[0] == (1 << 26) - 2
     assert np.count_nonzero(values[1:] != -2) == 0
@@ -275,21 +285,13 @@ def test_walsh_n26_needs_the_int32_top_bits():
 @given(st.integers(1, 18).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
 def test_walsh_twice_is_scaled_identity(table):
-    # W(W(s)) = 2^n s for s = (-1)^f; the second transform is the int64
-    # slab butterfly, which chunks its passes from n = 18
+    # W(W(s)) = 2^n s for s = (-1)^f; the second transform is the float64
+    # GEMM loop over all n bits, exact as |values| <= 2^(2n) < 2^53
     n, bits = table
-    twice = walsh_transform(TruthTable(n, bits)).values.astype(np.int64)
-    _fwht_inplace(twice)
+    once = walsh_transform(TruthTable(n, bits)).values.astype(np.float64)
+    twice = _gemm_bits(once, np.empty_like(once), 0, n)
     signs = 1 - 2 * np.array([(bits >> i) & 1 for i in range(1 << n)])
     assert np.array_equal(twice, signs << n)
-
-
-def test_slab_butterfly_chunks_rows_and_columns():
-    # a 4-element slab splits the early passes by rows, the late by columns
-    t = random_table(random.Random(17), 7)
-    v = np.array(slow_walsh(table_to_list(t)), dtype=np.int64)
-    _fwht_inplace(v, slab=np.empty(4, dtype=np.int64))
-    assert np.array_equal(v, (1 - 2 * np.array(table_to_list(t))) << 7)
 
 
 def test_walsh_transform_hands_off_read_only_int32():
@@ -316,10 +318,12 @@ def test_walsh_transform_memory_is_two_buffers():
     assert peak <= 2 * 4 * (1 << n) + (1 << 20)
 
 
-@pytest.mark.parametrize("n", [20, 22])
+@pytest.mark.parametrize("n", [20, 22, 25])
 def test_walsh_transform_memory_is_one_buffer(n):
     # one 4*2^n-byte buffer; the packed bytes and the cache-sized scratch
-    # buffers of the two passes fit in the 2 MiB beyond it
+    # buffers of the two passes fit in the 2 MiB beyond it.  From n = 25
+    # the packed bytes take 2^n/8 B and the float64 top bits 2 MiB more
+    extra = (2 << 20) if n <= 24 else (1 << n) // 8 + (7 << 19)
     t = build_f2(n)
     tracemalloc.start()
     try:
@@ -327,7 +331,7 @@ def test_walsh_transform_memory_is_one_buffer(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (1 << n) + (2 << 20)
+    assert peak <= 4 * (1 << n) + extra
 
 
 def test_t4_is_flat():
