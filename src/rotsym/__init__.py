@@ -9,7 +9,6 @@ rotation-symmetric functions, and the exact weight/nonlinearity theory
 from .builders import (
     BLOCKS,
     BitString,
-    Block4,
     OpCounter,
     build_f2,
     build_f3,
@@ -32,21 +31,13 @@ from .core import (
     AnfPolynomial,
     TruthTable,
     WalshSpectrum,
-    anf_evaluate,
     anf_to_truth_table,
     apply_affine_transform,
     concatenate,
-    correlation,
-    distance,
-    index_of_point,
     is_bent,
     is_semi_bent_spectral,
-    linear_function_table,
     nonlinearity,
-    pc_check,
     pc_profile,
-    point_of_index,
-    restrict,
     walsh_transform,
     weight,
 )

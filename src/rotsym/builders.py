@@ -37,29 +37,6 @@ def _pattern_to_int(pattern: Sequence[int]) -> int:
 
 
 @dataclass(frozen=True)
-class Block4:
-    """One of the sixteen named 4-bit strings."""
-
-    name: str
-    bits: int
-
-    def complemented(self) -> "Block4":
-        base = self.name[0]
-        bar = "" if self.name.endswith(MACRON) else MACRON
-        return BLOCKS[base + bar]
-
-
-BLOCKS: dict[str, Block4] = {}
-for _name, _pat in _BASE_PATTERNS.items():
-    BLOCKS[_name] = Block4(_name, _pattern_to_int(_pat))
-    BLOCKS[_name + MACRON] = Block4(
-        _name + MACRON, _pattern_to_int(tuple(1 - b for b in _pat))
-    )
-
-_BLOCK_NAME_BY_VALUE = {blk.bits: name for name, blk in BLOCKS.items()}
-
-
-@dataclass(frozen=True)
 class BitString:
     """A packed bit string; element 0 of the written string is bit 0."""
 
@@ -133,6 +110,15 @@ class BitString:
         if self.length <= 64:
             return f"BitString({self.to_blocks_str()!r})"
         return f"BitString(length={self.length})"
+
+
+# the sixteen named 4-bit strings; each barred block is its base XOR 0xF
+BLOCKS: dict[str, BitString] = {}
+for _name, _pat in _BASE_PATTERNS.items():
+    BLOCKS[_name] = BitString.from_bits(_pat)
+    BLOCKS[_name + MACRON] = BitString(4, BLOCKS[_name].bits ^ 0xF)
+
+_BLOCK_NAME_BY_VALUE = {blk.bits: name for name, blk in BLOCKS.items()}
 
 
 @dataclass
@@ -222,11 +208,8 @@ def complement_first_half(u: BitString, counter: OpCounter | None = None) -> Bit
 # monomial truth tables by block composition
 # ---------------------------------------------------------------------------
 
-_D = BLOCKS["D"]
-
-
-def _rep_block(block: Block4, k: int) -> BitString:
-    return repeat(BitString(4, block.bits), k)
+def _rep_block(name: str, k: int) -> BitString:
+    return repeat(BLOCKS[name], k)
 
 
 def monomial_table_general(indices: Sequence[int], n: int) -> TruthTable:
@@ -250,25 +233,25 @@ def monomial_table_general(indices: Sequence[int], n: int) -> TruthTable:
     if idx[-1] <= n - 2:
         level = idx[-1]
         r = 1 << (n - level - 2)
-        pattern = _rep_block(_D, r) + _rep_block(BLOCKS["D" + MACRON], r)
+        pattern = _rep_block("D", r) + _rep_block("D" + MACRON, r)
         prefix = idx[:-1]
-    elif s >= 2 and idx[-2:] == (n - 1, n):
+    elif idx[-2:] == (n - 1, n):
         if s == 2:
-            return _rep_block(BLOCKS["V"], 1 << (n - 2)).to_truth_table()
+            return _rep_block("V", 1 << (n - 2)).to_truth_table()
         level = idx[-3]
         r = 1 << (n - level - 2)
-        pattern = _rep_block(_D, r) + _rep_block(BLOCKS["V"], r)
+        pattern = _rep_block("D", r) + _rep_block("V", r)
         prefix = idx[:-3]
     else:  # exactly one of x_(n-1), x_n is the last variable
-        m = BLOCKS["A"] if idx[-1] == n - 1 else BLOCKS["B"]
+        m = "A" if idx[-1] == n - 1 else "B"
         level = idx[-2]
         r = 1 << (n - level - 2)
-        pattern = _rep_block(_D, r) + _rep_block(m, r)
+        pattern = _rep_block("D", r) + _rep_block(m, r)
         prefix = idx[:-2]
 
     for v in reversed(prefix):
-        pattern = _rep_block(_D, 1 << (n - v - 2)) + repeat(pattern,
-                                                            1 << (level - v - 1))
+        pattern = (_rep_block("D", 1 << (n - v - 2))
+                   + repeat(pattern, 1 << (level - v - 1)))
         level = v
     return repeat(pattern, 1 << (level - 1)).to_truth_table()
 

@@ -146,7 +146,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     counter = OpCounter()
     table = family_table(args.selector, args.n_lo, args.generator, counter)
     _emit(table.to_text(), args.out)
-    if args.selector in FAST_MIN_N and args.n_lo >= FAST_MIN_N[args.selector]:
+    if counter.bits_complemented:  # only the fast builders charge
         print(f"block-complements: {counter.block_complements}", file=sys.stderr)
     return 0
 

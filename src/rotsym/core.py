@@ -10,7 +10,6 @@ every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
@@ -50,30 +49,6 @@ def pack_bits(arr: np.ndarray) -> int:
     """Pack a 0/1 array (index order) into an int with bit i = element i."""
     packed = np.packbits(np.asarray(arr, dtype=np.uint8), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
-
-
-def unpack_bits(bits: int, size: int) -> np.ndarray:
-    """Inverse of pack_bits; returns a uint8 array of length size."""
-    nbytes = max(1, (size + 7) // 8)
-    raw = np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little", count=size)
-
-
-def index_of_point(point: Sequence[int], n: int) -> int:
-    """Index of the assignment (x_1, ..., x_n); x_1 is the MSB."""
-    if len(point) != n:
-        raise ValueError(f"point has {len(point)} bits, expected {n}")
-    idx = 0
-    for b in point:
-        if b not in (0, 1):
-            raise ValueError("point entries must be 0 or 1")
-        idx = (idx << 1) | b
-    return idx
-
-
-def point_of_index(index: int, n: int) -> tuple[int, ...]:
-    """The assignment (x_1, ..., x_n) encoded by an index."""
-    return tuple((index >> (n - k)) & 1 for k in range(1, n + 1))
 
 
 def dot2(u: int, v: int) -> int:
@@ -151,9 +126,6 @@ class TruthTable:
             raise IndexError(index)
         return (self.bits >> index) & 1
 
-    def value_at(self, point: Sequence[int]) -> int:
-        return self[index_of_point(point, self.n)]
-
     def weight(self) -> int:
         return self.bits.bit_count()
 
@@ -169,14 +141,10 @@ class TruthTable:
         return TruthTable(self.n, self.bits ^ other.bits)
 
     def to_array(self) -> np.ndarray:
-        return unpack_bits(self.bits, self.size)
-
-    @classmethod
-    def from_array(cls, n: int, arr: np.ndarray) -> "TruthTable":
-        arr = np.asarray(arr)
-        if arr.size != (1 << n):
-            raise ValueError(f"array length {arr.size} != 2^{n}")
-        return cls(n, pack_bits(arr))
+        """The 2^n values as a uint8 array in index order; inverse of pack_bits."""
+        raw = np.frombuffer(self.bits.to_bytes(max(1, self.size // 8), "little"),
+                            dtype=np.uint8)
+        return np.unpackbits(raw, bitorder="little", count=self.size)
 
     @classmethod
     def zeros(cls, n: int) -> "TruthTable":
@@ -266,9 +234,6 @@ class AnfPolynomial:
     def zero(cls, n: int) -> "AnfPolynomial":
         return cls(n, frozenset())
 
-    def degree(self) -> int:
-        return max((len(m) for m in self.monomials), default=0)
-
     def __xor__(self, other: "AnfPolynomial") -> "AnfPolynomial":
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
@@ -277,21 +242,6 @@ class AnfPolynomial:
 
 def _monomial_mask(mono: frozenset[int], n: int) -> int:
     return sum(1 << (n - k) for k in mono)
-
-
-def anf_evaluate(anf: AnfPolynomial, point: int | Sequence[int]) -> int:
-    """Evaluate the normal form at one assignment (index or bit sequence)."""
-    if isinstance(point, int):
-        if not 0 <= point < (1 << anf.n):
-            raise ValueError(f"index {point} outside 0..2^{anf.n}-1")
-        idx = point
-    else:
-        idx = index_of_point(point, anf.n)
-    acc = 0
-    for mono in anf.monomials:
-        mask = _monomial_mask(mono, anf.n)
-        acc ^= (idx & mask) == mask
-    return int(acc)
 
 
 def anf_to_truth_table(anf: AnfPolynomial) -> TruthTable:
@@ -414,8 +364,9 @@ class WalshSpectrum:
 
         Returns {w: (satisfied, total)} for w = 1..n.  PC(s) holds iff classes
         1..s are fully satisfied; SAC is class 1.  Computed through the
-        autocorrelation spectrum, the transform of W^2, rather than 2^n
-        calls to pc_check, so the 2^n - 1 directions cost O(n 2^n) total.
+        autocorrelation spectrum, the transform of W^2, rather than one
+        2^n-point derivative per direction, so the 2^n - 1 directions cost
+        O(n 2^n) total.
         The top index bit is transformed as the values are loaded: each half
         of the autocorrelation, top bit 0 and 1, is a float64 run of
         _two_pass over low^2 + high^2 and low^2 - high^2, through one
@@ -538,11 +489,6 @@ class AffineTransform:
 def weight(tt: TruthTable) -> int:
     """Hamming weight: the number of ones in the table."""
     return tt.weight()
-
-
-def distance(f: TruthTable, g: TruthTable) -> int:
-    """Hamming distance between two functions on the same variables."""
-    return (f ^ g).weight()
 
 
 def _gemm_bits(src: np.ndarray, spare: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -686,32 +632,6 @@ def nonlinearity(tt: TruthTable) -> int:
     return walsh_transform(tt).nonlinearity()
 
 
-def correlation(g: TruthTable, h: TruthTable) -> Fraction:
-    """Exact dyadic correlation 1 - d(g,h)/2^(n-1)."""
-    if g.n != h.n:
-        raise ValueError(f"dimension mismatch: {g.n} != {h.n}")
-    return 1 - Fraction(distance(g, h), 1 << (g.n - 1))
-
-
-def linear_function_table(n: int, w: int) -> TruthTable:
-    """Truth table of l_w(x) = w.x."""
-    if not 0 <= w < (1 << n):
-        raise ValueError(f"mask {w} outside 0..2^{n}-1")
-    idx = np.arange(1 << n, dtype=np.uint32)
-    return TruthTable(n, pack_bits(np.bitwise_count(idx & np.uint32(w)) & 1))
-
-
-def pc_check(f: TruthTable, c: int) -> bool:
-    """Whether the derivative x -> f(x) + f(x+c) is balanced."""
-    if c == 0:
-        raise ValueError("propagation direction must be nonzero")
-    if not 0 < c < f.size:
-        raise ValueError(f"direction {c} outside 1..2^{f.n}-1")
-    arr = f.to_array()
-    shifted = arr[np.arange(f.size, dtype=np.uint32) ^ np.uint32(c)]
-    return int(np.sum(arr ^ shifted, dtype=np.int64)) == f.size // 2
-
-
 def check_pc_vars(n: int) -> None:
     """Raise ValueError when a PC profile on n variables is over the cap."""
     if n > PC_PROFILE_MAX_VARS:
@@ -763,19 +683,3 @@ def concatenate(g0: TruthTable, g1: TruthTable) -> TruthTable:
     if g0.n != g1.n:
         raise ValueError(f"dimension mismatch: {g0.n} != {g1.n}")
     return TruthTable(g0.n + 1, g0.bits | (g1.bits << g0.size))
-
-
-def restrict(f: TruthTable, var: int, value: int) -> TruthTable:
-    """Cofactor: fix x_var to value, producing a table on n-1 variables."""
-    if f.n < 2:
-        raise ValueError("cannot restrict a single-variable table")
-    if not 1 <= var <= f.n:
-        raise ValueError(f"variable index {var} outside 1..{f.n}")
-    if value not in (0, 1):
-        raise ValueError("value must be 0 or 1")
-    p = f.n - var
-    half = f.size // 2
-    j = np.arange(half, dtype=np.uint32)
-    low = j & np.uint32((1 << p) - 1)
-    old = ((j >> np.uint32(p)) << np.uint32(p + 1)) | np.uint32(value << p) | low
-    return TruthTable.from_array(f.n - 1, f.to_array()[old])

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (per-point loops, O(4^n) transforms,
 exhaustive enumerations) and shares no code path with the library routines
-it checks.
+it checks.  The same goes for the inputs built here: linear_table gives the
+linear functions l_w(x) = w.x, random_table random functions.
 """
 
 from __future__ import annotations
@@ -144,6 +145,11 @@ def _linear_tables(n: int) -> list[int]:
         low = w & -w
         tables[w] = tables[w ^ low] ^ var[low.bit_length() - 1]
     return tables
+
+
+def linear_table(n: int, w: int) -> TruthTable:
+    """Table of l_w(x) = w.x."""
+    return TruthTable(n, _linear_tables(n)[w])
 
 
 def affine_nonlinearity(tt: TruthTable) -> int:

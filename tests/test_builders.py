@@ -46,9 +46,8 @@ def test_sixteen_blocks_distinct_and_closed():
     assert len(BLOCKS) == 16
     values = {b.bits for b in BLOCKS.values()}
     assert values == set(range(16))  # pairwise distinct, covering every nibble
-    for b in BLOCKS.values():
-        assert b.complemented().bits == b.bits ^ 0xF
-        assert b.complemented().complemented() is BLOCKS[b.name]
+    for x in "ABCDUVXY":
+        assert BLOCKS[x + MACRON].bits == BLOCKS[x].bits ^ 0xF
 
 
 def test_block_patterns():
@@ -58,7 +57,7 @@ def test_block_patterns():
               "D": [0, 0, 0, 0], "U": [1, 0, 0, 0], "V": [0, 0, 0, 1],
               "X": [0, 1, 0, 0], "Y": [0, 0, 1, 0]}
     for name, bits in expect.items():
-        s = BitString(4, BLOCKS[name].bits)
+        s = BLOCKS[name]
         assert [s[i] for i in range(4)] == bits
 
 
@@ -82,10 +81,10 @@ def test_bitstring_validation():
 
 
 def test_repeat():
-    v = BitString(4, BLOCKS["V"].bits)
+    v = BLOCKS["V"]
     r = repeat(v, 4)
     assert r.to_truth_table() == oracle_monomial((3, 4), 4)
-    d = repeat(BitString(4, BLOCKS["D"].bits), 5)
+    d = repeat(BLOCKS["D"], 5)
     assert d.bits == 0 and len(d) == 20
     assert repeat(v, 1) == v
     with pytest.raises(ValueError):

@@ -2,7 +2,6 @@ import io
 import os
 import random
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,23 +12,15 @@ from rotsym import (
     AffineTransform,
     AnfPolynomial,
     TruthTable,
-    anf_evaluate,
     anf_to_truth_table,
     apply_affine_transform,
     build_f2,
     build_f3,
     concatenate,
-    correlation,
-    distance,
-    index_of_point,
     is_bent,
     is_semi_bent_spectral,
-    linear_function_table,
     nonlinearity,
-    pc_check,
     pc_profile,
-    point_of_index,
-    restrict,
     t_chain,
     walsh_transform,
     weight,
@@ -50,6 +41,7 @@ from oracles import (
     butterfly_walsh,
     derivative_sum,
     line_by_line_csv,
+    linear_table,
     mobius_anf,
     packbits_hex,
     random_invertible_rows,
@@ -62,16 +54,8 @@ from oracles import (
 
 
 # ---------------------------------------------------------------------------
-# TruthTable basics and the index convention
+# TruthTable basics
 # ---------------------------------------------------------------------------
-
-def test_index_convention():
-    # x_1 is the most significant index bit; index 1 is (0,...,0,1)
-    assert index_of_point((0, 0, 0, 1), 4) == 1
-    assert index_of_point((1, 0, 0, 0), 4) == 8
-    assert point_of_index(1, 4) == (0, 0, 0, 1)
-    assert point_of_index(12, 4) == (1, 1, 0, 0)
-
 
 def test_truth_table_validation():
     with pytest.raises(ValueError):
@@ -107,20 +91,8 @@ def test_truth_table_xor_requires_same_n():
 
 
 # ---------------------------------------------------------------------------
-# ANF evaluation and tabulation (the oracle)
+# ANF tabulation (the oracle)
 # ---------------------------------------------------------------------------
-
-def test_anf_evaluate_examples():
-    anf = AnfPolynomial.from_terms(4, [(1, 2)])
-    assert anf_evaluate(anf, (1, 1, 0, 0)) == 1
-    assert anf_evaluate(anf, (1, 0, 1, 1)) == 0
-    zero = AnfPolynomial.zero(4)
-    for idx in range(16):
-        assert anf_evaluate(zero, idx) == 0
-    cube = AnfPolynomial.from_terms(3, [(1, 2, 3)])
-    assert anf_evaluate(cube, (1, 1, 1)) == 1
-    assert sum(anf_evaluate(cube, i) for i in range(8)) == 1
-
 
 def test_anf_xor_cancellation():
     anf = AnfPolynomial.from_terms(3, [(1, 2), (1, 2)])
@@ -155,8 +127,6 @@ def test_anf_to_truth_table_matches_pointwise(seeded=4242):
             fast = anf_to_truth_table(anf)
             slow = slow_table(anf.monomials, n)
             assert table_to_list(fast) == slow
-            for idx in range(1 << n):
-                assert fast[idx] == anf_evaluate(anf, idx)
 
 
 def test_mobius_interpolation_round_trip():
@@ -175,22 +145,13 @@ def test_mobius_interpolation_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# weight / distance
+# weight
 # ---------------------------------------------------------------------------
 
 def test_weight_examples():
     assert weight(build_f2(5)) == 16
     assert weight(TruthTable.zeros(5)) == 0
     assert weight(build_f3(10)) == 360
-
-
-def test_distance_examples():
-    f = build_f2(5)
-    assert distance(f, f) == 0
-    assert distance(f, f.complement()) == 32
-    assert distance(f, TruthTable.zeros(5)) == 16
-    with pytest.raises(ValueError):
-        distance(f, TruthTable.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +167,7 @@ def test_walsh_zero_function():
 def test_walsh_linear_functions():
     for n in (3, 5):
         for b in range(1 << n):
-            spec = walsh_transform(linear_function_table(n, b))
+            spec = walsh_transform(linear_table(n, b))
             assert spec[b] == 1 << n
             assert spec.parseval_sum() == 1 << (2 * n)
 
@@ -305,19 +266,6 @@ def test_walsh_transform_hands_off_read_only_int32():
     assert spec[0] == values[0]
 
 
-def test_walsh_transform_memory_is_two_buffers():
-    # two float32 buffers of 2^n values; no unpacked copy, no third buffer
-    n = 20
-    t = build_f2(n)
-    tracemalloc.start()
-    try:
-        walsh_transform(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 4 * (1 << n) + (1 << 20)
-
-
 @pytest.mark.parametrize("n", [20, 22, 25])
 def test_walsh_transform_memory_is_one_buffer(n):
     # one 4*2^n-byte buffer; the packed bytes and the cache-sized scratch
@@ -348,8 +296,8 @@ def test_nonlinearity_examples():
     assert nonlinearity(build_f2(5)) == 12
     for n in (3, 4):
         for w in range(1 << n):
-            assert nonlinearity(linear_function_table(n, w)) == 0
-            assert nonlinearity(linear_function_table(n, w).complement()) == 0
+            assert nonlinearity(linear_table(n, w)) == 0
+            assert nonlinearity(linear_table(n, w).complement()) == 0
 
 
 def test_nonlinearity_equals_affine_enumeration():
@@ -363,59 +311,15 @@ def test_nonlinearity_equals_affine_enumeration():
 
 
 # ---------------------------------------------------------------------------
-# correlation
-# ---------------------------------------------------------------------------
-
-def test_correlation_examples():
-    rng = random.Random(17)
-    g = random_table(rng, 5)
-    assert correlation(g, g) == 1
-    assert correlation(g, g.complement()) == -1
-    f25 = build_f2(5)
-    vals = {correlation(f25, linear_function_table(5, w)) for w in range(32)}
-    assert vals == {Fraction(0), Fraction(1, 4), Fraction(-1, 4)}
-    with pytest.raises(ValueError):
-        correlation(g, random_table(rng, 4))
-
-
-def test_correlation_consistent_with_spectrum():
-    rng = random.Random(19)
-    for n in (3, 5, 6):
-        g = random_table(rng, n)
-        spec = walsh_transform(g)
-        for w in range(1 << n):
-            assert correlation(g, linear_function_table(n, w)) * (1 << n) == spec[w]
-
-
-# ---------------------------------------------------------------------------
 # propagation criterion
 # ---------------------------------------------------------------------------
 
-def test_pc_check_f2_7():
-    f = build_f2(7)
-    for c in range(1, 128):
-        expected = 1 <= c.bit_count() <= 6
-        assert pc_check(f, c) == expected
-
-
-def test_pc_check_errors_and_edges():
-    f = TruthTable.zeros(4)
-    with pytest.raises(ValueError):
-        pc_check(f, 0)
-    with pytest.raises(ValueError):
-        pc_check(f, 16)
-    for c in range(1, 16):
-        assert pc_check(f, c) is False
-
-
 def test_pc_check_full_weight_direction_even_n():
     f = build_f2(6)
-    c = 0b111111
-    assert derivative_sum(f, c) == 0
-    assert pc_check(f, c) is False
+    assert derivative_sum(f, 0b111111) == 0
 
 
-def test_pc_profile_matches_pc_check():
+def test_pc_profile_matches_derivative_sums():
     rng = random.Random(23)
     for n in (4, 5, 6):
         t = random_table(rng, n)
@@ -423,7 +327,8 @@ def test_pc_profile_matches_pc_check():
         assert walsh_transform(t).pc_profile() == profile
         for w in range(1, n + 1):
             directions = [c for c in range(1, 1 << n) if c.bit_count() == w]
-            sat = sum(1 for c in directions if pc_check(t, c))
+            sat = sum(1 for c in directions
+                      if derivative_sum(t, c) == t.size // 2)
             assert profile[w] == (sat, len(directions))
 
 
@@ -455,12 +360,12 @@ def test_pc_profile_f2_by_parity():
                                   else (tot, tot)), (n, w)
         assert profile[n] == (0, 1)
         alt = sum(1 << p for p in range(0, n, 2))  # 0101... as an index mask
-        assert pc_check(f, alt) is False
-        assert pc_check(f, alt ^ ((1 << n) - 1)) is False
+        assert derivative_sum(f, alt) in (0, 1 << n)
+        assert derivative_sum(f, alt ^ ((1 << n) - 1)) in (0, 1 << n)
 
 
 def test_pc_profile_linear_function():
-    profile = pc_profile(linear_function_table(4, 0b1010))
+    profile = pc_profile(linear_table(4, 0b1010))
     for w in range(1, 5):
         assert profile[w][0] == 0
 
@@ -518,7 +423,7 @@ def test_is_semi_bent():
                       lambda f: walsh_transform(f).is_semi_bent()):
         for n in (5, 7, 9):
             assert semi_bent(build_f2(n)) is True
-        assert semi_bent(linear_function_table(5, 3)) is False
+        assert semi_bent(linear_table(5, 3)) is False
         assert semi_bent(t_chain(6)) is False  # even n short-circuits
         # spectrum {0, +-2^3} but W(0) != 0: unbalanced, so not semi-bent
         assert semi_bent(t_chain(5)) is False
@@ -529,8 +434,8 @@ def test_max_abs_int32_bound():
     assert MAX_VARS <= 30
     for n in (1, 5, 12):
         for t in (TruthTable.zeros(n), TruthTable.ones(n),
-                  linear_function_table(n, 1),
-                  linear_function_table(n, (1 << n) - 1)):
+                  linear_table(n, 1),
+                  linear_table(n, (1 << n) - 1)):
             assert walsh_transform(t).max_abs() == 1 << n
 
 
@@ -568,7 +473,7 @@ def test_affine_shift_matches_substituted_anf():
     # t_4 with x1 and x3 complemented equals (x1+1)x2 + x2(x3+1) + (x3+1)x4
     h = t_chain(4)
     moved = apply_affine_transform(
-        h, AffineTransform.identity(4, a=index_of_point((1, 0, 1, 0), 4)))
+        h, AffineTransform.identity(4, a=0b1010))
     r = AnfPolynomial.from_terms(
         4, [(1, 2), (2,), (2, 3), (2,), (3, 4), (4,)])
     assert moved == anf_to_truth_table(r)
@@ -615,7 +520,7 @@ def test_affine_transform_spectrum_identity():
 
 
 # ---------------------------------------------------------------------------
-# concatenate / restrict
+# concatenate
 # ---------------------------------------------------------------------------
 
 def test_concatenate_basic():
@@ -629,8 +534,8 @@ def test_concatenate_halves_recoverable():
     for n in (2, 4, 5):
         g0, g1 = random_table(rng, n), random_table(rng, n)
         joined = concatenate(g0, g1)
-        assert restrict(joined, 1, 0) == g0
-        assert restrict(joined, 1, 1) == g1
+        assert joined.bits & g0.mask == g0.bits
+        assert joined.bits >> g0.size == g1.bits
 
 
 def test_concatenate_builds_f2_5():
@@ -652,30 +557,6 @@ def test_concatenation_spectrum_identity():
                 for w in range(1 << n):
                     expected = s0[w] + (-1) ** w1 * s1[w]
                     assert spec[(w1 << n) | w] == expected
-
-
-def test_restrict_examples():
-    assert restrict(build_f2(5), 5, 0) == anf_to_truth_table(
-        AnfPolynomial.from_terms(4, [(1, 2), (2, 3), (3, 4)]))
-    assert restrict(TruthTable.zeros(6), 3, 1) == TruthTable.zeros(5)
-    with pytest.raises(ValueError):
-        restrict(TruthTable.zeros(4), 5, 0)
-    with pytest.raises(ValueError):
-        restrict(TruthTable.zeros(1), 1, 0)
-
-
-def test_restrict_matches_pointwise():
-    rng = random.Random(47)
-    for _ in range(10):
-        n = rng.choice((3, 4, 5))
-        f = random_table(rng, n)
-        var = rng.randint(1, n)
-        val = rng.getrandbits(1)
-        got = restrict(f, var, val)
-        for j in range(1 << (n - 1)):
-            pt = list(point_of_index(j, n - 1))
-            pt.insert(var - 1, val)
-            assert got[j] == f.value_at(pt)
 
 
 # ---------------------------------------------------------------------------
