@@ -5,7 +5,9 @@ three complement operators (full, second half, last quarter).  Copies and
 concatenations are free; an OpCounter charges only complemented bits, reported
 as 4-bit blocks.  The doubling constructions reach a 2^n-bit table in
 O(2^n) work with roughly 2^(n-3) block complements, versus the (3n-1)/2 * 2^n
-operations of direct pointwise evaluation.
+operations of direct pointwise evaluation.  build_f2 and build_f3 do those
+doublings in place, as byte copies and byte complements in one 2^n/8-byte
+buffer; the BitString operators state the same steps on packed ints.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import unicodedata
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import AnfPolynomial, TruthTable
 
@@ -268,42 +272,102 @@ def rots_orbit_anf(generator: Iterable[int], n: int) -> AnfPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# the doubling algorithms
+# the doubling algorithms, in place in one byte buffer
 # ---------------------------------------------------------------------------
 
-_F2_SEEDS = {1: "VY", 2: "XU" + MACRON}                      # level 3 (8 bits)
-_F3_SEEDS = {1: "DVDY", 2: "VDVA", 3: "XBXC"}                # level 4 (16 bits)
+# the seeds of each family's segments: degree 2 at level 3 (8 bits), doubled
+# by tilde; degree 3 at level 4 (16 bits), doubled by hat
+_F2_SEEDS = ("VY", "XU" + MACRON)
+_F3_SEEDS = ("DVDY", "VDVA", "XBXC")
+_TILDE, _HAT = 1, 2  # a doubling complements the last 2^-shift of the copy
 
 
-def _lift(seed: BitString, seed_level: int, level: int, step,
-          counter: OpCounter | None) -> BitString:
-    u = seed
-    for _ in range(seed_level, level):
-        u = u + step(u, counter)
-    return u
+def _flip(seg: np.ndarray, lo: int, hi: int, counter: OpCounter | None) -> None:
+    """Complement bits lo..hi-1 of the byte array seg and charge them.
+
+    Every part complemented here is a power of two of at least 4 bits,
+    aligned to its size: a part under a byte is one nibble of one byte.
+    """
+    if counter is not None:
+        counter.charge_bits(hi - lo)
+    if hi - lo >= 8:
+        np.invert(seg[lo // 8:hi // 8], out=seg[lo // 8:hi // 8])
+    else:
+        seg[lo // 8] ^= ((1 << (hi - lo)) - 1) << (lo % 8)
+
+
+def _grow(seg: np.ndarray, blocks: str, shift: int,
+          counter: OpCounter | None) -> None:
+    """Fill seg with the seed `blocks` doubled in place up to seg's length.
+
+    Each doubling u -> u || step(u) copies the finished bytes into the next
+    half and complements the last 2^-shift of that copy: step is tilde for
+    shift 1 and hat for shift 2, and charges what they charge.
+    """
+    seed = BitString.from_blocks(blocks)
+    k = seed.length // 8
+    seg[:k] = np.frombuffer(seed.bits.to_bytes(k, "little"), dtype=np.uint8)
+    while k < seg.size:
+        seg[k:2 * k] = seg[:k]
+        _flip(seg, 16 * k - (8 * k >> shift), 16 * k, counter)
+        k *= 2
+
+
+def _derive(seg: np.ndarray, shift: int, counter: OpCounter | None) -> None:
+    """Turn a copy of the last doubled segment into the derived one in place.
+
+    Degree 2 complements its first half; degree 3 (shift 2) first takes hat,
+    its last quarter.
+    """
+    bits = 8 * seg.size
+    if shift == _HAT:
+        _flip(seg, bits - bits // 4, bits, counter)
+    _flip(seg, 0, bits // 2, counter)
+
+
+def _layout(n: int, seeds: Sequence[str], shift: int,
+            counter: OpCounter | None) -> np.ndarray:
+    """The 2^n-bit table as one byte buffer of its segments.
+
+    Segment i = 1..len(seeds) holds seed i doubled to 2^(n-i) bits; the last
+    segment, as long as the one before it, is a copy of that one, derived.
+    """
+    buf = np.empty(1 << (n - 3), dtype=np.uint8)
+    ends = [buf.size - (buf.size >> i) for i in range(1, len(seeds) + 1)]
+    segs = np.split(buf, ends)
+    for seg, seed in zip(segs, seeds):
+        _grow(seg, seed, shift, counter)
+    segs[-1][:] = segs[-2]
+    _derive(segs[-1], shift, counter)
+    return buf
+
+
+def _component(seeds: Sequence[str], shift: int, i: int, level: int,
+               counter: OpCounter | None) -> BitString:
+    """Segment i of a build at its level: a seed doubled, or the derived one."""
+    seg = np.empty(1 << (level - 3), dtype=np.uint8)
+    _grow(seg, seeds[min(i, len(seeds)) - 1], shift, counter)
+    if i > len(seeds):
+        _derive(seg, shift, counter)
+    return BitString(1 << level, int.from_bytes(seg.tobytes(), "little"))
 
 
 def f2_component(i: int, level: int, counter: OpCounter | None = None) -> BitString:
     """g_i^level of the degree-2 build (i = 1, 2, or the derived 3)."""
-    if i in (1, 2):
-        if level < 3:
-            raise ValueError("degree-2 components start at level 3")
-        return _lift(BitString.from_blocks(_F2_SEEDS[i]), 3, level, tilde, counter)
-    if i == 3:
-        return complement_first_half(f2_component(2, level, counter), counter)
-    raise ValueError(f"component index must be 1..3, got {i}")
+    if i not in (1, 2, 3):
+        raise ValueError(f"component index must be 1..3, got {i}")
+    if level < 3:
+        raise ValueError("degree-2 components start at level 3")
+    return _component(_F2_SEEDS, _TILDE, i, level, counter)
 
 
 def f3_component(i: int, level: int, counter: OpCounter | None = None) -> BitString:
     """h_i^level of the degree-3 build (i = 1..3, or the derived 4)."""
-    if i in (1, 2, 3):
-        if level < 4:
-            raise ValueError("degree-3 components start at level 4")
-        return _lift(BitString.from_blocks(_F3_SEEDS[i]), 4, level, hat, counter)
-    if i == 4:
-        return complement_first_half(hat(f3_component(3, level, counter), counter),
-                                     counter)
-    raise ValueError(f"component index must be 1..4, got {i}")
+    if i not in (1, 2, 3, 4):
+        raise ValueError(f"component index must be 1..4, got {i}")
+    if level < 4:
+        raise ValueError("degree-3 components start at level 4")
+    return _component(_F3_SEEDS, _HAT, i, level, counter)
 
 
 def build_f2(n: int, counter: OpCounter | None = None) -> TruthTable:
@@ -311,43 +375,33 @@ def build_f2(n: int, counter: OpCounter | None = None) -> TruthTable:
 
     Doubles the two seeds via u || tilde(u), then appends the second
     component with its first half complemented.  Exactly 2^(n-3) - 2 block
-    complements are charged.
+    complements are charged.  The table is built in one 2^n/8-byte buffer,
+    whose bytes become the table's int after the buffer is freed.
     """
     if n < 5:
         raise ValueError("fast degree-2 build needs n >= 5")
-    g1 = _lift(BitString.from_blocks(_F2_SEEDS[1]), 3, n - 1, tilde, counter)
-    g2 = _lift(BitString.from_blocks(_F2_SEEDS[2]), 3, n - 2, tilde, counter)
-    g3 = complement_first_half(g2, counter)
-    return (g1 + g2 + g3).to_truth_table()
+    raw = _layout(n, _F2_SEEDS, _TILDE, counter).tobytes()
+    return TruthTable(n, int.from_bytes(raw, "little"))
 
 
 def build_f3(n: int, counter: OpCounter | None = None) -> TruthTable:
     """Fast table of the degree-3 rotation-symmetric function, n >= 7.
 
     Doubles the three seeds via u || hat(u); the fourth segment is the third
-    with its last quarter and then its first half complemented.
+    with its last quarter and then its first half complemented.  Built in one
+    byte buffer, as build_f2 is.
     """
     if n < 7:
         raise ValueError("fast degree-3 build needs n >= 7")
-    h1 = _lift(BitString.from_blocks(_F3_SEEDS[1]), 4, n - 1, hat, counter)
-    h2 = _lift(BitString.from_blocks(_F3_SEEDS[2]), 4, n - 2, hat, counter)
-    h3 = _lift(BitString.from_blocks(_F3_SEEDS[3]), 4, n - 3, hat, counter)
-    h4 = complement_first_half(hat(h3, counter), counter)
-    return (h1 + h2 + h3 + h4).to_truth_table()
+    raw = _layout(n, _F3_SEEDS, _HAT, counter).tobytes()
+    return TruthTable(n, int.from_bytes(raw, "little"))
 
 
 def component_weights_f3(n: int) -> tuple[int, int, int, int]:
     """Weights of the four degree-3 build segments; they sum to wt(f3^n)."""
     if n < 7:
         raise ValueError("component split needs n >= 7")
-    h3 = f3_component(3, n - 3)
-    h4 = complement_first_half(hat(h3))
-    return (
-        f3_component(1, n - 1).weight(),
-        f3_component(2, n - 2).weight(),
-        h3.weight(),
-        h4.weight(),
-    )
+    return tuple(f3_component(i, n - min(i, 3)).weight() for i in (1, 2, 3, 4))
 
 
 def f2_block_complements(n: int) -> int:

@@ -111,12 +111,14 @@ def _replace_file(path: str):
         raise
 
 
+def _opened(out: str | None):
+    """The text file a command's output goes to: stdout, or --out's file."""
+    return contextlib.nullcontext(sys.stdout) if out is None else _replace_file(out)
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with _replace_file(out) as fh:
-            fh.write(text)
+    with _opened(out) as fh:
+        fh.write(text)
 
 
 def _output(args: argparse.Namespace, csv_text: str, json_doc,
@@ -145,7 +147,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     _check_range(args, HARD_MAX_N)
     counter = OpCounter()
     table = family_table(args.selector, args.n_lo, args.generator, counter)
-    _emit(table.to_text(), args.out)
+    with _opened(args.out) as fh:
+        table.to_text(fh)  # streamed: the whole hex text is never one str
     if counter.bits_complemented:  # only the fast builders charge
         print(f"block-complements: {counter.block_complements}", file=sys.stderr)
     return 0

@@ -9,9 +9,10 @@ every operation is a pure function.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ _CHUNK = 1 << 16       # float32 values per chunk of walsh_transform's pass 1
 _PANEL = 1 << 17       # float32 values per panel of its pass 2
 _PC_SCRATCH_BYTES = 1 << 17  # each float64 scratch buffer of pc_profile
 _CSV_ROWS = 1 << 14    # rows per formatted block of WalshSpectrum.write_csv
+_TEXT_BYTES = 1 << 16  # packed bytes per hex slice of TruthTable.to_text
 
 # Sylvester-Hadamard H[j, k] = (-1)^(j.k), one copy per GEMM dtype; its
 # leading 2^g block is H_(2^g)
@@ -157,17 +159,34 @@ class TruthTable:
     # -- text format: "n=<k>" header, then the 2^n bits as hex, index-0 bit
     #    as the most significant bit of the string --
 
-    def to_hex(self) -> str:
+    def _hex_slices(self, step: int) -> Iterator[str]:
         # bit i is bit i % 8 of little-endian byte i // 8; reversing the bits
         # of each byte puts index 0 first, as the string's top bit
-        nbytes = (self.size + 7) // 8
-        raw = self.bits.to_bytes(nbytes, "little").translate(_BIT_REVERSED)
+        raw = self.bits.to_bytes((self.size + 7) // 8, "little")
         if self.size < 8:  # n = 1, 2: one right-aligned hex digit
-            return f"{raw[0] >> (8 - self.size):x}"
-        return raw.hex()
+            yield f"{raw.translate(_BIT_REVERSED)[0] >> (8 - self.size):x}"
+            return
+        for start in range(0, len(raw), step):
+            yield raw[start:start + step].translate(_BIT_REVERSED).hex()
 
-    def to_text(self) -> str:
-        return f"n={self.n}\n{self.to_hex()}\n"
+    def to_hex(self) -> str:
+        return "".join(self._hex_slices(self.size))  # one slice
+
+    def to_text(self, fileobj=None) -> str | None:
+        """The "n=<k>" header line and the to_hex line.
+
+        Returned as a str; or, given a text file, written to it in hex
+        slices of _TEXT_BYTES packed bytes each, and None returned.  Then
+        the whole hex text, and the file's encoded copy of it, are never
+        held at once: the writer holds the packed bytes and one slice.
+        """
+        if fileobj is None:
+            return f"n={self.n}\n{self.to_hex()}\n"
+        fileobj.write(f"n={self.n}\n")
+        for piece in self._hex_slices(_TEXT_BYTES):
+            fileobj.write(piece)
+        fileobj.write("\n")
+        return None
 
     @classmethod
     def from_text(cls, text: str) -> "TruthTable":
@@ -282,6 +301,18 @@ def _digits_into(work: np.ndarray, block: np.ndarray, keep: np.ndarray,
         q, quot = quot, q
 
 
+@functools.cache
+def _popcount_classes(count: int) -> np.ndarray:
+    """float32 count x (log2(count) + 1): row i is 1 in column popcount(i).
+
+    Read-only, since every caller shares the cached array.
+    """
+    classes = np.bitwise_count(np.arange(count))
+    out = (classes[:, None] == np.arange(count.bit_length())).astype(np.float32)
+    out.setflags(write=False)
+    return out
+
+
 class WalshSpectrum:
     """The 2^n signed values of the Walsh-Hadamard transform of (-1)^f."""
 
@@ -373,14 +404,17 @@ class WalshSpectrum:
         4*2^n-byte buffer and two scratch buffers of _PC_SCRATCH_BYTES.
         Each finished panel's zeros are tallied by weight class there,
         since the weight of index top * 2^(n-1) + r * chunk + col + j is
-        the sum of the popcounts of top, r, col and j.  This is exact: every
-        partial sum is bounded by sum W^2 = 2^(2n) <= 2^40 < 2^53
-        (Parseval), an integer float64 holds exactly in any summation order.
+        the sum of the popcounts of top, r, col and j: the zeros of a panel
+        are counted per row and column popcount class by two float32 GEMMs,
+        summed per top + popcount(col), and folded into weights at the end.
+        This is exact: every partial sum of the transform is bounded by
+        sum W^2 = 2^(2n) <= 2^40 < 2^53 (Parseval), an integer float64
+        holds exactly in any summation order, and every zero count is at
+        most 2^n <= 2^20 < 2^24, an integer float32 holds exactly.
         """
         check_pc_vars(self.n)
         n, half = self.n, len(self) // 2
         low, high = self.values[:half], self.values[half:]
-        tallies = np.zeros(n + 1, dtype=np.int64)
 
         def load(start, chunk, out):
             # W^2 with the top index bit transformed: low^2 +- high^2
@@ -391,20 +425,23 @@ class WalshSpectrum:
 
         def finish(col, done):
             # done[r, j] = 2^n * sum_x (-1)^(f(x)+f(x+c)) for the direction c
-            # of weight top + popcount(r) + popcount(col) + popcount(j); it
+            # of weight top + popcount(col) + popcount(r) + popcount(j); it
             # is zero iff that derivative is balanced
             rows, width = done.shape
-            weights = np.add.outer(
-                np.bitwise_count(np.arange(rows, dtype=np.uint32))
-                + (top + col.bit_count()),
-                np.bitwise_count(np.arange(width, dtype=np.uint32)))
-            tallies[:] += np.bincount(weights.ravel()[done.ravel() == 0],
-                                      minlength=n + 1)
+            zeros = (_popcount_classes(rows).T @ (done == 0)
+                     @ _popcount_classes(width))  # [row class, column class]
+            key = top + col.bit_count()
+            counts[key] = counts.get(key, 0) + zeros
 
+        counts = {}
         buf = np.empty(half, dtype=np.float64)
         scratch = _PC_SCRATCH_BYTES // 8
         for top, combine in ((0, np.add), (1, np.subtract)):  # read by both
             _two_pass(buf, n - 1, scratch, scratch, load, finish)
+        tallies = np.zeros(n + 1, dtype=np.int64)
+        for key, zeros in counts.items():  # weight key + row class + column class
+            a, b = np.indices(zeros.shape)
+            np.add.at(tallies, key + a + b, zeros.astype(np.int64))
         return {w: (int(tallies[w]), comb(n, w)) for w in range(1, n + 1)}
 
     def zero_count(self) -> int:

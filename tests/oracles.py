@@ -14,7 +14,14 @@ from math import comb
 
 import numpy as np
 
-from rotsym import TruthTable
+from rotsym import (
+    BitString,
+    OpCounter,
+    TruthTable,
+    complement_first_half,
+    hat,
+    tilde,
+)
 
 
 def slow_table(monomials, n: int) -> list[int]:
@@ -180,3 +187,23 @@ def random_invertible_rows(rng: random.Random, n: int) -> tuple[int, ...]:
             return rows
         except ValueError:
             continue
+
+
+def operator_component(seeds: tuple[str, ...], i: int, level: int,
+                       counter: OpCounter | None = None) -> BitString:
+    """Segment i of a doubling build at its level, by the string operators.
+
+    Two seeds (8 bits) mean the degree-2 build, doubled by u || tilde(u);
+    three (16 bits) the degree-3 build, doubled by u || hat(u).  Segment
+    len(seeds) + 1 is the last one derived: its first half complemented,
+    after hat for degree 3.  Charges what the published construction does.
+    """
+    step = tilde if len(seeds) == 2 else hat
+    u = BitString.from_blocks(seeds[min(i, len(seeds)) - 1])
+    while len(u) < 1 << level:
+        u = u + step(u, counter)
+    if i > len(seeds):
+        if step is hat:
+            u = hat(u, counter)
+        u = complement_first_half(u, counter)
+    return u

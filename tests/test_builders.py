@@ -25,8 +25,12 @@ from rotsym import (
     weight,
 )
 from rotsym.builders import MACRON
+from rotsym.theory import FAST_MIN_N
 
-from oracles import table_to_list
+from oracles import operator_component, table_to_list
+
+F2_SEEDS = ("VY", "XU" + MACRON)
+F3_SEEDS = ("DVDY", "VDVA", "XBXC")
 
 
 def orbit_table(gen, n):
@@ -221,12 +225,14 @@ def test_build_f2_worked_example():
 
 
 def test_build_f2_matches_oracle():
-    for n in range(5, 13):
+    # n = 5, 6 double and derive segments whose complemented parts are
+    # nibbles of one byte
+    for n in range(FAST_MIN_N["f2"], 19):
         assert build_f2(n) == orbit_table((1, 2), n), n
 
 
 def test_build_f2_cost():
-    for n in range(5, 21):
+    for n in range(5, 27):
         counter = OpCounter()
         build_f2(n, counter)
         assert counter.block_complements == f2_block_complements(n) \
@@ -267,7 +273,8 @@ def test_f2_concatenation_identity():
 # ---------------------------------------------------------------------------
 
 def test_build_f3_matches_oracle():
-    for n in range(7, 13):
+    # n = 7..9 have nibble-sized complemented parts in their short segments
+    for n in range(FAST_MIN_N["f3"], 19):
         assert build_f3(n) == orbit_table((1, 2, 3), n), n
 
 
@@ -287,7 +294,7 @@ def test_build_f3_minimum():
 
 
 def test_build_f3_cost_closed_form():
-    for n in range(7, 21):
+    for n in range(7, 27):
         counter = OpCounter()
         build_f3(n, counter)
         assert counter.block_complements == f3_block_complements_measured(n) \
@@ -333,3 +340,27 @@ def test_hat_step_output_matches_oracle_components():
                 [h3[i] for i in range(len(h3))] + \
                 [h4[i] for i in range(len(h4))]
         assert bits == glued
+
+
+def test_components_match_string_operators():
+    # the in-place byte doubling gives the segments, and charges the bits,
+    # of the published construction by the BitString operators
+    for n in range(5, 13):
+        for i in (1, 2, 3):
+            level = n - min(i, 2)
+            ours, ref = OpCounter(), OpCounter()
+            assert f2_component(i, level, ours) == \
+                operator_component(F2_SEEDS, i, level, ref), (i, n)
+            assert ours == ref
+        for i in (1, 2, 3, 4):
+            level = n - min(i, 3)
+            if level < 4:
+                continue
+            ours, ref = OpCounter(), OpCounter()
+            assert f3_component(i, level, ours) == \
+                operator_component(F3_SEEDS, i, level, ref), (i, n)
+            assert ours == ref
+        if n >= 7:
+            assert component_weights_f3(n) == tuple(
+                operator_component(F3_SEEDS, i, n - min(i, 3)).weight()
+                for i in (1, 2, 3, 4))

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,38 @@ def test_build_f3_below_fast_path_uses_oracle(capsys):
     assert "block-complements" not in err  # no fast build ran
     table = TruthTable.from_text(out)
     assert table.weight() == 18
+
+
+# Starts one command and prints its exit code and ru_maxrss (KiB).  On Linux
+# a child's ru_maxrss starts at the resident size of the process that forked
+# it, so the command is started from this small process, not from pytest.
+_MAXRSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss(*argv) -> int:
+    """Peak resident bytes of one `python -m rotsym.cli` run."""
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _MAXRSS_LAUNCHER,
+         sys.executable, "-m", "rotsym.cli", *argv],
+        capture_output=True, text=True, check=True).stdout
+    code, kib = map(int, out.split())
+    assert code == 0, argv
+    return kib << 10
+
+
+def test_build_26_peak_rss_over_startup_is_a_few_tables(tmp_path):
+    # the build holds its byte buffer, then the bytes and the table's int;
+    # the text writer holds the packed bytes and one hex slice
+    n = 26
+    build = _peak_rss("build", "f3", "--n", str(n), "--max-n", str(n),
+                      "--out", str(tmp_path / "F"))
+    noop = _peak_rss("gf", "f2", "--upto", "0")
+    assert build - noop <= 3 * (1 << n) // 8 + (4 << 20)
 
 
 def test_build_t_n4(capsys):

@@ -586,6 +586,44 @@ def test_text_format_shape():
     assert f.to_text() == "n=5\n121d47b7\n"
 
 
+def test_streamed_text_matches_returned_text():
+    # n = 1, 2 end in a partial byte; n = 20 is two _TEXT_BYTES slices
+    rng = random.Random(67)
+    tables = [random_table(rng, n) for n in (*range(1, 13), 20)]
+    tables += [TruthTable.zeros(1), TruthTable.ones(2), build_f3(12)]
+    for t in tables:
+        buf = io.StringIO()
+        assert t.to_text(buf) is None
+        assert buf.getvalue() == t.to_text()
+    assert (1 << 20) // 8 > 1 << 16  # two slices
+
+
+def test_build_memory_is_the_buffer_and_the_table():
+    # the byte buffer is freed once its bytes are copied, before the int is
+    # made: at most two 2^n/8-byte objects are alive at once
+    n = 24
+    tracemalloc.start()
+    try:
+        build_f3(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (1 << n) // 8 + (1 << 20)
+
+
+def test_streamed_text_memory_is_the_packed_bytes_and_a_slice():
+    n = 24
+    t = build_f3(n)
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        tracemalloc.start()
+        try:
+            t.to_text(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= (1 << n) // 8 + (1 << 20)
+
+
 def test_text_parse_errors():
     with pytest.raises(ValueError, match="header"):
         TruthTable.from_text("m=4\nffff\n")
