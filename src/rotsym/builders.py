@@ -7,7 +7,8 @@ as 4-bit blocks.  The doubling constructions reach a 2^n-bit table in
 O(2^n) work with roughly 2^(n-3) block complements, versus the (3n-1)/2 * 2^n
 operations of direct pointwise evaluation.  build_f2 and build_f3 do those
 doublings in place, as byte copies and byte complements in one 2^n/8-byte
-buffer; the BitString operators state the same steps on packed ints.
+buffer that the table then holds; the BitString operators state the same
+steps on packed ints.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class BitString:
         n = self.length.bit_length() - 1
         if (1 << n) != self.length:
             raise ValueError(f"length {self.length} is not a power of two")
-        return TruthTable(n, self.bits)
+        return TruthTable(n, self.bits.to_bytes(max(1, self.length // 8), "little"))
 
     def __repr__(self) -> str:
         if self.length <= 64:
@@ -349,7 +350,7 @@ def _component(seeds: Sequence[str], shift: int, i: int, level: int,
     _grow(seg, seeds[min(i, len(seeds)) - 1], shift, counter)
     if i > len(seeds):
         _derive(seg, shift, counter)
-    return BitString(1 << level, int.from_bytes(seg.tobytes(), "little"))
+    return BitString(1 << level, int.from_bytes(seg, "little"))
 
 
 def f2_component(i: int, level: int, counter: OpCounter | None = None) -> BitString:
@@ -376,12 +377,11 @@ def build_f2(n: int, counter: OpCounter | None = None) -> TruthTable:
     Doubles the two seeds via u || tilde(u), then appends the second
     component with its first half complemented.  Exactly 2^(n-3) - 2 block
     complements are charged.  The table is built in one 2^n/8-byte buffer,
-    whose bytes become the table's int after the buffer is freed.
+    which becomes the table's bytes without a copy.
     """
     if n < 5:
         raise ValueError("fast degree-2 build needs n >= 5")
-    raw = _layout(n, _F2_SEEDS, _TILDE, counter).tobytes()
-    return TruthTable(n, int.from_bytes(raw, "little"))
+    return TruthTable(n, _layout(n, _F2_SEEDS, _TILDE, counter))
 
 
 def build_f3(n: int, counter: OpCounter | None = None) -> TruthTable:
@@ -393,8 +393,7 @@ def build_f3(n: int, counter: OpCounter | None = None) -> TruthTable:
     """
     if n < 7:
         raise ValueError("fast degree-3 build needs n >= 7")
-    raw = _layout(n, _F3_SEEDS, _HAT, counter).tobytes()
-    return TruthTable(n, int.from_bytes(raw, "little"))
+    return TruthTable(n, _layout(n, _F3_SEEDS, _HAT, counter))
 
 
 def component_weights_f3(n: int) -> tuple[int, int, int, int]:

@@ -1,10 +1,10 @@
 """Bit-packed Boolean functions and their cryptographic criteria.
 
-A function on n variables is stored as a packed truth table: bit i of an
-arbitrary-precision integer holds f(x) for the assignment obtained by reading
-i in binary with x_1 as the most significant bit.  Index 0 is the all-zeros
-point, index 2^n - 1 the all-ones point.  Every type here is immutable and
-every operation is a pure function.
+A function on n variables is stored as a packed truth table: bit i of a
+little-endian byte buffer (bit i % 8 of byte i // 8) holds f(x) for the
+assignment obtained by reading i in binary with x_1 as the most significant
+bit.  Index 0 is the all-zeros point, index 2^n - 1 the all-ones point.
+Every type here is immutable and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -44,39 +44,8 @@ _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 # ---------------------------------------------------------------------------
-# bit packing helpers
-# ---------------------------------------------------------------------------
-
-def pack_bits(arr: np.ndarray) -> int:
-    """Pack a 0/1 array (index order) into an int with bit i = element i."""
-    packed = np.packbits(np.asarray(arr, dtype=np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def dot2(u: int, v: int) -> int:
-    """GF(2) inner product of two masks."""
-    return (u & v).bit_count() & 1
-
-
-# ---------------------------------------------------------------------------
 # GF(2) matrices as tuples of row masks (bit n-k of a row = coefficient of x_k)
 # ---------------------------------------------------------------------------
-
-def gf2_apply(rows: Sequence[int], x: int) -> int:
-    n = len(rows)
-    y = 0
-    for j, row in enumerate(rows):
-        y |= dot2(row, x) << (n - 1 - j)
-    return y
-
-
-def gf2_transpose(rows: Sequence[int]) -> tuple[int, ...]:
-    n = len(rows)
-    return tuple(
-        sum((((rows[k] >> (n - 1 - j)) & 1) << (n - 1 - k)) for k in range(n))
-        for j in range(n)
-    )
-
 
 def gf2_invert(rows: Sequence[int]) -> tuple[int, ...]:
     """Inverse over GF(2) via Gauss-Jordan; raises ValueError if singular."""
@@ -102,72 +71,95 @@ def gf2_invert(rows: Sequence[int]) -> tuple[int, ...]:
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthTable:
-    """A Boolean function as a packed 2^n-bit vector (bit i = f at index i)."""
+    """A Boolean function as 2^n packed bits (bit i = f at index i).
+
+    data is a read-only uint8 array of max(1, 2^n/8) bytes; bit i is bit
+    i % 8 of byte i // 8.  For n = 1, 2 the unused high bits of the one byte
+    are 0.  The table is a view of the bytes it is given, not a copy: the
+    caller hands them over and does not write to them again.
+    """
 
     n: int
-    bits: int
+    data: np.ndarray
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_VARS:
             raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {self.n}")
-        if not (self.bits >= 0 and self.bits.bit_length() <= self.size):
+        data = np.frombuffer(self.data, dtype=np.uint8)
+        nbytes = max(1, self.size // 8)
+        if data.size != nbytes:
+            raise ValueError(f"need {nbytes} packed bytes for n={self.n},"
+                             f" got {data.size}")
+        if self.size < 8 and data[0] >> self.size:
             raise ValueError("packed bits do not fit in 2^n positions")
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
 
     @property
     def size(self) -> int:
         return 1 << self.n
 
     @property
-    def mask(self) -> int:
-        return (1 << self.size) - 1
+    def bits(self) -> int:
+        """The table as an int with bit i = f at index i."""
+        return int.from_bytes(self.data, "little")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, TruthTable) and self.n == other.n
+                and bool(np.array_equal(self.data, other.data)))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.data.tobytes()))
 
     def __getitem__(self, index: int) -> int:
         if not 0 <= index < self.size:
             raise IndexError(index)
-        return (self.bits >> index) & 1
+        return (int(self.data[index >> 3]) >> (index & 7)) & 1
 
     def weight(self) -> int:
-        return self.bits.bit_count()
+        # popcounts of 64-bit words: a uint8 count per 8 bytes of table
+        words = self.data.view(np.uint64) if self.data.size >= 8 else self.data
+        return int(np.bitwise_count(words).sum())
 
     def is_balanced(self) -> bool:
         return 2 * self.weight() == self.size
 
     def complement(self) -> "TruthTable":
-        return TruthTable(self.n, self.bits ^ self.mask)
+        flipped = np.invert(self.data)
+        if self.size < 8:
+            flipped &= (1 << self.size) - 1
+        return TruthTable(self.n, flipped)
 
     def __xor__(self, other: "TruthTable") -> "TruthTable":
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
-        return TruthTable(self.n, self.bits ^ other.bits)
+        return TruthTable(self.n, self.data ^ other.data)
 
     def to_array(self) -> np.ndarray:
-        """The 2^n values as a uint8 array in index order; inverse of pack_bits."""
-        raw = np.frombuffer(self.bits.to_bytes(max(1, self.size // 8), "little"),
-                            dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little", count=self.size)
+        """The 2^n values as a uint8 array in index order."""
+        return np.unpackbits(self.data, bitorder="little", count=self.size)
 
     @classmethod
     def zeros(cls, n: int) -> "TruthTable":
-        return cls(n, 0)
+        return cls(n, np.zeros(max(1, (1 << n) // 8), dtype=np.uint8))
 
     @classmethod
     def ones(cls, n: int) -> "TruthTable":
-        return cls(n, (1 << (1 << n)) - 1)
+        return cls.zeros(n).complement()
 
     # -- text format: "n=<k>" header, then the 2^n bits as hex, index-0 bit
     #    as the most significant bit of the string --
 
     def _hex_slices(self, step: int) -> Iterator[str]:
-        # bit i is bit i % 8 of little-endian byte i // 8; reversing the bits
-        # of each byte puts index 0 first, as the string's top bit
-        raw = self.bits.to_bytes((self.size + 7) // 8, "little")
+        # reversing the bits of each byte puts index 0 first, as the
+        # string's top bit
         if self.size < 8:  # n = 1, 2: one right-aligned hex digit
-            yield f"{raw.translate(_BIT_REVERSED)[0] >> (8 - self.size):x}"
+            yield f"{_BIT_REVERSED[self.data[0]] >> (8 - self.size):x}"
             return
-        for start in range(0, len(raw), step):
-            yield raw[start:start + step].translate(_BIT_REVERSED).hex()
+        for start in range(0, self.data.size, step):
+            yield self.data[start:start + step].tobytes().translate(_BIT_REVERSED).hex()
 
     def to_hex(self) -> str:
         return "".join(self._hex_slices(self.size))  # one slice
@@ -178,7 +170,7 @@ class TruthTable:
         Returned as a str; or, given a text file, written to it in hex
         slices of _TEXT_BYTES packed bytes each, and None returned.  Then
         the whole hex text, and the file's encoded copy of it, are never
-        held at once: the writer holds the packed bytes and one slice.
+        held at once: the writer holds one slice beside the table.
         """
         if fileobj is None:
             return f"n={self.n}\n{self.to_hex()}\n"
@@ -194,12 +186,10 @@ class TruthTable:
         if len(lines) < 2:
             raise ValueError("truth-table text needs a header line and a hex line")
         header = lines[0]
-        if not header.startswith("n="):
+        digits = header[2:]
+        if not (header.startswith("n=") and digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad header line: {header!r}")
-        try:
-            n = int(header[2:])
-        except ValueError:
-            raise ValueError(f"bad header line: {header!r}") from None
+        n = int(digits)
         if not 1 <= n <= MAX_VARS:
             raise ValueError(f"bad header line: {header!r} (n out of range)")
         size = 1 << n
@@ -207,15 +197,19 @@ class TruthTable:
         width = -(-size // 4)
         if len(hexstr) != width:
             raise ValueError(f"bad hex line: {hexstr!r} (expected {width} digits)")
+        # every two digits make one byte, so a line of `width` characters
+        # gives fewer bytes exactly when fromhex skipped whitespace in it
         try:
-            h = int(hexstr, 16)
+            raw = bytes.fromhex(hexstr if size >= 8 else "0" + hexstr)
         except ValueError:
             raise ValueError(f"bad hex line: {hexstr!r}") from None
-        if h >= (1 << size):
-            raise ValueError(f"bad hex line: {hexstr!r} (value out of range)")
-        nbytes = (size + 7) // 8
-        raw = (h << (8 * nbytes - size)).to_bytes(nbytes, "big")
-        return cls(n, int.from_bytes(raw.translate(_BIT_REVERSED), "little"))
+        if len(raw) != max(1, size // 8):
+            raise ValueError(f"bad hex line: {hexstr!r}")
+        if size < 8:  # n = 1, 2: align the one digit's bits to the byte's top
+            if raw[0] >> size:
+                raise ValueError(f"bad hex line: {hexstr!r} (value out of range)")
+            raw = bytes([raw[0] << (8 - size)])
+        return cls(n, raw.translate(_BIT_REVERSED))
 
     def __repr__(self) -> str:
         if self.size <= 64:
@@ -277,7 +271,7 @@ def anf_to_truth_table(anf: AnfPolynomial) -> TruthTable:
     for mono in anf.monomials:
         mask = np.uint32(_monomial_mask(mono, anf.n))
         acc ^= (idx & mask) == mask
-    return TruthTable(anf.n, pack_bits(acc))
+    return TruthTable(anf.n, np.packbits(acc, bitorder="little"))
 
 
 def _digits_into(work: np.ndarray, block: np.ndarray, keep: np.ndarray,
@@ -629,13 +623,11 @@ def walsh_transform(tt: TruthTable) -> WalshSpectrum:
     partial sum a GEMM forms, is a signed sum of at most 2^b of the +-1
     inputs, an integer that float32 holds exactly for b <= 24 and float64
     for b <= 53, in any summation order and with or without FMA; the
-    result |W| <= 2^26 < 2^31 fits int32.  Peak memory is the one buffer,
-    the packed bytes and the 2 * 4 * _PANEL bytes of float32 scratch, plus
+    result |W| <= 2^26 < 2^31 fits int32.  Beyond the table, peak memory is
+    the one buffer and the 2 * 4 * _PANEL bytes of float32 scratch, plus
     2 * 8 * _PANEL bytes (2 MiB) of float64 scratch when n > 24.
     """
-    n, size = tt.n, tt.size
-    raw = np.frombuffer(tt.bits.to_bytes(max(1, size // 8), "little"),
-                        dtype=np.uint8)
+    n, size, raw = tt.n, tt.size, tt.data
     buf = np.empty(size, dtype=np.float32)
     ints = buf.view(np.int32)
 
@@ -708,7 +700,7 @@ def apply_affine_transform(h: TruthTable, t: AffineTransform) -> TruthTable:
         arr = arr ^ (np.bitwise_count(x & np.uint32(t.b)) & 1)
     if t.c:
         arr = arr ^ np.uint8(1)
-    return TruthTable(n, pack_bits(arr))
+    return TruthTable(n, np.packbits(arr, bitorder="little"))
 
 
 def concatenate(g0: TruthTable, g1: TruthTable) -> TruthTable:
@@ -719,4 +711,6 @@ def concatenate(g0: TruthTable, g1: TruthTable) -> TruthTable:
     """
     if g0.n != g1.n:
         raise ValueError(f"dimension mismatch: {g0.n} != {g1.n}")
-    return TruthTable(g0.n + 1, g0.bits | (g1.bits << g0.size))
+    if g0.size < 8:  # both halves share the one byte
+        return TruthTable(g0.n + 1, g0.data | (g1.data << g0.size))
+    return TruthTable(g0.n + 1, np.concatenate((g0.data, g1.data)))

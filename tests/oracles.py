@@ -39,9 +39,18 @@ def slow_table(monomials, n: int) -> list[int]:
 
 
 def table_from_list(bits: list[int]) -> TruthTable:
+    """Pack index i into bit i % 8 of byte i // 8, one point at a time."""
     n = len(bits).bit_length() - 1
     assert 1 << n == len(bits)
-    return TruthTable(n, sum(b << i for i, b in enumerate(bits)))
+    packed = bytearray(max(1, len(bits) // 8))
+    for i, b in enumerate(bits):
+        packed[i // 8] |= b << (i % 8)
+    return TruthTable(n, bytes(packed))
+
+
+def table_from_int(n: int, bits: int) -> TruthTable:
+    """The table whose bit i is bit i of the int."""
+    return TruthTable(n, bits.to_bytes(max(1, (1 << n) // 8), "little"))
 
 
 def table_to_list(tt: TruthTable) -> list[int]:
@@ -79,11 +88,8 @@ def butterfly_walsh(tt: TruthTable) -> np.ndarray:
     Works on a copy of the unpacked bits in int32: every partial sum is a
     signed count of at most 2^n <= 2^26 < 2^31 terms.
     """
-    size = tt.size
-    raw = np.frombuffer(tt.bits.to_bytes(max(1, size // 8), "little"),
-                        dtype=np.uint8)
-    return _butterfly(
-        1 - 2 * np.unpackbits(raw, bitorder="little", count=size).astype(np.int32))
+    bits = np.unpackbits(tt.data, bitorder="little", count=tt.size)
+    return _butterfly(1 - 2 * bits.astype(np.int32))
 
 
 def autocorrelation_pc_profile(values) -> dict[int, tuple[int, int]]:
@@ -156,7 +162,7 @@ def _linear_tables(n: int) -> list[int]:
 
 def linear_table(n: int, w: int) -> TruthTable:
     """Table of l_w(x) = w.x."""
-    return TruthTable(n, _linear_tables(n)[w])
+    return table_from_int(n, _linear_tables(n)[w])
 
 
 def affine_nonlinearity(tt: TruthTable) -> int:
@@ -174,7 +180,30 @@ def derivative_sum(tt: TruthTable, c: int) -> int:
 
 
 def random_table(rng: random.Random, n: int) -> TruthTable:
-    return TruthTable(n, rng.getrandbits(1 << n))
+    return table_from_int(n, rng.getrandbits(1 << n))
+
+
+def dot2(u: int, v: int) -> int:
+    """GF(2) inner product of two masks."""
+    return (u & v).bit_count() & 1
+
+
+# GF(2) matrices as tuples of row masks (bit n-k of a row = coefficient of x_k)
+
+def gf2_apply(rows, x: int) -> int:
+    n = len(rows)
+    y = 0
+    for j, row in enumerate(rows):
+        y |= dot2(row, x) << (n - 1 - j)
+    return y
+
+
+def gf2_transpose(rows) -> tuple[int, ...]:
+    n = len(rows)
+    return tuple(
+        sum((((rows[k] >> (n - 1 - j)) & 1) << (n - 1 - k)) for k in range(n))
+        for j in range(n)
+    )
 
 
 def random_invertible_rows(rng: random.Random, n: int) -> tuple[int, ...]:

@@ -34,10 +34,17 @@ from rotsym import (
     wt_f2_recurrence,
 )
 from rotsym.cli import main as cli_main
-from rotsym.core import dot2, gf2_apply, gf2_invert, gf2_transpose
+from rotsym.core import gf2_invert
 from rotsym.refdata import load_reference_tables, weight_table_columns
 
-from oracles import affine_nonlinearity, random_invertible_rows, random_table
+from oracles import (
+    affine_nonlinearity,
+    dot2,
+    gf2_apply,
+    gf2_transpose,
+    random_invertible_rows,
+    random_table,
+)
 
 
 @contextmanager

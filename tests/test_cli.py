@@ -62,13 +62,13 @@ def _peak_rss(*argv) -> int:
 
 
 def test_build_26_peak_rss_over_startup_is_a_few_tables(tmp_path):
-    # the build holds its byte buffer, then the bytes and the table's int;
-    # the text writer holds the packed bytes and one hex slice
+    # the build's byte buffer is the table; the text writer holds it and
+    # one hex slice
     n = 26
     build = _peak_rss("build", "f3", "--n", str(n), "--max-n", str(n),
                       "--out", str(tmp_path / "F"))
     noop = _peak_rss("gf", "f2", "--upto", "0")
-    assert build - noop <= 3 * (1 << n) // 8 + (4 << 20)
+    assert build - noop <= (1 << n) // 8 + (4 << 20)
 
 
 def test_build_t_n4(capsys):
@@ -175,6 +175,14 @@ def test_analyze_parse_error_names_line(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", "--from-file", str(path))
     assert code == 1
     assert "zz" in err
+
+
+def test_analyze_signed_hex_line_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.tt"
+    path.write_text("n=4\n-abc\n")
+    code, out, err = run(capsys, "analyze", "--from-file", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: bad hex line")
 
 
 def test_analyze_spectrum_csv(tmp_path, capsys):

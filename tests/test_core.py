@@ -25,21 +25,16 @@ from rotsym import (
     walsh_transform,
     weight,
 )
-from rotsym.core import (
-    MAX_VARS,
-    WalshSpectrum,
-    _gemm_bits,
-    dot2,
-    gf2_apply,
-    gf2_invert,
-    gf2_transpose,
-)
+from rotsym.core import MAX_VARS, WalshSpectrum, _gemm_bits, gf2_invert
 
 from oracles import (
     affine_nonlinearity,
     autocorrelation_pc_profile,
     butterfly_walsh,
     derivative_sum,
+    dot2,
+    gf2_apply,
+    gf2_transpose,
     line_by_line_csv,
     linear_table,
     mobius_anf,
@@ -48,6 +43,7 @@ from oracles import (
     random_table,
     slow_table,
     slow_walsh,
+    table_from_int,
     table_from_list,
     table_to_list,
 )
@@ -59,35 +55,89 @@ from oracles import (
 
 def test_truth_table_validation():
     with pytest.raises(ValueError):
-        TruthTable(0, 0)
+        TruthTable(0, b"\0")
     with pytest.raises(ValueError):
-        TruthTable(27, 0)
-    with pytest.raises(ValueError):
-        TruthTable(2, 1 << 16)
+        TruthTable(27, b"\0")
+    with pytest.raises(ValueError, match="packed bytes"):
+        TruthTable(2, b"\0\0")
+    with pytest.raises(ValueError, match="packed bytes"):
+        TruthTable(4, b"\0")
     with pytest.raises(ValueError, match="do not fit"):
-        TruthTable(2, 1 << 4)
+        TruthTable(2, b"\x10")
     with pytest.raises(ValueError, match="do not fit"):
-        TruthTable(2, -1)
-    assert TruthTable(2, (1 << 4) - 1).weight() == 4
-    t = TruthTable(3, 0b10000001)
+        TruthTable(1, b"\xff")
+    with pytest.raises(TypeError):
+        TruthTable(3, 0b10000001)  # the constructor takes bytes, not an int
+    assert TruthTable(2, b"\x0f").weight() == 4
+    t = TruthTable(3, b"\x81")
     assert t[0] == 1 and t[7] == 1 and t[3] == 0
-    assert t.weight() == 2
+    assert t.weight() == 2 and t.bits == 0b10000001
 
 
-def test_truth_table_check_builds_no_2n_bit_int():
-    bits = (1 << (1 << 26)) - 1  # 8 MiB
+def test_truth_table_from_a_2n_bit_buffer_copies_nothing():
+    buf = np.full((1 << 26) // 8, 0xFF, dtype=np.uint8)  # 8 MiB
     tracemalloc.start()
     try:
-        TruthTable(26, bits)
+        t = TruthTable(26, buf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert np.shares_memory(t.data, buf) and not t.data.flags.writeable
+
+
+def test_truth_table_weight_allocates_a_count_per_word():
+    # one uint8 popcount per 8 table bytes, no table-sized temporary
+    n = 24
+    t = build_f3(n)
+    tracemalloc.start()
+    try:
+        w = t.weight()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w == t.bits.bit_count()
+    assert peak <= (1 << n) // 64 + (1 << 20)
 
 
 def test_truth_table_xor_requires_same_n():
     with pytest.raises(ValueError):
         TruthTable.zeros(3) ^ TruthTable.zeros(4)
+
+
+def _value_lists(n: int, count: int):
+    """count lists of 2^n values, each drawn as one 2^n-bit integer."""
+    values = st.integers(0, (1 << (1 << n)) - 1).map(
+        lambda bits: [(bits >> i) & 1 for i in range(1 << n)])
+    return st.tuples(*[values] * count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: _value_lists(n, 2)))
+def test_byte_format_matches_the_list_oracles(pair):
+    values, other = pair
+    t, u = table_from_list(values), table_from_list(other)
+    assert TruthTable.from_text(t.to_text()) == t
+    assert TruthTable(t.n, t.data) == t
+    assert hash(TruthTable(t.n, t.data)) == hash(t)
+    assert (t == u) == (values == other)
+    assert t.bits == sum(b << i for i, b in enumerate(values))
+    assert [t[i] for i in range(t.size)] == values
+    assert t.weight() == sum(values)
+    assert table_to_list(t.complement()) == [1 - b for b in values]
+    assert table_to_list(t ^ u) == [a ^ b for a, b in zip(values, other)]
+    assert table_to_list(concatenate(t, u)) == values + other
+
+
+@given(st.integers(1, 2), st.integers(0, 255))
+def test_small_tables_reject_nonzero_padding_bits(n, byte):
+    # n = 1, 2 use the low 2^n bits of their one byte
+    if byte >> (1 << n):
+        with pytest.raises(ValueError, match="do not fit"):
+            TruthTable(n, bytes([byte]))
+    else:
+        assert table_to_list(TruthTable(n, bytes([byte]))) == [
+            (byte >> i) & 1 for i in range(1 << n)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +287,7 @@ def test_walsh_n26_needs_the_int32_top_bits():
     # float32 the last bits would form partial sums above 2^25 that are
     # 2 mod 4, which float32 rounds; bits 24 and 25 are done in float64,
     # exact to 2^53, and the result is cast to int32.
-    values = walsh_transform(TruthTable(26, 1)).values
+    values = walsh_transform(table_from_int(26, 1)).values
     assert values[0] == (1 << 26) - 2
     assert np.count_nonzero(values[1:] != -2) == 0
 
@@ -249,7 +299,7 @@ def test_walsh_twice_is_scaled_identity(table):
     # W(W(s)) = 2^n s for s = (-1)^f; the second transform is the float64
     # GEMM loop over all n bits, exact as |values| <= 2^(2n) < 2^53
     n, bits = table
-    once = walsh_transform(TruthTable(n, bits)).values.astype(np.float64)
+    once = walsh_transform(table_from_int(n, bits)).values.astype(np.float64)
     twice = _gemm_bits(once, np.empty_like(once), 0, n)
     signs = 1 - 2 * np.array([(bits >> i) & 1 for i in range(1 << n)])
     assert np.array_equal(twice, signs << n)
@@ -268,10 +318,10 @@ def test_walsh_transform_hands_off_read_only_int32():
 
 @pytest.mark.parametrize("n", [20, 22, 25])
 def test_walsh_transform_memory_is_one_buffer(n):
-    # one 4*2^n-byte buffer; the packed bytes and the cache-sized scratch
-    # buffers of the two passes fit in the 2 MiB beyond it.  From n = 25
-    # the packed bytes take 2^n/8 B and the float64 top bits 2 MiB more
-    extra = (2 << 20) if n <= 24 else (1 << n) // 8 + (7 << 19)
+    # one 4*2^n-byte buffer; the cache-sized scratch buffers of the two
+    # passes fit in the 2 MiB beyond it, and from n = 25 the float64 top
+    # bits take 2 MiB more.  The kernel reads the table's bytes in place
+    extra = (2 << 20) if n <= 24 else (7 << 19)
     t = build_f2(n)
     tracemalloc.start()
     try:
@@ -534,7 +584,7 @@ def test_concatenate_halves_recoverable():
     for n in (2, 4, 5):
         g0, g1 = random_table(rng, n), random_table(rng, n)
         joined = concatenate(g0, g1)
-        assert joined.bits & g0.mask == g0.bits
+        assert joined.bits & ((1 << g0.size) - 1) == g0.bits
         assert joined.bits >> g0.size == g1.bits
 
 
@@ -574,7 +624,7 @@ def test_text_round_trip():
 @given(st.integers(1, 14).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
 def test_text_codec_matches_packbits_and_round_trips(table):
-    t = TruthTable(*table)
+    t = table_from_int(*table)
     assert t.to_hex() == packbits_hex(t)
     assert TruthTable.from_text(t.to_text()) == t
 
@@ -599,8 +649,8 @@ def test_streamed_text_matches_returned_text():
 
 
 def test_build_memory_is_the_buffer_and_the_table():
-    # the byte buffer is freed once its bytes are copied, before the int is
-    # made: at most two 2^n/8-byte objects are alive at once
+    # the byte buffer the segments are doubled in becomes the table: one
+    # 2^n/8-byte object
     n = 24
     tracemalloc.start()
     try:
@@ -608,7 +658,7 @@ def test_build_memory_is_the_buffer_and_the_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * (1 << n) // 8 + (1 << 20)
+    assert peak <= (1 << n) // 8 + (1 << 20)
 
 
 def test_streamed_text_memory_is_the_packed_bytes_and_a_slice():
@@ -621,16 +671,31 @@ def test_streamed_text_memory_is_the_packed_bytes_and_a_slice():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= (1 << n) // 8 + (1 << 20)
+    assert peak <= 1 << 20  # a slice and its hex; the table is read in place
 
 
 def test_text_parse_errors():
     with pytest.raises(ValueError, match="header"):
         TruthTable.from_text("m=4\nffff\n")
+    for header in ("n=+4", "n=0_4", "n=\u0664", "n=4.0"):  # int() took the first three
+        with pytest.raises(ValueError, match="bad header line"):
+            TruthTable.from_text(f"{header}\nffff\n")
     with pytest.raises(ValueError, match="hex"):
         TruthTable.from_text("n=4\nff\n")
     with pytest.raises(ValueError, match="hex"):
         TruthTable.from_text("n=4\nzzzz\n")
+    # each has the width of a valid line; int(..., 16) took "0xab" and the
+    # ones with "_", "+" or "-"
+    for line in ("a_bc", "+abc", "0xab", "-abc", "ab c", "0x", "+f"):
+        n = 4 if len(line) == 4 else 3
+        with pytest.raises(ValueError, match="bad hex line"):
+            TruthTable.from_text(f"n={n}\n{line}\n")
+    with pytest.raises(ValueError, match="bad hex line"):
+        TruthTable.from_text("n=5\nab cd ef\n")  # 8 characters, 3 bytes
+    with pytest.raises(ValueError, match="bad hex line"):
+        TruthTable.from_text("n=1\n-\n")
+    with pytest.raises(ValueError, match="out of range"):
+        TruthTable.from_text("n=1\nf\n")
     with pytest.raises(ValueError):
         TruthTable.from_text("n=4\n")
 
