@@ -23,7 +23,7 @@ from .builders import (
     f3_block_complements_claimed,
     f3_component,
 )
-from .core import TruthTable, check_pc_vars, pc_profile, walsh_transform
+from .core import MAX_VARS, TruthTable, pc_profile, walsh_transform
 from .refdata import load_reference_tables, weight_table_columns
 from .theory import (
     FAMILY_GENERATORS,
@@ -37,7 +37,6 @@ from .theory import (
 )
 
 DEFAULT_MAX_N = 20
-HARD_MAX_N = 26
 BENCH_MAX_N = 24
 GF_MAX_DEGREE = 64
 
@@ -75,9 +74,9 @@ def _parse_generator(text: str) -> tuple[int, ...]:
 
 
 def _check_range(args: argparse.Namespace, cap: int) -> None:
-    if not 3 <= args.n_lo <= args.n_hi <= HARD_MAX_N:
-        raise UsageError(f"n must lie in 3..{HARD_MAX_N}, got {args.n_lo}..{args.n_hi}")
-    limit = min(max(args.max_n, DEFAULT_MAX_N), HARD_MAX_N)
+    if not 3 <= args.n_lo <= args.n_hi <= MAX_VARS:
+        raise UsageError(f"n must lie in 3..{MAX_VARS}, got {args.n_lo}..{args.n_hi}")
+    limit = min(max(args.max_n, DEFAULT_MAX_N), MAX_VARS)
     if args.n_hi > min(cap, limit):
         raise UsageError(
             f"n={args.n_hi} above the cap {min(cap, limit)}"
@@ -144,7 +143,7 @@ def _output(args: argparse.Namespace, csv_text: str, json_doc,
 def cmd_build(args: argparse.Namespace) -> int:
     if args.n_lo != args.n_hi:
         raise UsageError("build takes a single n, not a range")
-    _check_range(args, HARD_MAX_N)
+    _check_range(args, MAX_VARS)
     counter = OpCounter()
     table = family_table(args.selector, args.n_lo, args.generator, counter)
     with _opened(args.out) as fh:
@@ -197,18 +196,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             with open(args.from_file, encoding="utf-8") as fh:
                 text = fh.read()
         tables = [TruthTable.from_text(text)]
-        n_hi = tables[0].n
     else:
         if args.selector is None:
             raise UsageError("analyze needs a selector or --from-file")
-        _check_range(args, HARD_MAX_N)
+        _check_range(args, MAX_VARS)
         if args.spectrum_csv is not None and args.n_lo != args.n_hi:
             raise UsageError("--spectrum-csv needs a single n")
         tables = (family_table(args.selector, n, args.generator)
                   for n in range(args.n_lo, args.n_hi + 1))
-        n_hi = args.n_hi
-    if args.pc:
-        check_pc_vars(n_hi)  # before any table is built or transformed
 
     for table in tables:
         row = _analyze_one(table)
@@ -309,7 +304,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
-    _check_range(args, HARD_MAX_N)
+    _check_range(args, MAX_VARS)
     rows = conjecture_check(args.n_lo, args.n_hi)
     dicts = [{"n": r.n, "weight": r.weight, "nonlinearity": r.nonlinearity,
               "equal": r.equal, "source": r.source} for r in rows]

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 MAX_VARS = 26          # 2^26-bit tables; the spectrum still fits int32
-PC_PROFILE_MAX_VARS = 20
 
 # The GEMM kernel (see _two_pass).  float32 holds every integer of magnitude
 # <= 2^24 exactly, so walsh_transform does the low 24 index bits in float32
@@ -185,6 +184,8 @@ class TruthTable:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if len(lines) < 2:
             raise ValueError("truth-table text needs a header line and a hex line")
+        if len(lines) > 2:
+            raise ValueError("truth-table text has a line after the hex line")
         header = lines[0]
         digits = header[2:]
         if not (header.startswith("n=") and digits.isascii() and digits.isdigit()):
@@ -401,12 +402,14 @@ class WalshSpectrum:
         the sum of the popcounts of top, r, col and j: the zeros of a panel
         are counted per row and column popcount class by two float32 GEMMs,
         summed per top + popcount(col), and folded into weights at the end.
-        This is exact: every partial sum of the transform is bounded by
-        sum W^2 = 2^(2n) <= 2^40 < 2^53 (Parseval), an integer float64
-        holds exactly in any summation order, and every zero count is at
-        most 2^n <= 2^20 < 2^24, an integer float32 holds exactly.
+        This is exact for every n <= MAX_VARS: every partial sum of the
+        transform is bounded by sum W^2 = 2^(2n) <= 2^52 < 2^53 (Parseval),
+        an integer float64 holds exactly in any summation order; and every
+        zero count, per panel and summed over panels, counts directions of
+        one weight w, so it is at most C(n, w) <= C(26, 13) = 10400600 < 2^24,
+        an integer float32 holds exactly.  At n = 26 the buffer is 256 MiB
+        beside the 256 MiB spectrum.
         """
-        check_pc_vars(self.n)
         n, half = self.n, len(self) // 2
         low, high = self.values[:half], self.values[half:]
 
@@ -661,18 +664,8 @@ def nonlinearity(tt: TruthTable) -> int:
     return walsh_transform(tt).nonlinearity()
 
 
-def check_pc_vars(n: int) -> None:
-    """Raise ValueError when a PC profile on n variables is over the cap."""
-    if n > PC_PROFILE_MAX_VARS:
-        raise ValueError(f"pc_profile capped at n <= {PC_PROFILE_MAX_VARS}")
-
-
 def pc_profile(f: TruthTable) -> dict[int, tuple[int, int]]:
-    """{w: (satisfied, total)} per direction weight; see WalshSpectrum.pc_profile.
-
-    The cap is checked before the spectrum is taken.
-    """
-    check_pc_vars(f.n)
+    """{w: (satisfied, total)} per direction weight; see WalshSpectrum.pc_profile."""
     return walsh_transform(f).pc_profile()
 
 

@@ -18,7 +18,14 @@ from .builders import (
     monomial_table_general,
     rots_orbit_anf,
 )
-from .core import AnfPolynomial, TruthTable, anf_to_truth_table, nonlinearity, weight
+from .core import (
+    MAX_VARS,
+    AnfPolynomial,
+    TruthTable,
+    anf_to_truth_table,
+    nonlinearity,
+    weight,
+)
 
 F3_REFERENCE_NL_RANGE = (3, 9)  # range covered by the published table
 
@@ -178,8 +185,8 @@ def conjecture_check(n_lo: int, n_hi: int) -> list[ConjectureRow]:
     Equality is reported, never asserted: it is only confirmed through n = 9,
     everything beyond is informational.
     """
-    if not 3 <= n_lo <= n_hi <= 26:
-        raise ValueError(f"range must lie in 3..26, got {n_lo}..{n_hi}")
+    if not 3 <= n_lo <= n_hi <= MAX_VARS:
+        raise ValueError(f"range must lie in 3..{MAX_VARS}, got {n_lo}..{n_hi}")
     rows = []
     lo, hi = F3_REFERENCE_NL_RANGE
     for n in range(n_lo, n_hi + 1):

@@ -96,7 +96,7 @@ def autocorrelation_pc_profile(values) -> dict[int, tuple[int, int]]:
     """{w: (satisfied, total)} from a spectrum, through an int64 butterfly.
 
     The autocorrelation is the transform of W^2; every partial sum is at most
-    sum W^2 = 2^(2n) <= 2^40 (Parseval), so int64 is exact.  Direction c is
+    sum W^2 = 2^(2n) <= 2^52 (Parseval), so int64 is exact.  Direction c is
     balanced iff its autocorrelation is 0, and falls in class popcount(c).
     """
     auto = _butterfly(np.asarray(values, dtype=np.int64) ** 2)

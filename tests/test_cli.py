@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -200,20 +201,16 @@ def test_analyze_needs_selector_or_file(capsys):
     assert run(capsys, "analyze", "--n", "5")[0] == 1
 
 
-def test_analyze_pc_above_cap_fails_before_any_transform(tmp_path, capsys,
-                                                         monkeypatch):
-    def no_transform(table):
-        raise AssertionError(f"transform ran at n={table.n}")
-
-    monkeypatch.setattr(rotsym.cli, "walsh_transform", no_transform)
-    monkeypatch.setattr(rotsym.core, "walsh_transform", no_transform)
-    cap_message = "error: pc_profile capped at n <= 20\n"
-    assert run(capsys, "analyze", "f2", "--n", "19..21", "--pc",
-               "--max-n", "21") == (1, "", cap_message)
+def test_analyze_pc_from_file_at_n21(tmp_path, capsys):
+    # every derivative of the zero function is constant, so no direction of
+    # any weight is balanced
     path = tmp_path / "n21.tt"
     path.write_text("n=21\n" + "0" * (1 << 19) + "\n")
-    assert run(capsys, "analyze", "--from-file", str(path),
-               "--pc") == (1, "", cap_message)
+    code, out, err = run(capsys, "analyze", "--from-file", str(path), "--pc")
+    assert (code, err) == (0, "")
+    detail = " ".join(f"{w}:0/{comb(21, w)}" for w in range(1, 22))
+    assert out.splitlines()[1] == (
+        f"  pc-satisfied-through: 0  profile: {detail}")
 
 
 @pytest.mark.parametrize("exc, message", [

@@ -82,8 +82,8 @@ CASES: dict[str, dict] = {
                               "stdin": "n=4\nzz\n"},
     "analyze_spectrum_csv_range": {"argv": ["analyze", "f2", "--n", "5..6",
                                             "--spectrum-csv", "{tmp}/s.csv"]},
-    "analyze_pc_above_cap": {"argv": ["analyze", "f2", "--n", "19..21",
-                                      "--pc", "--max-n", "21"]},
+    "analyze_f2_pc_19_21": {"argv": ["analyze", "f2", "--n", "19..21",
+                                     "--pc", "--max-n", "21"]},
     "analyze_no_selector": {"argv": ["analyze", "--n", "5"]},
     "analyze_no_n": {"argv": ["analyze", "f2"]},
     "analyze_orbit_no_generator": {"argv": ["analyze", "orbit", "--n", "5..7"]},
