@@ -5,10 +5,12 @@ three complement operators (full, second half, last quarter).  Copies and
 concatenations are free; an OpCounter charges only complemented bits, reported
 as 4-bit blocks.  The doubling constructions reach a 2^n-bit table in
 O(2^n) work with roughly 2^(n-3) block complements, versus the (3n-1)/2 * 2^n
-operations of direct pointwise evaluation.  build_f2 and build_f3 do those
-doublings in place, as byte copies and byte complements in one 2^n/8-byte
-buffer that the table then holds; the BitString operators state the same
-steps on packed ints.
+operations of direct pointwise evaluation.  Every table built here (build_f2,
+build_f3, the open chain t_chain and monomial_table_general) is grown by
+those doublings in place, as byte copies and byte complements or zeroings in
+one 2^n/8-byte buffer that the table then holds.  The BitString operators
+state the same steps on packed ints; they are the published notation and the
+tests' reference, and no build calls them.
 """
 
 from __future__ import annotations
@@ -104,12 +106,6 @@ class BitString:
             _BLOCK_NAME_BY_VALUE[(self.bits >> (4 * t)) & 0xF]
             for t in range(self.length // 4)
         )
-
-    def to_truth_table(self) -> TruthTable:
-        n = self.length.bit_length() - 1
-        if (1 << n) != self.length:
-            raise ValueError(f"length {self.length} is not a power of two")
-        return TruthTable(n, self.bits.to_bytes(max(1, self.length // 8), "little"))
 
     def __repr__(self) -> str:
         if self.length <= 64:
@@ -213,16 +209,12 @@ def complement_first_half(u: BitString, counter: OpCounter | None = None) -> Bit
 # monomial truth tables by block composition
 # ---------------------------------------------------------------------------
 
-def _rep_block(name: str, k: int) -> BitString:
-    return repeat(BLOCKS[name], k)
-
-
 def monomial_table_general(indices: Sequence[int], n: int) -> TruthTable:
     """Table of a degree-s monomial (s >= 2) assembled from blocks.
 
-    Three shapes depending on whether the trailing variables touch
-    x_(n-1)/x_n: a D/D-bar tail, an A or B tail, or a V tail when both of
-    the last two variables appear.
+    The seed byte is the paper's block pair on the last three variables:
+    D-bar D-bar, D D-bar, AA, BB, VV, DA, DB or DV.  Each earlier x_v then
+    doubles it in place: pattern || pattern, or D^r || pattern if x_v is in.
     """
     idx = tuple(indices)
     s = len(idx)
@@ -235,30 +227,20 @@ def monomial_table_general(indices: Sequence[int], n: int) -> TruthTable:
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError(f"indices must be strictly increasing: {idx}")
 
-    if idx[-1] <= n - 2:
-        level = idx[-1]
-        r = 1 << (n - level - 2)
-        pattern = _rep_block("D", r) + _rep_block("D" + MACRON, r)
-        prefix = idx[:-1]
-    elif idx[-2:] == (n - 1, n):
-        if s == 2:
-            return _rep_block("V", 1 << (n - 2)).to_truth_table()
-        level = idx[-3]
-        r = 1 << (n - level - 2)
-        pattern = _rep_block("D", r) + _rep_block("V", r)
-        prefix = idx[:-3]
-    else:  # exactly one of x_(n-1), x_n is the last variable
-        m = "A" if idx[-1] == n - 1 else "B"
-        level = idx[-2]
-        r = 1 << (n - level - 2)
-        pattern = _rep_block("D", r) + _rep_block(m, r)
-        prefix = idx[:-2]
-
-    for v in reversed(prefix):
-        pattern = (_rep_block("D", 1 << (n - v - 2))
-                   + repeat(pattern, 1 << (level - v - 1)))
-        level = v
-    return repeat(pattern, 1 << (level - 1)).to_truth_table()
+    buf = np.empty(max(1, (1 << n) >> 3), dtype=np.uint8)
+    seed = 0xFF if n >= 3 else 0x0F
+    # the byte of positions 0..7 where x_n, x_(n-1) or x_(n-2) is 1
+    for v, pattern in ((n, 0xAA), (n - 1, 0xCC), (n - 2, 0xF0)):
+        if v in idx:
+            seed &= pattern
+    buf[0] = seed
+    k = 1
+    for v in range(n - 3, 0, -1):
+        buf[k:2 * k] = buf[:k]
+        if v in idx:
+            buf[:k] = 0
+        k *= 2
+    return TruthTable(n, buf)
 
 
 def rots_orbit_anf(generator: Iterable[int], n: int) -> AnfPolynomial:
@@ -344,13 +326,13 @@ def _layout(n: int, seeds: Sequence[str], shift: int,
 
 
 def _component(seeds: Sequence[str], shift: int, i: int, level: int,
-               counter: OpCounter | None) -> BitString:
-    """Segment i of a build at its level: a seed doubled, or the derived one."""
+               counter: OpCounter | None) -> np.ndarray:
+    """Segment i of a build at its level as bytes: a seed doubled, or derived."""
     seg = np.empty(1 << (level - 3), dtype=np.uint8)
     _grow(seg, seeds[min(i, len(seeds)) - 1], shift, counter)
     if i > len(seeds):
         _derive(seg, shift, counter)
-    return BitString(1 << level, int.from_bytes(seg, "little"))
+    return seg
 
 
 def f2_component(i: int, level: int, counter: OpCounter | None = None) -> BitString:
@@ -359,7 +341,8 @@ def f2_component(i: int, level: int, counter: OpCounter | None = None) -> BitStr
         raise ValueError(f"component index must be 1..3, got {i}")
     if level < 3:
         raise ValueError("degree-2 components start at level 3")
-    return _component(_F2_SEEDS, _TILDE, i, level, counter)
+    seg = _component(_F2_SEEDS, _TILDE, i, level, counter)
+    return BitString(1 << level, int.from_bytes(seg, "little"))
 
 
 def f3_component(i: int, level: int, counter: OpCounter | None = None) -> BitString:
@@ -368,7 +351,23 @@ def f3_component(i: int, level: int, counter: OpCounter | None = None) -> BitStr
         raise ValueError(f"component index must be 1..4, got {i}")
     if level < 4:
         raise ValueError("degree-3 components start at level 4")
-    return _component(_F3_SEEDS, _HAT, i, level, counter)
+    seg = _component(_F3_SEEDS, _HAT, i, level, counter)
+    return BitString(1 << level, int.from_bytes(seg, "little"))
+
+
+def t_chain(n: int) -> TruthTable:
+    """Table of the open-chain quadratic x1x2 + x2x3 + ... + x_(n-1)x_n.
+
+    It is g1 of the degree-2 build at level n, the seed VY doubled by tilde:
+    chain_n = u || tilde(u) with u = chain_(n-1), because fixing x1 = 1 adds
+    x2, which complements the second half.  Bent for even n.  For odd
+    n = 2k+1 the spectrum takes only the values {0, +-2^(k+1)} and the
+    nonlinearity is 2^(2k) - 2^k, but the chain is not balanced, so it does
+    not pass the strict semi-bent predicate.
+    """
+    if n < 3:
+        raise ValueError("chain needs n >= 3")
+    return TruthTable(n, _component(_F2_SEEDS, _TILDE, 1, n, None))
 
 
 def build_f2(n: int, counter: OpCounter | None = None) -> TruthTable:

@@ -326,8 +326,6 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.selector not in FAST_MIN_N:
-        raise UsageError("bench selector must be f2 or f3")
     fast_min = FAST_MIN_N[args.selector]
     if args.n_lo < fast_min:
         raise UsageError(f"bench {args.selector} needs n >= {fast_min}")
@@ -377,8 +375,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gf(args: argparse.Namespace) -> int:
-    if args.selector not in ("f2", "f3"):
-        raise UsageError("gf selector must be f2 or f3")
     if not 0 <= args.upto <= GF_MAX_DEGREE:
         raise UsageError(f"--upto must lie in 0..{GF_MAX_DEGREE}")
     f2_gf, f3_gf = builtin_gfs()

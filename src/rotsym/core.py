@@ -66,6 +66,11 @@ def gf2_invert(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _quoted(line: str) -> str:
+    """A text line for an error message: whole, or its first 32 characters."""
+    return repr(line) if len(line) <= 64 else f"{line[:32]!r}... ({len(line)} characters)"
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -189,26 +194,27 @@ class TruthTable:
         header = lines[0]
         digits = header[2:]
         if not (header.startswith("n=") and digits.isascii() and digits.isdigit()):
-            raise ValueError(f"bad header line: {header!r}")
+            raise ValueError(f"bad header line: {_quoted(header)}")
         n = int(digits)
         if not 1 <= n <= MAX_VARS:
-            raise ValueError(f"bad header line: {header!r} (n out of range)")
+            raise ValueError(f"bad header line: {_quoted(header)} (n out of range)")
         size = 1 << n
         hexstr = lines[1]
+        bad_hex = f"bad hex line: {_quoted(hexstr)}"
         width = -(-size // 4)
         if len(hexstr) != width:
-            raise ValueError(f"bad hex line: {hexstr!r} (expected {width} digits)")
+            raise ValueError(f"{bad_hex} (expected {width} digits)")
         # every two digits make one byte, so a line of `width` characters
         # gives fewer bytes exactly when fromhex skipped whitespace in it
         try:
             raw = bytes.fromhex(hexstr if size >= 8 else "0" + hexstr)
         except ValueError:
-            raise ValueError(f"bad hex line: {hexstr!r}") from None
+            raise ValueError(bad_hex) from None
         if len(raw) != max(1, size // 8):
-            raise ValueError(f"bad hex line: {hexstr!r}")
+            raise ValueError(bad_hex)
         if size < 8:  # n = 1, 2: align the one digit's bits to the byte's top
             if raw[0] >> size:
-                raise ValueError(f"bad hex line: {hexstr!r} (value out of range)")
+                raise ValueError(f"{bad_hex} (value out of range)")
             raw = bytes([raw[0] << (8 - size)])
         return cls(n, raw.translate(_BIT_REVERSED))
 

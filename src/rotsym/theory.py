@@ -1,10 +1,10 @@
 """Weight and nonlinearity theory for the rotation-symmetric families.
 
 Closed forms and recurrences for the degree-2 weights, the recurrence and
-rational generating functions for both families, the open-chain quadratic
-used in the semi-bent constructions, the one dispatch from a selector to a
-table (family_table), and the weight-equals-nonlinearity scan for the
-degree-3 family.  All arithmetic is exact integer arithmetic.
+rational generating functions for both families, the one dispatch from a
+selector to a table (family_table; builders makes the open chain t), and
+the weight-equals-nonlinearity scan for the degree-3 family.  All arithmetic
+is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from .builders import (
     build_f3,
     monomial_table_general,
     rots_orbit_anf,
+    t_chain,
 )
 from .core import (
     MAX_VARS,
-    AnfPolynomial,
     TruthTable,
     anf_to_truth_table,
     nonlinearity,
@@ -129,19 +129,6 @@ def nl_lower_bound_fk(n: int, k: int) -> int:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return 1 << (n - k)
-
-
-def t_chain(n: int) -> TruthTable:
-    """Table of the open-chain quadratic x1x2 + x2x3 + ... + x_(n-1)x_n.
-
-    Bent for even n.  For odd n = 2k+1 the spectrum takes only the values
-    {0, +-2^(k+1)} and the nonlinearity is 2^(2k) - 2^k, but the chain is
-    not balanced, so it does not pass the strict semi-bent predicate.
-    """
-    if n < 3:
-        raise ValueError("chain needs n >= 3")
-    anf = AnfPolynomial.from_terms(n, [(i, i + 1) for i in range(1, n)])
-    return anf_to_truth_table(anf)
 
 
 def family_table(selector: str, n: int, generator: tuple[int, ...] = (),

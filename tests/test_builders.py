@@ -1,9 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotsym import (
+    AnfPolynomial,
     BLOCKS,
     BitString,
     OpCounter,
@@ -21,13 +25,15 @@ from rotsym import (
     monomial_table_general,
     repeat,
     rots_orbit_anf,
+    t_chain,
     tilde,
+    walsh_transform,
     weight,
 )
 from rotsym.builders import MACRON
 from rotsym.theory import FAST_MIN_N
 
-from oracles import operator_component, table_to_list
+from oracles import operator_component, table_from_int, table_to_list
 
 F2_SEEDS = ("VY", "XU" + MACRON)
 F3_SEEDS = ("DVDY", "VDVA", "XBXC")
@@ -38,8 +44,7 @@ def orbit_table(gen, n):
 
 
 def oracle_monomial(indices, n):
-    return anf_to_truth_table(
-        __import__("rotsym").AnfPolynomial.from_terms(n, [tuple(indices)]))
+    return anf_to_truth_table(AnfPolynomial.from_terms(n, [tuple(indices)]))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +92,7 @@ def test_bitstring_validation():
 def test_repeat():
     v = BLOCKS["V"]
     r = repeat(v, 4)
-    assert r.to_truth_table() == oracle_monomial((3, 4), 4)
+    assert table_from_int(4, r.bits) == oracle_monomial((3, 4), 4)
     d = repeat(BLOCKS["D"], 5)
     assert d.bits == 0 and len(d) == 20
     assert repeat(v, 1) == v
@@ -153,11 +158,21 @@ def test_monomial_general_examples():
 
 
 def test_monomial_general_exhaustive():
-    for n in range(3, 11):
+    for n in range(2, 11):
         for s in range(2, n + 1):
             for combo in itertools.combinations(range(1, n + 1), s):
                 assert monomial_table_general(combo, n) == \
                     oracle_monomial(combo, n), (combo, n)
+
+
+def test_monomial_general_sampled_large():
+    # past the exhaustive range: 16 to 19 doublings above the seed byte
+    rng = random.Random(19)
+    for n in range(19, 23):
+        for s in (2, 3, n // 2, n):
+            combo = tuple(sorted(rng.sample(range(1, n + 1), s)))
+            assert monomial_table_general(combo, n) == \
+                oracle_monomial(combo, n), (combo, n)
 
 
 def test_monomial_general_validation():
@@ -364,3 +379,39 @@ def test_components_match_string_operators():
             assert component_weights_f3(n) == tuple(
                 operator_component(F3_SEEDS, i, n - min(i, 3)).weight()
                 for i in (1, 2, 3, 4))
+
+
+# ---------------------------------------------------------------------------
+# the open chain, and rotation symmetry of the built tables
+# ---------------------------------------------------------------------------
+
+def test_t_chain_matches_oracle():
+    for n in range(3, 19):
+        chain = AnfPolynomial.from_terms(n, [(i, i + 1) for i in range(1, n)])
+        assert t_chain(n) == anf_to_truth_table(chain), n
+
+
+def rotation_symmetric_tables():
+    """A random generator's orbit table (n <= 12) or a fast build (n <= 18)."""
+    def orbit(n):
+        gen = st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+        return gen.map(lambda g: orbit_table(g, n))
+    return st.one_of(
+        st.integers(1, 12).flatmap(orbit),
+        st.integers(FAST_MIN_N["f2"], 18).map(build_f2),
+        st.integers(FAST_MIN_N["f3"], 18).map(build_f3),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotation_symmetric_tables())
+def test_rotation_symmetric_table_and_spectrum(table):
+    # x_k -> x_(k+1) moves each index bit one place down, x_n's to x_1's;
+    # that shift generates the cyclic group
+    n = table.n
+    idx = np.arange(1 << n)
+    rot = (idx >> 1) | ((idx & 1) << (n - 1))
+    values = table.to_array()
+    assert np.array_equal(values[rot], values)
+    spectrum = walsh_transform(table).values
+    assert np.array_equal(spectrum[rot], spectrum)

@@ -62,11 +62,14 @@ def _peak_rss(*argv) -> int:
     return kib << 10
 
 
-def test_build_26_peak_rss_over_startup_is_a_few_tables(tmp_path):
+@pytest.mark.parametrize("selector", [
+    ("f3",), ("t",), ("monomial", "--generator", "1,13,26")],
+    ids=("f3", "t", "monomial"))
+def test_build_26_peak_rss_over_startup_is_a_few_tables(tmp_path, selector):
     # the build's byte buffer is the table; the text writer holds it and
     # one hex slice
     n = 26
-    build = _peak_rss("build", "f3", "--n", str(n), "--max-n", str(n),
+    build = _peak_rss("build", *selector, "--n", str(n), "--max-n", str(n),
                       "--out", str(tmp_path / "F"))
     noop = _peak_rss("gf", "f2", "--upto", "0")
     assert build - noop <= (1 << n) // 8 + (4 << 20)
@@ -443,6 +446,7 @@ def test_bench_deterministic_csv(capsys):
 def test_bench_usage(capsys):
     assert run(capsys, "bench", "f2", "--n", "4..6")[0] == 1   # below fast path
     assert run(capsys, "bench", "f3", "--n", "8..25")[0] == 1  # above cap
+    assert run(capsys, "bench", "t", "--n", "5")[0] == 1       # f2/f3 only
 
 
 # ---------------------------------------------------------------------------
@@ -482,3 +486,4 @@ def test_gf_csv(capsys):
 
 def test_gf_degree_cap(capsys):
     assert run(capsys, "gf", "f3", "--upto", "65")[0] == 1
+    assert run(capsys, "gf", "t", "--upto", "3")[0] == 1  # f2/f3 only

@@ -34,6 +34,9 @@ CASES: dict[str, dict] = {
     "build_t_n8": {"argv": ["build", "t", "--n", "8"]},
     "build_monomial": {"argv": ["build", "monomial", "--n", "6",
                                 "--generator", "2,4,5"]},
+    "build_monomial_n13": {"argv": ["build", "monomial", "--n", "13",
+                                    "--generator", "1,7,13"]},
+    "build_t_n13": {"argv": ["build", "t", "--n", "13"]},
     "build_orbit": {"argv": ["build", "orbit", "--n", "7",
                              "--generator", "1,2,4"]},
     "build_out_file": {"argv": ["build", "f3", "--n", "9",
@@ -59,6 +62,8 @@ CASES: dict[str, dict] = {
     "analyze_t_text": {"argv": ["analyze", "t", "--n", "3..12"]},
     "analyze_t_csv": {"argv": ["analyze", "t", "--n", "3..12",
                                "--format", "csv"]},
+    "analyze_t_csv_3_18": {"argv": ["analyze", "t", "--n", "3..18",
+                                    "--format", "csv"]},
     "analyze_monomial_csv": {"argv": ["analyze", "monomial", "--n", "4..10",
                                       "--generator", "1,3", "--format", "csv"]},
     "analyze_orbit_json": {"argv": ["analyze", "orbit", "--n", "4..10",

@@ -702,6 +702,17 @@ def test_text_parse_errors():
     with pytest.raises(ValueError, match="line after the hex line"):
         TruthTable.from_text("n=5\n121d47b7\nGARBAGE\n")
     assert TruthTable.from_text("n=5\n\n121d47b7\n\n \n").to_hex() == "121d47b7"
+    # a long line is quoted by its first 32 characters and its length: an
+    # n = 20 hex line has 2^18 digits
+    hexstr = "0" * (1 << 18)
+    for text in (f"n=20\n{hexstr[:-1]}z\n",   # one bad digit
+                 f"n=20\n{hexstr[:-1]}\n",    # a digit short
+                 f"{hexstr}\nn=20\n"):       # the hex line first
+        with pytest.raises(ValueError, match=r"^bad (hex|header) line") as err:
+            TruthTable.from_text(text)
+        message = str(err.value)
+        assert len(message.encode()) < 200, message
+        assert "'" + "0" * 32 + "'..." in message
 
 
 def test_spectrum_csv():
