@@ -4,56 +4,44 @@ Bit-packed truth tables, the Walsh-Hadamard transform and cryptographic
 criteria, fast block-concatenation builders for the degree-2 and degree-3
 rotation-symmetric functions, and the exact weight/nonlinearity theory
 (recurrences, closed forms, generating functions).
+
+Each name listed below loads its submodule on first use (PEP 562), so
+``import rotsym`` does not import numpy: ``rotsym.cli`` can still choose
+the BLAS thread count before numpy loads.
 """
 
-from .builders import (
-    BLOCKS,
-    BitString,
-    OpCounter,
-    build_f2,
-    build_f3,
-    complement,
-    complement_first_half,
-    component_weights_f3,
-    f2_block_complements,
-    f2_component,
-    f3_block_complements_claimed,
-    f3_block_complements_measured,
-    f3_component,
-    hat,
-    monomial_table_general,
-    repeat,
-    rots_orbit_anf,
-    tilde,
-)
-from .core import (
-    AffineTransform,
-    AnfPolynomial,
-    TruthTable,
-    WalshSpectrum,
-    anf_to_truth_table,
-    apply_affine_transform,
-    concatenate,
-    is_bent,
-    is_semi_bent_spectral,
-    nonlinearity,
-    pc_profile,
-    walsh_transform,
-    weight,
-)
-from .theory import (
-    ConjectureRow,
-    RationalGF,
-    builtin_gfs,
-    conjecture_check,
-    family_table,
-    gf_series,
-    nl_f2,
-    nl_lower_bound_fk,
-    t_chain,
-    wt_f2_closed,
-    wt_f2_recurrence,
-    wt_f3_recurrence,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_NAMES = {
+    "builders": (
+        "BLOCKS", "BitString", "OpCounter", "build_f2", "build_f3",
+        "complement", "complement_first_half", "component_weights_f3",
+        "f2_block_complements", "f2_component", "f3_block_complements_claimed",
+        "f3_block_complements_measured", "f3_component", "hat",
+        "monomial_table_general", "repeat", "rots_orbit_anf", "tilde",
+    ),
+    "core": (
+        "AffineTransform", "AnfPolynomial", "TruthTable", "WalshSpectrum",
+        "anf_to_truth_table", "apply_affine_transform", "concatenate",
+        "is_bent", "is_semi_bent_spectral", "nonlinearity", "pc_profile",
+        "walsh_transform", "weight",
+    ),
+    "theory": (
+        "ConjectureRow", "RationalGF", "builtin_gfs", "conjecture_check",
+        "family_table", "gf_series", "nl_f2", "nl_lower_bound_fk", "t_chain",
+        "wt_f2_closed", "wt_f2_recurrence", "wt_f3_recurrence",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

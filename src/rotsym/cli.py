@@ -16,16 +16,19 @@ import sys
 import time
 from collections.abc import Sequence
 
-from .builders import (
+# core._GEMM_MACS keeps each GEMM on the calling thread: OpenBLAS's pool would idle.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .builders import (  # noqa: E402
     OpCounter,
     component_weights_f3,
     f2_block_complements,
     f3_block_complements_claimed,
     f3_component,
 )
-from .core import MAX_VARS, TruthTable, pc_profile, walsh_transform
-from .refdata import load_reference_tables, weight_table_columns
-from .theory import (
+from .core import MAX_VARS, TruthTable, pc_profile, walsh_transform  # noqa: E402
+from .refdata import load_reference_tables, weight_table_columns  # noqa: E402
+from .theory import (  # noqa: E402
     FAMILY_GENERATORS,
     FAST_MIN_N,
     builtin_gfs,

@@ -242,6 +242,18 @@ def test_walsh_invariants_random():
         assert t.is_balanced() == (spec[0] == 0)
 
 
+def _tables(max_n: int):
+    """A random table with 1..max_n variables, drawn as one 2^n-bit int."""
+    return st.integers(1, max_n).flatmap(lambda n: st.integers(
+        0, (1 << (1 << n)) - 1).map(lambda bits: table_from_int(n, bits)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_tables(12))
+def test_parseval_holds_for_every_table(t):
+    assert walsh_transform(t).parseval_sum() == 1 << (2 * t.n)
+
+
 @pytest.mark.parametrize("n", [9, 10, 11, 14, 15, 16, 17, 18, 20, 21, 22,
                                24, 25])
 def test_walsh_kernel_matches_plain_butterfly(n):
@@ -550,24 +562,53 @@ def test_affine_preserves_weight_and_nonlinearity():
         assert nonlinearity(apply_affine_transform(h, t1)) == nonlinearity(h)
 
 
-def test_affine_transform_spectrum_identity():
+def _check_affine_spectrum_identity(h, rows, a, b, c):
     # spectrum of h(Ax+a)+b.x+c at w, against the transformed spectrum of h
+    n = h.n
+    t = AffineTransform(n, rows, a=a, b=b, c=c)
+    spec_g = walsh_transform(apply_affine_transform(h, t))
+    spec_h = walsh_transform(h)
+    inv = gf2_invert(rows)
+    inv_t = gf2_transpose(inv)
+    a_pre = gf2_apply(inv, a)
+    for w in range(1 << n):
+        sign = (-1) ** (c ^ dot2(a_pre, w ^ b))
+        assert spec_g[w] == sign * spec_h[gf2_apply(inv_t, w ^ b)]
+
+
+def test_affine_transform_spectrum_identity():
     rng = random.Random(37)
     for _ in range(40):
         n = rng.choice((3, 4, 5, 6))
         h = random_table(rng, n)
         rows = random_invertible_rows(rng, n)
         a, b, c = rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(1)
-        t = AffineTransform(n, rows, a=a, b=b, c=c)
-        g = apply_affine_transform(h, t)
-        spec_g = walsh_transform(g)
-        spec_h = walsh_transform(h)
-        inv = gf2_invert(rows)
-        inv_t = gf2_transpose(inv)
-        a_pre = gf2_apply(inv, a)
-        for w in range(1 << n):
-            sign = (-1) ** (c ^ dot2(a_pre, w ^ b))
-            assert spec_g[w] == sign * spec_h[gf2_apply(inv_t, w ^ b)]
+        _check_affine_spectrum_identity(h, rows, a, b, c)
+
+
+@st.composite
+def _affine_cases(draw):
+    """A table h on n = 1..8 variables and an invertible affine map of it.
+
+    The rows start as the identity and take a list of row additions
+    (transvections, which generate GL(n, 2)), so every invertible matrix
+    can be drawn and an example shrinks towards the identity.
+    """
+    h = draw(_tables(8))
+    n = h.n
+    rows = [1 << (n - 1 - j) for j in range(n)]
+    if n > 1:
+        steps = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        for i, k in draw(st.lists(steps, max_size=3 * n * n)):
+            rows[i] ^= rows[(i + k) % n]
+    a, b = draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, (1 << n) - 1))
+    return h, tuple(rows), a, b, draw(st.integers(0, 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_affine_cases())
+def test_affine_transform_spectrum_identity_property(case):
+    _check_affine_spectrum_identity(*case)
 
 
 # ---------------------------------------------------------------------------

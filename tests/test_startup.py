@@ -1,0 +1,109 @@
+"""Start-up: `import rotsym` is lazy, and the CLI loads numpy with one
+OpenBLAS thread unless the user chose a count.
+
+Each check runs in a fresh interpreter, because numpy reads
+OPENBLAS_NUM_THREADS once, when it is first imported.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rotsym
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The names `rotsym/__init__.py` imported eagerly before it became lazy.
+EXPORTED = {
+    "builders": (
+        "BLOCKS", "BitString", "OpCounter", "build_f2", "build_f3",
+        "complement", "complement_first_half", "component_weights_f3",
+        "f2_block_complements", "f2_component", "f3_block_complements_claimed",
+        "f3_block_complements_measured", "f3_component", "hat",
+        "monomial_table_general", "repeat", "rots_orbit_anf", "tilde",
+    ),
+    "core": (
+        "AffineTransform", "AnfPolynomial", "TruthTable", "WalshSpectrum",
+        "anf_to_truth_table", "apply_affine_transform", "concatenate",
+        "is_bent", "is_semi_bent_spectral", "nonlinearity", "pc_profile",
+        "walsh_transform", "weight",
+    ),
+    "theory": (
+        "ConjectureRow", "RationalGF", "builtin_gfs", "conjecture_check",
+        "family_table", "gf_series", "nl_f2", "nl_lower_bound_fk", "t_chain",
+        "wt_f2_closed", "wt_f2_recurrence", "wt_f3_recurrence",
+    ),
+}
+
+
+def _fresh(code: str, *args: str, **env: str) -> dict:
+    """Run code in a new interpreter with src on its path; it prints JSON.
+
+    OPENBLAS_NUM_THREADS is removed from the child's environment unless
+    given in env.
+    """
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env.update(PYTHONPATH=str(SRC), **env)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=child_env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+_CLI_STATE = """
+import json, os, sys
+import rotsym.cli
+threads = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        threads = next(int(l.split()[1]) for l in fh if l.startswith("Threads:"))
+print(json.dumps({"numpy": "numpy" in sys.modules,
+                  "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": threads}))
+"""
+
+
+def test_import_rotsym_does_not_load_numpy():
+    state = _fresh("import json, sys, rotsym; "
+                   "print(json.dumps({'numpy': 'numpy' in sys.modules}))")
+    assert state == {"numpy": False}
+
+
+def test_cli_defaults_to_one_blas_thread():
+    state = _fresh(_CLI_STATE)
+    assert state["numpy"]  # the CLI has loaded numpy by now
+    if state["threads"] is not None:  # /proc exists: OpenBLAS's pool adds a thread
+        assert state["threads"] == 1
+    assert state["blas"] == "1"
+
+
+def test_cli_keeps_the_users_blas_thread_count():
+    state = _fresh(_CLI_STATE, OPENBLAS_NUM_THREADS="2")
+    assert state["blas"] == "2"
+
+
+def test_old_exports_resolve_lazily_to_the_submodule_objects():
+    state = _fresh("""
+import importlib, json, sys
+import rotsym
+exported = json.loads(sys.argv[1])
+star = {}
+exec("from rotsym import *", star)
+print(json.dumps({"same": [
+    name for module, names in exported.items() for name in names
+    if getattr(rotsym, name) is getattr(importlib.import_module("rotsym." + module), name)
+    and star.get(name) is getattr(rotsym, name)],
+    "all": sorted(rotsym.__all__)}))
+""", json.dumps(EXPORTED))
+    names = sorted(n for names in EXPORTED.values() for n in names)
+    assert sorted(state["same"]) == names
+    assert state["all"] == names
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rotsym.no_such_name
+    assert not hasattr(rotsym, "no_such_name")
