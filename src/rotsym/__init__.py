@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _NAMES = {
     "builders": (
         "BLOCKS", "BitString", "OpCounter", "build_f2", "build_f3",
-        "complement", "complement_first_half", "component_weights_f3",
-        "f2_block_complements", "f2_component", "f3_block_complements_claimed",
+        "complement", "complement_first_half", "f2_block_complements",
+        "f2_component", "f3_block_complements_claimed",
         "f3_block_complements_measured", "f3_component", "hat",
         "monomial_table_general", "repeat", "rots_orbit_anf", "tilde",
     ),
@@ -29,9 +29,9 @@ _NAMES = {
         "walsh_transform", "weight",
     ),
     "theory": (
-        "ConjectureRow", "RationalGF", "builtin_gfs", "conjecture_check",
-        "family_table", "gf_series", "nl_f2", "nl_lower_bound_fk", "t_chain",
-        "wt_f2_closed", "wt_f2_recurrence", "wt_f3_recurrence",
+        "RationalGF", "builtin_gfs", "conjecture_check", "family_table",
+        "gf_series", "nl_f2", "nl_lower_bound_fk", "t_chain", "wt_f2_closed",
+        "wt_f2_recurrence", "wt_f3_recurrence",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

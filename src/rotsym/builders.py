@@ -279,15 +279,14 @@ def _flip(seg: np.ndarray, lo: int, hi: int, counter: OpCounter | None) -> None:
         seg[lo // 8] ^= ((1 << (hi - lo)) - 1) << (lo % 8)
 
 
-def _grow(seg: np.ndarray, blocks: str, shift: int,
+def _grow(seg: np.ndarray, seed: BitString, shift: int,
           counter: OpCounter | None) -> None:
-    """Fill seg with the seed `blocks` doubled in place up to seg's length.
+    """Fill seg with seed doubled in place up to seg's length.
 
     Each doubling u -> u || step(u) copies the finished bytes into the next
     half and complements the last 2^-shift of that copy: step is tilde for
     shift 1 and hat for shift 2, and charges what they charge.
     """
-    seed = BitString.from_blocks(blocks)
     k = seed.length // 8
     seg[:k] = np.frombuffer(seed.bits.to_bytes(k, "little"), dtype=np.uint8)
     while k < seg.size:
@@ -319,7 +318,7 @@ def _layout(n: int, seeds: Sequence[str], shift: int,
     ends = [buf.size - (buf.size >> i) for i in range(1, len(seeds) + 1)]
     segs = np.split(buf, ends)
     for seg, seed in zip(segs, seeds):
-        _grow(seg, seed, shift, counter)
+        _grow(seg, BitString.from_blocks(seed), shift, counter)
     segs[-1][:] = segs[-2]
     _derive(segs[-1], shift, counter)
     return buf
@@ -327,30 +326,29 @@ def _layout(n: int, seeds: Sequence[str], shift: int,
 
 def _component(seeds: Sequence[str], shift: int, i: int, level: int,
                counter: OpCounter | None) -> np.ndarray:
-    """Segment i of a build at its level as bytes: a seed doubled, or derived."""
+    """Segment i of a build at its level as bytes: a seed doubled, or the
+    derived last one.  The least level is the seed's own, log2 of its bits."""
+    if not 1 <= i <= len(seeds) + 1:
+        raise ValueError(f"component index must be 1..{len(seeds) + 1}, got {i}")
+    seed = BitString.from_blocks(seeds[min(i, len(seeds)) - 1])
+    least = seed.length.bit_length() - 1
+    if level < least:
+        raise ValueError(f"components start at level {least}, got {level}")
     seg = np.empty(1 << (level - 3), dtype=np.uint8)
-    _grow(seg, seeds[min(i, len(seeds)) - 1], shift, counter)
+    _grow(seg, seed, shift, counter)
     if i > len(seeds):
         _derive(seg, shift, counter)
     return seg
 
 
 def f2_component(i: int, level: int, counter: OpCounter | None = None) -> BitString:
-    """g_i^level of the degree-2 build (i = 1, 2, or the derived 3)."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"component index must be 1..3, got {i}")
-    if level < 3:
-        raise ValueError("degree-2 components start at level 3")
+    """g_i^level of the degree-2 build (i = 1, 2, or the derived 3; level >= 3)."""
     seg = _component(_F2_SEEDS, _TILDE, i, level, counter)
     return BitString(1 << level, int.from_bytes(seg, "little"))
 
 
 def f3_component(i: int, level: int, counter: OpCounter | None = None) -> BitString:
-    """h_i^level of the degree-3 build (i = 1..3, or the derived 4)."""
-    if i not in (1, 2, 3, 4):
-        raise ValueError(f"component index must be 1..4, got {i}")
-    if level < 4:
-        raise ValueError("degree-3 components start at level 4")
+    """h_i^level of the degree-3 build (i = 1..3, or the derived 4; level >= 4)."""
     seg = _component(_F3_SEEDS, _HAT, i, level, counter)
     return BitString(1 << level, int.from_bytes(seg, "little"))
 
@@ -365,8 +363,6 @@ def t_chain(n: int) -> TruthTable:
     nonlinearity is 2^(2k) - 2^k, but the chain is not balanced, so it does
     not pass the strict semi-bent predicate.
     """
-    if n < 3:
-        raise ValueError("chain needs n >= 3")
     return TruthTable(n, _component(_F2_SEEDS, _TILDE, 1, n, None))
 
 
@@ -393,13 +389,6 @@ def build_f3(n: int, counter: OpCounter | None = None) -> TruthTable:
     if n < 7:
         raise ValueError("fast degree-3 build needs n >= 7")
     return TruthTable(n, _layout(n, _F3_SEEDS, _HAT, counter))
-
-
-def component_weights_f3(n: int) -> tuple[int, int, int, int]:
-    """Weights of the four degree-3 build segments; they sum to wt(f3^n)."""
-    if n < 7:
-        raise ValueError("component split needs n >= 7")
-    return tuple(f3_component(i, n - min(i, 3)).weight() for i in (1, 2, 3, 4))
 
 
 def f2_block_complements(n: int) -> int:

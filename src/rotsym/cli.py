@@ -21,7 +21,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .builders import (  # noqa: E402
     OpCounter,
-    component_weights_f3,
     f2_block_complements,
     f3_block_complements_claimed,
     f3_component,
@@ -181,6 +180,11 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _kv_line(row: dict) -> str:
+    """A row as one text line of key=value cells."""
+    return " ".join(f"{k}={_fmt_cell(v)}" for k, v in row.items())
+
+
 def _rows_to_csv(cols, rows) -> str:
     """CSV with a header line; a cell missing from a row is left empty."""
     lines = [",".join(cols)]
@@ -193,6 +197,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     rows = []
     lines = []
     if args.from_file is not None:
+        if args.selector or args.n or args.generator:
+            raise UsageError("--from-file takes no selector, --n or --generator")
         if args.from_file == "-":
             text = sys.stdin.read()
         else:
@@ -211,7 +217,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for table in tables:
         row = _analyze_one(table)
         rows.append(row)
-        lines.append(" ".join(f"{c}={_fmt_cell(row[c])}" for c in _ANALYZE_COLS))
+        lines.append(_kv_line(row))
         if args.pc:
             profile = pc_profile(table)
             through = 0
@@ -236,31 +242,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # tables
 # ---------------------------------------------------------------------------
 
-def _computed_weight_rows() -> list[dict]:
-    """Weight/component rows for n = 3..12, every cell computed."""
-    rows = []
-    for n in range(3, 13):
-        row: dict = {"n": n, "weight": family_table("f3", n).weight()}
-        if n >= 7:
-            row.update(zip(("h1", "h2", "h3", "h4"), component_weights_f3(n)))
-        elif n >= 5:
-            row["h1"] = f3_component(1, n - 1).weight()
-            if n == 6:
-                row["h2"] = f3_component(2, n - 2).weight()
-        rows.append(row)
-    return rows
-
-
-def _computed_nl_rows() -> list[dict]:
-    return [{"n": n,
-             "nonlinearity": walsh_transform(family_table("f3", n)).nonlinearity()}
-            for n in range(3, 10)]
+def _computed_rows() -> tuple[list[dict], list[dict]]:
+    """Degree-3 weight rows for n = 3..12 and nonlinearity rows for the
+    published range, from one conjecture scan.  Segment h_k sits at level
+    n - min(k, 3); its cell is filled where f3_component builds it (>= 4)."""
+    w_rows, nl_rows = [], []
+    for scan in conjecture_check(3, 12):
+        n = scan["n"]
+        row = {"n": n, "weight": scan["weight"]}
+        for k in (1, 2, 3, 4):
+            level = n - min(k, 3)
+            if level >= 4:
+                row[f"h{k}"] = f3_component(k, level).weight()
+        w_rows.append(row)
+        if scan["source"] == "reference-table":
+            nl_rows.append({"n": n, "nonlinearity": scan["nonlinearity"]})
+    return w_rows, nl_rows
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
     ref = load_reference_tables()
-    w_rows = _computed_weight_rows()
-    nl_rows = _computed_nl_rows()
+    w_rows, nl_rows = _computed_rows()
 
     mismatches = []
     for row in w_rows:
@@ -309,16 +311,13 @@ def cmd_tables(args: argparse.Namespace) -> int:
 def cmd_conjecture(args: argparse.Namespace) -> int:
     _check_range(args, MAX_VARS)
     rows = conjecture_check(args.n_lo, args.n_hi)
-    dicts = [{"n": r.n, "weight": r.weight, "nonlinearity": r.nonlinearity,
-              "equal": r.equal, "source": r.source} for r in rows]
-    first_bad = next((r.n for r in rows if not r.equal), None)
-    lines = [f"n={r.n} weight={r.weight} nonlinearity={r.nonlinearity}"
-             f" equal={_fmt_cell(r.equal)} source={r.source}" for r in rows]
+    first_bad = next((r["n"] for r in rows if not r["equal"]), None)
+    lines = [_kv_line(r) for r in rows]
     lines.append(f"conjecture holds on [{args.n_lo}, {args.n_hi}]"
                  if first_bad is None else f"first counterexample at n={first_bad}")
     _output(args,
-            _rows_to_csv(("n", "weight", "nonlinearity", "equal", "source"), dicts),
-            {"rows": dicts, "range": [args.n_lo, args.n_hi],
+            _rows_to_csv(("n", "weight", "nonlinearity", "equal", "source"), rows),
+            {"rows": rows, "range": [args.n_lo, args.n_hi],
              "holds": first_bad is None, "first_counterexample": first_bad},
             lines)
     return 0
@@ -454,7 +453,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("bench", help="operation counts and wall times")
     sp.add_argument("selector", choices=("f2", "f3"))
     sp.add_argument("--n", required=True)
-    sp.add_argument("--max-n", type=int, default=BENCH_MAX_N)
+    sp.set_defaults(max_n=BENCH_MAX_N)  # no --max-n: _check_range gets the cap
     add_common(sp)
 
     sp = sub.add_parser("gf", help="generating-function series coefficients")
@@ -479,6 +478,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if getattr(args, "generator", ()):
+            if args.selector in ("f2", "f3", "t"):
+                raise UsageError(f"{args.selector} takes no --generator")
             args.generator = _parse_generator(args.generator)
         if getattr(args, "n", None) is not None:
             args.n_lo, args.n_hi = _parse_n_range(args.n)

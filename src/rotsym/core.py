@@ -254,11 +254,6 @@ class AnfPolynomial:
     def zero(cls, n: int) -> "AnfPolynomial":
         return cls(n, frozenset())
 
-    def __xor__(self, other: "AnfPolynomial") -> "AnfPolynomial":
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
-        return AnfPolynomial(self.n, self.monomials ^ other.monomials)
-
 
 def _monomial_mask(mono: frozenset[int], n: int) -> int:
     return sum(1 << (n - k) for k in mono)

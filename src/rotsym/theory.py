@@ -157,18 +157,11 @@ def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
     return anf_to_truth_table(rots_orbit_anf(generator, n))
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
-    n: int
-    weight: int
-    nonlinearity: int
-    equal: bool
-    source: str  # "reference-table" within the published range, else "computed"
+def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:
+    """Weight vs nonlinearity of the degree-3 family, one row per n.
 
-
-def conjecture_check(n_lo: int, n_hi: int) -> list[ConjectureRow]:
-    """Weight vs nonlinearity of the degree-3 family, reported per n.
-
+    Each row is {"n", "weight", "nonlinearity", "equal", "source"}, with
+    source "reference-table" within the published range, else "computed".
     Equality is reported, never asserted: it is only confirmed through n = 9,
     everything beyond is informational.
     """
@@ -180,8 +173,6 @@ def conjecture_check(n_lo: int, n_hi: int) -> list[ConjectureRow]:
         tab = family_table("f3", n)
         w = weight(tab)
         nl = nonlinearity(tab)
-        rows.append(ConjectureRow(
-            n=n, weight=w, nonlinearity=nl, equal=(w == nl),
-            source="reference-table" if lo <= n <= hi else "computed",
-        ))
+        rows.append({"n": n, "weight": w, "nonlinearity": nl, "equal": w == nl,
+                     "source": "reference-table" if lo <= n <= hi else "computed"})
     return rows

@@ -79,11 +79,11 @@ def test_table_reproduction_nonlinearity():
 
 
 def test_table_reproduction_weights():
-    from rotsym.cli import _computed_weight_rows
+    from rotsym.cli import _computed_rows
 
     with criterion("table reproduction: degree-3 weights and components", 10.0):
         ref = load_reference_tables()["f3_weights"]
-        rows = _computed_weight_rows()
+        rows, _ = _computed_rows()
         assert [r["n"] for r in rows] == list(range(3, 13))
         for row in rows:
             expected = ref[row["n"]]
@@ -243,11 +243,11 @@ def test_conjecture_scan():
     with criterion("weight = nonlinearity scan (hard 3..9, soft 10..16)", 180.0):
         rows = conjecture_check(3, 16)
         for r in rows:
-            if r.n <= 9:
-                assert r.equal, f"published range broken at n={r.n}"
+            if r["n"] <= 9:
+                assert r["equal"], f"published range broken at n={r['n']}"
             else:
-                print(f"[ACCEPTANCE]   n={r.n}: weight={r.weight} "
-                      f"nonlinearity={r.nonlinearity} equal={r.equal} "
+                print(f"[ACCEPTANCE]   n={r['n']}: weight={r['weight']} "
+                      f"nonlinearity={r['nonlinearity']} equal={r['equal']} "
                       f"(informational)")
 
 

@@ -16,7 +16,6 @@ from rotsym import (
     build_f3,
     complement,
     complement_first_half,
-    component_weights_f3,
     f2_block_complements,
     f2_component,
     f3_block_complements_measured,
@@ -31,7 +30,7 @@ from rotsym import (
     weight,
 )
 from rotsym.builders import MACRON
-from rotsym.theory import FAST_MIN_N
+from rotsym.theory import FAST_MIN_N, family_table
 
 from oracles import operator_component, table_from_int, table_to_list
 
@@ -41,6 +40,11 @@ F3_SEEDS = ("DVDY", "VDVA", "XBXC")
 
 def orbit_table(gen, n):
     return anf_to_truth_table(rots_orbit_anf(gen, n))
+
+
+def f3_component_weights(n):
+    """Weights of h1..h4, the four segments of the n-variable degree-3 build."""
+    return tuple(f3_component(i, n - min(i, 3)).weight() for i in (1, 2, 3, 4))
 
 
 def oracle_monomial(indices, n):
@@ -175,6 +179,21 @@ def test_monomial_general_sampled_large():
                 oracle_monomial(combo, n), (combo, n)
 
 
+def monomial_cases():
+    """An n in 2..14 and an increasing set of at least two indices in 1..n."""
+    def indices(n):
+        idx = st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True)
+        return idx.map(lambda i: (tuple(sorted(i)), n))
+    return st.integers(2, 14).flatmap(indices)
+
+
+@settings(max_examples=50, deadline=None)
+@given(monomial_cases())
+def test_monomial_general_matches_anf_property(case):
+    idx, n = case
+    assert monomial_table_general(idx, n) == oracle_monomial(idx, n)
+
+
 def test_monomial_general_validation():
     with pytest.raises(ValueError):
         monomial_table_general((3,), 5)
@@ -295,17 +314,17 @@ def test_build_f3_matches_oracle():
 
 def test_build_f3_weight_examples():
     assert weight(build_f3(8)) == 80
-    assert component_weights_f3(9) == (72, 40, 26, 34)
-    assert component_weights_f3(10) == (156, 84, 52, 68)
-    assert component_weights_f3(12) == (712, 376, 220, 268)
-    assert sum(component_weights_f3(11)) == 760 == weight(build_f3(11))
+    assert f3_component_weights(9) == (72, 40, 26, 34)
+    assert f3_component_weights(10) == (156, 84, 52, 68)
+    assert f3_component_weights(12) == (712, 376, 220, 268)
+    assert sum(f3_component_weights(11)) == 760 == weight(build_f3(11))
 
 
 def test_build_f3_minimum():
     with pytest.raises(ValueError):
         build_f3(6)
-    with pytest.raises(ValueError):
-        component_weights_f3(6)
+    with pytest.raises(ValueError):  # h3 and h4 of n = 6 would sit at level 3
+        f3_component_weights(6)
 
 
 def test_build_f3_cost_closed_form():
@@ -376,7 +395,7 @@ def test_components_match_string_operators():
                 operator_component(F3_SEEDS, i, level, ref), (i, n)
             assert ours == ref
         if n >= 7:
-            assert component_weights_f3(n) == tuple(
+            assert f3_component_weights(n) == tuple(
                 operator_component(F3_SEEDS, i, n - min(i, 3)).weight()
                 for i in (1, 2, 3, 4))
 
@@ -389,6 +408,20 @@ def test_t_chain_matches_oracle():
     for n in range(3, 19):
         chain = AnfPolynomial.from_terms(n, [(i, i + 1) for i in range(1, n)])
         assert t_chain(n) == anf_to_truth_table(chain), n
+
+
+# the ANF each family selector's table expands: an orbit, or the open chain
+FAMILY_ANF = {
+    "f2": lambda n: rots_orbit_anf((1, 2), n),
+    "f3": lambda n: rots_orbit_anf((1, 2, 3), n),
+    "t": lambda n: AnfPolynomial.from_terms(n, [(i, i + 1) for i in range(1, n)]),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(FAMILY_ANF)), st.integers(3, 14))
+def test_family_table_matches_anf_property(selector, n):
+    assert family_table(selector, n) == anf_to_truth_table(FAMILY_ANF[selector](n))
 
 
 def rotation_symmetric_tables():

@@ -362,17 +362,50 @@ def test_tables_component_sums(capsys):
 
 def test_tables_mismatch_exits_2(capsys, monkeypatch):
     import rotsym.cli as cli_mod
+    from rotsym.refdata import load_reference_tables as real
 
     def corrupted():
-        from rotsym.refdata import load_reference_tables as real
         ref = real()
+        ref["f3_weights"][8]["weight"] = 1
+        ref["f3_weights"][9]["h2"] = 0
         ref["f3_nonlinearity"][4] = 999
         return ref
 
+    expected = ["mismatch: weights n=8 column weight: computed 80, reference 1",
+                "mismatch: weights n=9 column h2: computed 40, reference 0",
+                "mismatch: nonlinearity n=4: computed 4, reference 999"]
+    clean = {fmt: run(capsys, "tables", "--format", fmt)[1]
+             for fmt in ("csv", "json")}
     monkeypatch.setattr(cli_mod, "load_reference_tables", corrupted)
-    code, out, _ = run(capsys, "tables")
+    # text: the mismatch lines end the report on stdout
+    code, out, err = run(capsys, "tables")
     assert code == 2
-    assert "mismatch: nonlinearity n=4: computed 4, reference 999" in out
+    assert out.endswith("\n\n" + "\n".join(expected) + "\n")
+    assert "all cells match" not in out and err == ""
+    # csv and json: the data stay on stdout, the mismatch lines go to stderr
+    code, out, err = run(capsys, "tables", "--format", "csv")
+    assert (code, out, err.splitlines()) == (2, clean["csv"], expected)
+    code, out, err = run(capsys, "tables", "--format", "json")
+    assert (code, err.splitlines()) == (2, expected)
+    doc = json.loads(out)
+    assert doc == {**json.loads(clean["json"]), "match": False,
+                   "mismatches": expected}
+
+
+def test_tables_builds_each_n_once(capsys, monkeypatch):
+    import rotsym.theory
+
+    built = []
+    real = rotsym.theory.family_table
+
+    def counting(selector, n, *args, **kwargs):
+        built.append((selector, n))
+        return real(selector, n, *args, **kwargs)
+
+    for module in (rotsym.theory, rotsym.cli):
+        monkeypatch.setattr(module, "family_table", counting)
+    assert run(capsys, "tables")[0] == 0
+    assert built == [("f3", n) for n in range(3, 13)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ every file it writes are stored in tests/golden/<case>.json and compared
 exactly, so a refactor that changes any output byte fails here.  bench's
 text format is left out because it prints wall-clock timings.
 
-To record the files again after an intended output change:
+To record the files again after an intended output change, or to record
+new cases without touching the others, name the cases (no name: all):
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [NAME...]
 """
 
 from __future__ import annotations
@@ -96,6 +97,19 @@ CASES: dict[str, dict] = {
                                              "--generator", "1,x"]},
     "analyze_missing_file": {"argv": ["analyze", "--from-file",
                                       "/nonexistent/t.tt"]},
+    # a table file fixes the table: no selector, --n or --generator beside it
+    "analyze_from_file_selector": {"argv": ["analyze", "f3", "--n", "9",
+                                            "--from-file", "/nonexistent/f.tt"]},
+    "analyze_from_file_n": {"argv": ["analyze", "--from-file", "/nonexistent/f.tt",
+                                     "--n", "3..5", "--spectrum-csv",
+                                     "{tmp}/s.csv"]},
+    "analyze_from_file_generator": {"argv": ["analyze", "--from-file", "-",
+                                             "--generator", "1,2"],
+                                    "stdin": "n=5\n121d47b7\n"},
+    # only monomial and orbit take a generator
+    "build_t_generator": {"argv": ["build", "t", "--n", "5", "--generator", "9"]},
+    "analyze_f2_generator": {"argv": ["analyze", "f2", "--n", "5",
+                                      "--generator", "1,2"]},
     # tables
     "tables_text": {"argv": ["tables"]},
     "tables_csv": {"argv": ["tables", "--format", "csv"]},
@@ -121,6 +135,7 @@ CASES: dict[str, dict] = {
                                "--format", "json"]},
     "bench_f3_below_fast": {"argv": ["bench", "f3", "--n", "6"]},
     "bench_f2_above_cap": {"argv": ["bench", "f2", "--n", "8..25"]},
+    "bench_no_max_n": {"argv": ["bench", "f2", "--n", "5", "--max-n", "26"]},
     # gf
     "gf_f2_setup": {"argv": ["gf", "f2", "--upto", "0"]},
     "gf_f2_text": {"argv": ["gf", "f2", "--upto", "20"]},
@@ -166,9 +181,13 @@ def test_every_golden_file_has_a_case():
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case: {' '.join(unknown)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, case in CASES.items():
+    for name in names:
         (GOLDEN_DIR / f"{name}.json").write_text(
-            json.dumps(run_case(case), indent=1, sort_keys=True) + "\n",
+            json.dumps(run_case(CASES[name]), indent=1, sort_keys=True) + "\n",
             encoding="utf-8")
         print(name)

@@ -17,11 +17,12 @@ import rotsym
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# The names `rotsym/__init__.py` imported eagerly before it became lazy.
+# The names `rotsym/__init__.py` imported eagerly before it became lazy,
+# less the deleted `ConjectureRow` and `component_weights_f3`.
 EXPORTED = {
     "builders": (
         "BLOCKS", "BitString", "OpCounter", "build_f2", "build_f3",
-        "complement", "complement_first_half", "component_weights_f3",
+        "complement", "complement_first_half",
         "f2_block_complements", "f2_component", "f3_block_complements_claimed",
         "f3_block_complements_measured", "f3_component", "hat",
         "monomial_table_general", "repeat", "rots_orbit_anf", "tilde",
@@ -33,7 +34,7 @@ EXPORTED = {
         "walsh_transform", "weight",
     ),
     "theory": (
-        "ConjectureRow", "RationalGF", "builtin_gfs", "conjecture_check",
+        "RationalGF", "builtin_gfs", "conjecture_check",
         "family_table", "gf_series", "nl_f2", "nl_lower_bound_fk", "t_chain",
         "wt_f2_closed", "wt_f2_recurrence", "wt_f3_recurrence",
     ),

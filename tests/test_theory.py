@@ -217,21 +217,21 @@ def test_t_chain_parity_classes():
 
 def test_conjecture_published_range():
     rows = conjecture_check(3, 9)
-    assert [r.weight for r in rows] == [1, 4, 6, 18, 36, 80, 172]
-    assert all(r.equal for r in rows)
-    assert all(r.source == "reference-table" for r in rows)
+    assert [r["weight"] for r in rows] == [1, 4, 6, 18, 36, 80, 172]
+    assert all(r["equal"] for r in rows)
+    assert all(r["source"] == "reference-table" for r in rows)
 
 
 def test_conjecture_row_n10():
     (row,) = conjecture_check(10, 10)
-    assert row.weight == 360
-    assert row.source == "computed"
-    assert row.equal == (row.nonlinearity == 360)
+    assert row == {"n": 10, "weight": 360, "nonlinearity": row["nonlinearity"],
+                   "equal": row["nonlinearity"] == 360, "source": "computed"}
+    assert list(row) == ["n", "weight", "nonlinearity", "equal", "source"]
 
 
 def test_conjecture_single_n3():
     (row,) = conjecture_check(3, 3)
-    assert row.weight == row.nonlinearity == 1
+    assert row["weight"] == row["nonlinearity"] == 1
 
 
 def test_conjecture_range_validation():
