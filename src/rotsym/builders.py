@@ -408,8 +408,9 @@ def f3_block_complements_measured(n: int) -> int:
 def f3_block_complements_claimed(n: int) -> int:
     """The published degree-3 operation count, kept verbatim for comparison.
 
-    Its counting unit does not reproduce under the block-complement
-    convention that matches the degree-2 count; bench reports both values
-    side by side instead of adjusting either.
+    It is not a count of 4-bit blocks, the unit that matches the degree-2
+    count: it equals the bits build_f3 complements, 4 *
+    f3_block_complements_measured(n), plus 2^(n-5).  bench reports both
+    values side by side instead of adjusting either.
     """
     return (1 << (n - 2)) + (1 << (n - 4)) + (1 << (n - 5)) - 12

@@ -25,7 +25,13 @@ from .builders import (  # noqa: E402
     f3_block_complements_claimed,
     f3_component,
 )
-from .core import MAX_VARS, TruthTable, pc_profile, walsh_transform  # noqa: E402
+from .core import (  # noqa: E402
+    MAX_VARS,
+    TruthTable,
+    pc_profile,
+    walsh_summary,
+    walsh_transform,
+)
 from .refdata import load_reference_tables, weight_table_columns  # noqa: E402
 from .theory import (  # noqa: E402
     FAMILY_GENERATORS,
@@ -78,7 +84,7 @@ def _parse_generator(text: str) -> tuple[int, ...]:
 def _check_range(args: argparse.Namespace, cap: int) -> None:
     if not 3 <= args.n_lo <= args.n_hi <= MAX_VARS:
         raise UsageError(f"n must lie in 3..{MAX_VARS}, got {args.n_lo}..{args.n_hi}")
-    limit = min(max(args.max_n, DEFAULT_MAX_N), MAX_VARS)
+    limit = min(max(args.max_n or 0, DEFAULT_MAX_N), MAX_VARS)
     if args.n_hi > min(cap, limit):
         raise UsageError(
             f"n={args.n_hi} above the cap {min(cap, limit)}"
@@ -159,15 +165,18 @@ def cmd_build(args: argparse.Namespace) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _analyze_one(table: TruthTable) -> dict:
-    spec = walsh_transform(table)
+def _analyze_one(table: TruthTable, spectrum: bool) -> dict:
+    """The report row; from the stored spectrum when the command asks for
+    one, else from walsh_summary, which stores none."""
+    summary = (walsh_transform(table).summary() if spectrum
+               else walsh_summary(table))
     return {
         "n": table.n,
         "weight": table.weight(),
-        "nonlinearity": spec.nonlinearity(),
+        "nonlinearity": summary.nonlinearity(),
         "balanced": table.is_balanced(),
-        "bent": spec.is_bent(),
-        "semibent": spec.is_semi_bent(),
+        "bent": summary.is_bent(),
+        "semibent": summary.is_semi_bent(),
     }
 
 
@@ -199,6 +208,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.from_file is not None:
         if args.selector or args.n or args.generator:
             raise UsageError("--from-file takes no selector, --n or --generator")
+        if args.max_n is not None:
+            raise UsageError("--from-file takes no --max-n: the file fixes n")
         if args.from_file == "-":
             text = sys.stdin.read()
         else:
@@ -215,7 +226,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                   for n in range(args.n_lo, args.n_hi + 1))
 
     for table in tables:
-        row = _analyze_one(table)
+        row = _analyze_one(table, args.pc or args.spectrum_csv is not None)
         rows.append(row)
         lines.append(_kv_line(row))
         if args.pc:
@@ -365,8 +376,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if any(not r["match"] for r in rows):
         lines.append(
             "note: measured counts are complemented 4-bit blocks; the"
-            " claimed formula uses a different (unstated) operation unit"
-            " and is reported verbatim, not adjusted")
+            " claimed degree-3 count is the complemented bits (4 per block)"
+            " plus 2^(n-5), reported verbatim, not adjusted")
     _output(args, _rows_to_csv(cols, rows),
             [{k: r[k] for k in cols} for r in rows], lines)
     return 0
@@ -437,7 +448,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--pc", action="store_true",
                     help="include the propagation-criterion profile (text)")
     sp.add_argument("--spectrum-csv", help="also write the spectrum as CSV")
-    sp.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+    sp.add_argument("--max-n", type=int)
     add_common(sp)
 
     sp = sub.add_parser("tables",

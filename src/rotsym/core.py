@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ _FLOAT_BITS = 24
 _GROUP_BITS = 5        # index bits per GEMM stage, against one 32x32 matrix
 _GEMM_MACS = 1 << 18   # multiply-adds per GEMM call (see _gemm_bits)
 _CHUNK = 1 << 16       # float32 values per chunk of walsh_transform's pass 1
+_INT16_CHUNK = 1 << 14  # values per int16 chunk of walsh_summary's pass 1
 _PANEL = 1 << 17       # float32 values per panel of its pass 2
 _PC_SCRATCH_BYTES = 1 << 17  # each float64 scratch buffer of pc_profile
 _CSV_ROWS = 1 << 14    # rows per formatted block of WalshSpectrum.write_csv
@@ -309,10 +310,62 @@ def _popcount_classes(count: int) -> np.ndarray:
     return out
 
 
+class WalshSummary(NamedTuple):
+    """What the criteria read from a Walsh spectrum W of n variables.
+
+    w0 = W(0), the extremes max and min, and how many values are 0
+    (zeros) and +-amp (at_amp), where amp = 2^ceil(n/2) is the bent
+    amplitude 2^(n/2) for even n and the semi-bent 2^((n+1)/2) for odd n.
+    """
+
+    n: int
+    w0: int
+    max: int
+    min: int
+    zeros: int
+    at_amp: int
+
+    @classmethod
+    def _of(cls, n: int, tallies) -> "WalshSummary":
+        """Combine the _tally of blocks that hold every value once, the first
+        block starting at W(0)."""
+        w0, high, low, zeros, at_amp = zip(*tallies)
+        return cls(n, int(w0[0]), int(max(high)), int(min(low)),
+                   int(sum(zeros)), int(sum(at_amp)))
+
+    def max_abs(self) -> int:
+        return max(self.max, -self.min)
+
+    def nonlinearity(self) -> int:
+        """Minimum distance to the 2^(n+1) affine functions."""
+        return (1 << (self.n - 1)) - self.max_abs() // 2
+
+    def is_bent(self) -> bool:
+        """Flat spectrum |W| = 2^(n/2); always false for odd n."""
+        return self.n % 2 == 0 and self.at_amp == 1 << self.n
+
+    def is_semi_bent(self) -> bool:
+        """Spectral semi-bent test for n = 2k+1; always false for even n.
+
+        Requires values in {0, +-2^(k+1)} and a balanced function, W(0) = 0.
+        By Parseval such a spectrum has exactly 2^(2k) zeros.
+        """
+        return (self.n % 2 == 1 and self.w0 == 0
+                and self.zeros + self.at_amp == 1 << self.n)
+
+
+def _tally(n: int, block: np.ndarray) -> tuple:
+    """A block's first value, max and min, and its counts of 0 and of
+    +-2^ceil(n/2), for WalshSummary._of."""
+    amp = 1 << ((n + 1) // 2)
+    return (block.flat[0], block.max(), block.min(), np.count_nonzero(block == 0),
+            np.count_nonzero(block == amp) + np.count_nonzero(block == -amp))
+
+
 class WalshSpectrum:
     """The 2^n signed values of the Walsh-Hadamard transform of (-1)^f."""
 
-    __slots__ = ("n", "values", "_max_abs")
+    __slots__ = ("n", "values", "_summary")
 
     def __init__(self, n: int, values: np.ndarray | Sequence[int]):
         arr = np.array(values, dtype=np.int32)  # a private copy
@@ -331,7 +384,7 @@ class WalshSpectrum:
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_max_abs", None)
+        object.__setattr__(self, "_summary", None)
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("WalshSpectrum is immutable")
@@ -346,45 +399,17 @@ class WalshSpectrum:
         return (isinstance(other, WalshSpectrum) and self.n == other.n
                 and bool(np.array_equal(self.values, other.values)))
 
+    def summary(self) -> WalshSummary:
+        """The criteria's reductions, taken once per spectrum over blocks of
+        _PANEL values, so no temporary is spectrum-sized."""
+        if self._summary is None:
+            object.__setattr__(self, "_summary", WalshSummary._of(self.n, (
+                _tally(self.n, self.values[start:start + _PANEL])
+                for start in range(0, len(self), _PANEL))))
+        return self._summary
+
     def max_abs(self) -> int:
-        # taken once per spectrum: two reductions, no |W| array; -min is
-        # taken on a Python int
-        if self._max_abs is None:
-            object.__setattr__(self, "_max_abs", max(int(self.values.max()),
-                                                     -int(self.values.min())))
-        return self._max_abs
-
-    def _count_of(self, *targets: int) -> int:
-        """How many values equal one of the (distinct) targets."""
-        return sum(int(np.count_nonzero(self.values == t)) for t in targets)
-
-    def nonlinearity(self) -> int:
-        """Minimum distance to the 2^(n+1) affine functions."""
-        return (1 << (self.n - 1)) - self.max_abs() // 2
-
-    def is_bent(self) -> bool:
-        """Flat spectrum |W| = 2^(n/2); always false for odd n.
-
-        max|W| = 2^(n/2) is checked first; then the values equal to +2^(n/2)
-        or -2^(n/2) are counted.  Both are exact for any values and build no
-        |W| array.
-        """
-        if self.n % 2 == 1:
-            return False
-        amp = 1 << (self.n // 2)
-        return self.max_abs() == amp and self._count_of(amp, -amp) == len(self)
-
-    def is_semi_bent(self) -> bool:
-        """Spectral semi-bent test for n = 2k+1; always false for even n.
-
-        Requires values in {0, +-2^(k+1)} and a balanced function, W(0) = 0.
-        By Parseval such a spectrum has exactly 2^(2k) zeros.
-        """
-        if self.n % 2 == 0:
-            return False
-        amp = 1 << ((self.n + 1) // 2)
-        return (self[0] == 0 and self.max_abs() <= amp
-                and self._count_of(0, amp, -amp) == len(self))
+        return self.summary().max_abs()
 
     def pc_profile(self) -> dict[int, tuple[int, int]]:
         """Per-weight-class tallies of balanced derivatives over all directions.
@@ -414,12 +439,12 @@ class WalshSpectrum:
         n, half = self.n, len(self) // 2
         low, high = self.values[:half], self.values[half:]
 
-        def load(start, chunk, out):
+        def load(start, count, out):
             # W^2 with the top index bit transformed: low^2 +- high^2
-            np.square(low[start:start + chunk], out=out[:chunk],
+            np.square(low[start:start + count], out=out[:count],
                       dtype=np.float64)
-            combine(out[:chunk], np.square(high[start:start + chunk],
-                                           dtype=np.float64), out=out[:chunk])
+            combine(out[:count], np.square(high[start:start + count],
+                                           dtype=np.float64), out=out[:count])
 
         def finish(col, done):
             # done[r, j] = 2^n * sum_x (-1)^(f(x)+f(x+c)) for the direction c
@@ -435,18 +460,12 @@ class WalshSpectrum:
         buf = np.empty(half, dtype=np.float64)
         scratch = _PC_SCRATCH_BYTES // 8
         for top, combine in ((0, np.add), (1, np.subtract)):  # read by both
-            _two_pass(buf, n - 1, scratch, scratch, load, finish)
+            _two_pass(buf, np.float64, n - 1, scratch, scratch, load, finish)
         tallies = np.zeros(n + 1, dtype=np.int64)
         for key, zeros in counts.items():  # weight key + row class + column class
             a, b = np.indices(zeros.shape)
             np.add.at(tallies, key + a + b, zeros.astype(np.int64))
         return {w: (int(tallies[w]), comb(n, w)) for w in range(1, n + 1)}
-
-    def zero_count(self) -> int:
-        return int(np.count_nonzero(self.values == 0))
-
-    def parseval_sum(self) -> int:
-        return int(np.sum(self.values.astype(np.int64) ** 2))
 
     def write_csv(self, fileobj) -> None:
         """CSV export with columns w, value, written to a text file.
@@ -560,24 +579,30 @@ def _gemm_bits(src: np.ndarray, spare: np.ndarray, lo: int, hi: int) -> np.ndarr
     return src
 
 
-def _two_pass(buf: np.ndarray, float_bits: int, chunk: int, panel: int,
-              load, finish) -> None:
+def _two_pass(buf: np.ndarray, dtype, float_bits: int, chunk: int,
+              panel: int, load, finish) -> None:
     """Transform the low float_bits index bits of 2^n values through buf.
 
     H_(2^n) is the Kronecker product of one H_2 per index bit, so the bits
-    can be transformed in groups and in any order.  buf is a float array of
-    the 2^n values' length; the values go through it in two passes, and
-    through two scratch buffers of at most max(chunk, panel) values that
-    stay in cache:
+    can be transformed in groups and in any order.  buf is an array of the
+    2^n values' length; the values go through it in two passes, and
+    through two scratch buffers of the GEMM dtype and at most
+    max(chunk, panel) values that stay in cache:
 
-    1. Chunks.  For each run of `chunk` values, load(start, chunk, a) writes
-       the inputs start..start+chunk-1 into a[:chunk] (it may use a beyond
-       that), and the low log2(chunk) index bits are transformed there by
-       _gemm_bits.  The chunk is stored in buf.
+    1. Chunks.  The values are loaded a panel's worth of whole chunks at a
+       time: load(start, count, a) writes the inputs start..start+count-1
+       into a[:count] (it may use a beyond that), and the low log2(chunk)
+       index bits of each chunk are transformed there by _gemm_bits.  The
+       chunks are stored in buf, cast to buf's dtype.
     2. Panels.  buf is a (2^n / chunk) x chunk grid whose row index holds
        the bits above the chunk's.  A panel of all the rows and the next
-       panel / rows columns is gathered into contiguous scratch, and the
-       remaining float bits are transformed there.
+       panel / rows columns is gathered into contiguous scratch, cast to
+       the GEMM dtype, and the remaining float bits are transformed there.
+
+    The casts are exact when buf's dtype holds every value after the
+    chunk's bits: after k bits every value is a signed sum of at most 2^k
+    inputs of magnitude <= M, so |v| <= 2^k M (int16 holds the +-1 values
+    after log2(chunk) <= 14 bits, since 2^14 < 2^15).
 
     Each finished panel goes to finish(col, done): done[r, j] is output
     value r * chunk + col + j.  When one chunk holds all 2^n values, it is
@@ -585,84 +610,126 @@ def _two_pass(buf: np.ndarray, float_bits: int, chunk: int, panel: int,
     GEMM runs on contiguous data in cache, and the grid's rows are read
     once per panel only.  Beyond buf, the pass allocates only the two
     scratch buffers; a finish that transforms further bits brings its own
-    (walsh_transform's 2 * 8 * _PANEL bytes of float64 when n > 24).
+    (_walsh_two_pass's 2 * 8 * _PANEL bytes of float64 when n > 24).
     """
     size = buf.size
     chunk = min(size, chunk)
     rows = size // chunk  # of the grid of pass 2
     width = min(chunk, panel // rows)  # of a panel
-    a, b = np.empty((2, max(8, rows * width)), dtype=buf.dtype)
+    a, b = np.empty((2, max(8, rows * width)), dtype=dtype)
     cbits = chunk.bit_length() - 1
-    x, y = a[:chunk], b[:chunk]
-    for start in range(0, size, chunk):
-        load(start, chunk, a)
+    block = rows * width  # whole chunks per load: one panel's worth
+    x, y = a[:block], b[:block]
+    for start in range(0, size, block):
+        load(start, block, a)
         done = _gemm_bits(x, y, 0, min(float_bits, cbits))
         if rows == 1:
             finish(0, done.reshape(1, chunk))
         else:
-            np.copyto(buf[start:start + chunk], done)
+            np.copyto(buf[start:start + block], done, casting="unsafe")
     if rows > 1:  # a and b hold exactly one panel
         wbits = width.bit_length() - 1
-        grid = buf.reshape(rows, chunk)
-        for col in range(0, chunk, width):
-            np.copyto(a.reshape(rows, width), grid[:, col:col + width])
+        # a panel's row is one void item, so the gather is one strided copy
+        # (a 2-d copy runs its inner loop once per row); a buf of another
+        # dtype is staged in b and then cast into a
+        row = np.dtype((np.void, width * buf.itemsize))
+        grid = buf.view(row).reshape(rows, -1)
+        staged = a if buf.dtype == a.dtype else b.view(buf.dtype)[:a.size]
+        for k in range(chunk // width):
+            np.copyto(staged.view(row), grid[:, k])
+            if staged is not a:
+                np.copyto(a, staged, casting="unsafe")
             done = _gemm_bits(a, b, wbits, wbits + float_bits - cbits)
-            finish(col, done.reshape(rows, width))
+            finish(k * width, done.reshape(rows, width))
 
 
-def walsh_transform(tt: TruthTable) -> WalshSpectrum:
-    """Spectrum values[w] = sum over x of (-1)^(f(x) + w.x), as int32.
+def _walsh_two_pass(tt: TruthTable, buf: np.ndarray, chunk: int, finish) -> None:
+    """Take the transform of (-1)^tt through buf by _two_pass, finishing
+    each panel to finish(col, done).
 
-    The spectrum is built in one 4*2^n-byte float32 buffer by _two_pass,
-    with chunks of _CHUNK values (256 KiB) and panels of _PANEL values
-    (512 KiB).  The chunks' +-1 values are read from the packed bytes
-    through _SIGNS; the low min(n, 24) index bits are transformed as
-    float32 GEMMs.  For n = 25, 26 each finished panel is copied into a
-    float64 panel scratch, and bits 24 and 25 follow there as float64
-    GEMMs.  Each finished panel, float32 or float64, is cast straight into
-    the int32 view of the bytes it came from, and that view becomes the
-    spectrum, without a copy.
+    The chunks' +-1 values are read from the packed bytes through _SIGNS;
+    the low min(n, 24) index bits are transformed as float32 GEMMs.  For
+    n = 25, 26 each finished panel is copied into a float64 panel scratch,
+    and bits 24 and 25 follow there as float64 GEMMs.
 
     This is exact: after the bits below b are done every value, and every
     partial sum a GEMM forms, is a signed sum of at most 2^b of the +-1
     inputs, an integer that float32 holds exactly for b <= 24 and float64
-    for b <= 53, in any summation order and with or without FMA; the
-    result |W| <= 2^26 < 2^31 fits int32.  Beyond the table, peak memory is
-    the one buffer and the 2 * 4 * _PANEL bytes of float32 scratch, plus
-    2 * 8 * _PANEL bytes (2 MiB) of float64 scratch when n > 24.
+    for b <= 53, in any summation order and with or without FMA.  Beyond
+    the table and buf, peak memory is the 2 * 4 * _PANEL bytes of float32
+    scratch, plus 2 * 8 * _PANEL bytes (2 MiB) of float64 scratch when
+    n > 24.
     """
-    n, size, raw = tt.n, tt.size, tt.data
-    buf = np.empty(size, dtype=np.float32)
-    ints = buf.view(np.int32)
+    n, raw = tt.n, tt.data
 
-    def load(start, chunk, out):
-        nb = max(1, chunk // 8)  # packed bytes per chunk; n < 3: a partial byte
+    def load(start, count, out):
+        nb = max(1, count // 8)  # packed bytes; n < 3: a partial byte
         np.take(_SIGNS, raw[start // 8:start // 8 + nb], axis=0,
                 out=out[:8 * nb].reshape(nb, 8), mode="clip")
 
     if n > _FLOAT_BITS:
         wide = np.empty((2, _PANEL), dtype=np.float64)
 
-    def finish(col, done):
+    def finish_high(col, done):
         rows, width = done.shape
         if n > _FLOAT_BITS:
             # the panel's row bits sit above its log2(width) column bits and
-            # start at global bit log2(_CHUNK), so global bits 24..n-1 are
+            # start at global bit log2(chunk), so global bits 24..n-1 are
             # panel bits lo..lo+n-25
-            lo = width.bit_length() + _FLOAT_BITS - _CHUNK.bit_length()
+            lo = width.bit_length() + _FLOAT_BITS - chunk.bit_length()
             x, y = wide[:, :done.size]
             np.copyto(x, done.reshape(-1))
             done = _gemm_bits(x, y, lo, lo + n - _FLOAT_BITS).reshape(rows, width)
+        finish(col, done)
+
+    _two_pass(buf, np.float32, min(n, _FLOAT_BITS), chunk, _PANEL, load,
+              finish_high)
+
+
+def walsh_transform(tt: TruthTable) -> WalshSpectrum:
+    """Spectrum values[w] = sum over x of (-1)^(f(x) + w.x), as int32.
+
+    The spectrum is built in one 4*2^n-byte float32 buffer by
+    _walsh_two_pass, with chunks of _CHUNK values (256 KiB) and panels of
+    _PANEL values (512 KiB).  Each finished panel, float32 or float64, is
+    cast straight into the int32 view of the bytes it came from, and that
+    view becomes the spectrum, without a copy.  Exact, as _walsh_two_pass
+    says; the result |W| <= 2^26 < 2^31 fits int32.  Beyond the table,
+    peak memory is the one buffer and _walsh_two_pass's scratch.
+    """
+    buf = np.empty(tt.size, dtype=np.float32)
+    ints = buf.view(np.int32)
+
+    def finish(col, done):
+        rows, width = done.shape
         np.copyto(ints.reshape(rows, -1)[:, col:col + width], done,
                   casting="unsafe")
 
-    _two_pass(buf, min(n, _FLOAT_BITS), _CHUNK, _PANEL, load, finish)
-    return WalshSpectrum._adopt(n, ints)
+    _walsh_two_pass(tt, buf, _CHUNK, finish)
+    return WalshSpectrum._adopt(tt.n, ints)
+
+
+def walsh_summary(tt: TruthTable) -> WalshSummary:
+    """The WalshSummary of tt's spectrum, without a stored spectrum.
+
+    _walsh_two_pass runs with an int16 buf and chunks of _INT16_CHUNK
+    values: pass 1 stores each chunk's 14 transformed bits as int16, exact
+    since then |v| <= 2^14 < 2^15, and pass 2 gathers int16 panels into
+    float32 scratch and finishes bits 14..n-1 there (24..n-1 in float64).
+    Each finished panel is reduced by _tally and never written back.  So
+    beside the table the peak is the 2*2^n-byte int16 buffer and
+    _walsh_two_pass's scratch: 131 MiB at n = 26, where the int32
+    spectrum alone is 256 MiB.
+    """
+    tallies = []
+    _walsh_two_pass(tt, np.empty(tt.size, dtype=np.int16), _INT16_CHUNK,
+                    lambda col, done: tallies.append(_tally(tt.n, done)))
+    return WalshSummary._of(tt.n, tallies)
 
 
 def nonlinearity(tt: TruthTable) -> int:
     """Minimum distance to the 2^(n+1) affine functions, via the spectrum."""
-    return walsh_transform(tt).nonlinearity()
+    return walsh_summary(tt).nonlinearity()
 
 
 def pc_profile(f: TruthTable) -> dict[int, tuple[int, int]]:
@@ -672,12 +739,12 @@ def pc_profile(f: TruthTable) -> dict[int, tuple[int, int]]:
 
 def is_bent(f: TruthTable) -> bool:
     """Flat spectrum test; always false for odd n."""
-    return walsh_transform(f).is_bent()
+    return walsh_summary(f).is_bent()
 
 
 def is_semi_bent_spectral(f: TruthTable) -> bool:
     """Spectral semi-bent test for n = 2k+1; always false for even n."""
-    return walsh_transform(f).is_semi_bent()
+    return walsh_summary(f).is_semi_bent()
 
 
 def apply_affine_transform(h: TruthTable, t: AffineTransform) -> TruthTable:

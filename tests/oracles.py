@@ -92,6 +92,26 @@ def butterfly_walsh(tt: TruthTable) -> np.ndarray:
     return _butterfly(1 - 2 * bits.astype(np.int32))
 
 
+def zero_count(values) -> int:
+    """How many spectrum values are 0."""
+    return int(np.count_nonzero(np.asarray(values) == 0))
+
+
+def parseval_sum(values) -> int:
+    """The sum of the squared spectrum values, in int64."""
+    return int(np.sum(np.asarray(values, dtype=np.int64) ** 2))
+
+
+def spectrum_reductions(values) -> tuple[int, int, int, int, int]:
+    """W(0), max, min, the zero count and the count of |W| = amp of a whole
+    spectrum, where amp is 2^(n/2) for even n and 2^((n+1)/2) for odd n."""
+    v = np.asarray(values)
+    n = v.size.bit_length() - 1
+    amp = 1 << (n // 2 if n % 2 == 0 else (n + 1) // 2)
+    return (int(v[0]), int(v.max()), int(v.min()), zero_count(v),
+            int(np.count_nonzero(v == amp) + np.count_nonzero(v == -amp)))
+
+
 def autocorrelation_pc_profile(values) -> dict[int, tuple[int, int]]:
     """{w: (satisfied, total)} from a spectrum, through an int64 butterfly.
 

@@ -42,8 +42,10 @@ from oracles import (
     dot2,
     gf2_apply,
     gf2_transpose,
+    parseval_sum,
     random_invertible_rows,
     random_table,
+    zero_count,
 )
 
 
@@ -108,10 +110,10 @@ def test_f2_cost_claim():
 
 
 def test_f3_cost_comparison(capsys):
-    # The claimed degree-3 count uses an unstated operation unit and does not
-    # reproduce under the block-complement convention that matches the
-    # degree-2 count exactly.  The criterion is that the measured value is
-    # deterministic and that bench reports both numbers verbatim.
+    # The claimed degree-3 count is not a count of the 4-bit blocks that
+    # match the degree-2 count exactly: it is the complemented bits plus
+    # 2^(n-5).  The criterion is that the measured value is deterministic
+    # and that bench reports both numbers verbatim.
     with criterion("degree-3 cost: measured vs claimed, reported verbatim"):
         deviations = []
         for n in range(8, 21):
@@ -164,7 +166,7 @@ def test_bent_semibent_suite():
         for n in range(5, 14, 2):
             f = build_f2(n)
             assert is_semi_bent_spectral(f) is True, n
-            assert walsh_transform(f).zero_count() == 1 << (n - 1), n
+            assert zero_count(walsh_transform(f).values) == 1 << (n - 1), n
         for n in range(6, 17, 2):
             assert is_bent(build_f2(n)) is False, n
 
@@ -258,7 +260,7 @@ def test_property_suite():
         for i in range(1000):
             n = ns[i % len(ns)]
             spec = walsh_transform(random_table(rng, n))
-            assert spec.parseval_sum() == 1 << (2 * n)
+            assert parseval_sum(spec.values) == 1 << (2 * n)
         for i in range(100):
             n = 3 + (i % 8)  # 3..10
             t = random_table(rng, n)

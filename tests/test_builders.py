@@ -18,6 +18,7 @@ from rotsym import (
     complement_first_half,
     f2_block_complements,
     f2_component,
+    f3_block_complements_claimed,
     f3_block_complements_measured,
     f3_component,
     hat,
@@ -333,6 +334,9 @@ def test_build_f3_cost_closed_form():
         build_f3(n, counter)
         assert counter.block_complements == f3_block_complements_measured(n) \
             == (1 << (n - 4)) + (1 << (n - 6)) - 3
+        # the published count is the complemented bits plus 2^(n-5)
+        assert f3_block_complements_claimed(n) \
+            == counter.bits_complemented + (1 << (n - 5))
 
 
 def test_f3_component_weight_recurrence():

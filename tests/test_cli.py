@@ -114,6 +114,15 @@ def test_build_above_default_cap_with_flag(capsys):
 # analyze
 # ---------------------------------------------------------------------------
 
+def test_analyze_26_peak_rss_over_startup_is_an_int16_spectrum():
+    # the criteria come from walsh_summary: beside the table, one int16
+    # value per spectrum entry and cache-sized scratch; no int32 spectrum
+    n = 26
+    analyze = _peak_rss("analyze", "f3", "--n", str(n), "--max-n", str(n))
+    noop = _peak_rss("gf", "f2", "--upto", "0")
+    assert analyze - noop <= 2 * (1 << n) + (1 << n) // 8 + (16 << 20)
+
+
 def test_analyze_f3_n9(capsys):
     code, out, _ = run(capsys, "analyze", "f3", "--n", "9")
     assert code == 0
@@ -225,7 +234,7 @@ def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch, exc, message):
     def no_memory(table):
         raise exc
 
-    monkeypatch.setattr(rotsym.cli, "walsh_transform", no_memory)
+    monkeypatch.setattr(rotsym.cli, "walsh_summary", no_memory)
     assert run(capsys, "analyze", "f2", "--n", "9") == (1, "", message)
 
 
@@ -459,7 +468,8 @@ def test_bench_f3_reports_discrepancy_verbatim(capsys):
     assert "measured-blocks=317" in out
     assert "claimed-blocks=1396" in out
     assert "match=false" in out
-    assert "reported verbatim, not adjusted" in out
+    assert "claimed degree-3 count is the complemented bits (4 per block)" \
+        " plus 2^(n-5), reported verbatim, not adjusted" in out
 
 
 def test_bench_csv_has_no_timings(capsys):

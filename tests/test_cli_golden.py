@@ -97,7 +97,8 @@ CASES: dict[str, dict] = {
                                              "--generator", "1,x"]},
     "analyze_missing_file": {"argv": ["analyze", "--from-file",
                                       "/nonexistent/t.tt"]},
-    # a table file fixes the table: no selector, --n or --generator beside it
+    # a table file fixes the table: no selector, --n, --generator or
+    # --max-n beside it
     "analyze_from_file_selector": {"argv": ["analyze", "f3", "--n", "9",
                                             "--from-file", "/nonexistent/f.tt"]},
     "analyze_from_file_n": {"argv": ["analyze", "--from-file", "/nonexistent/f.tt",
@@ -106,6 +107,9 @@ CASES: dict[str, dict] = {
     "analyze_from_file_generator": {"argv": ["analyze", "--from-file", "-",
                                              "--generator", "1,2"],
                                     "stdin": "n=5\n121d47b7\n"},
+    "analyze_from_file_max_n": {"argv": ["analyze", "--from-file", "-",
+                                         "--max-n", "3"],
+                                "stdin": "n=5\n121d47b7\n"},
     # only monomial and orbit take a generator
     "build_t_generator": {"argv": ["build", "t", "--n", "5", "--generator", "9"]},
     "analyze_f2_generator": {"argv": ["analyze", "f2", "--n", "5",

@@ -22,6 +22,7 @@ from rotsym import (
     nonlinearity,
     pc_profile,
     t_chain,
+    walsh_summary,
     walsh_transform,
     weight,
 )
@@ -39,10 +40,12 @@ from oracles import (
     linear_table,
     mobius_anf,
     packbits_hex,
+    parseval_sum,
     random_invertible_rows,
     random_table,
     slow_table,
     slow_walsh,
+    spectrum_reductions,
     table_from_int,
     table_from_list,
     table_to_list,
@@ -219,7 +222,7 @@ def test_walsh_linear_functions():
         for b in range(1 << n):
             spec = walsh_transform(linear_table(n, b))
             assert spec[b] == 1 << n
-            assert spec.parseval_sum() == 1 << (2 * n)
+            assert parseval_sum(spec.values) == 1 << (2 * n)
 
 
 def test_walsh_matches_slow_transform():
@@ -236,7 +239,7 @@ def test_walsh_invariants_random():
     for n in range(1, 11):
         t = random_table(rng, n)
         spec = walsh_transform(t)
-        assert spec.parseval_sum() == 1 << (2 * n)
+        assert parseval_sum(spec.values) == 1 << (2 * n)
         assert spec[0] == (1 << n) - 2 * weight(t)
         assert all(v % 2 == 0 for v in spec.values)
         assert t.is_balanced() == (spec[0] == 0)
@@ -251,7 +254,7 @@ def _tables(max_n: int):
 @settings(max_examples=50, deadline=None)
 @given(_tables(12))
 def test_parseval_holds_for_every_table(t):
-    assert walsh_transform(t).parseval_sum() == 1 << (2 * t.n)
+    assert parseval_sum(walsh_transform(t).values) == 1 << (2 * t.n)
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 14, 15, 16, 17, 18, 20, 21, 22,
@@ -344,6 +347,63 @@ def test_walsh_transform_memory_is_one_buffer(n):
     assert peak <= 4 * (1 << n) + extra
 
 
+def _summary_fields(t: TruthTable) -> tuple[int, int, int, int, int]:
+    s = walsh_summary(t)
+    return s.w0, s.max, s.min, s.zeros, s.at_amp
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables(16))
+@example(t_chain(16))                     # bent: every |W| = 2^8
+@example(build_f2(15))                    # semi-bent: W in {0, +-2^8}
+def test_walsh_summary_matches_butterfly_reductions(t):
+    assert _summary_fields(t) == spectrum_reductions(butterfly_walsh(t))
+    assert walsh_transform(t).summary() == walsh_summary(t)
+
+
+@pytest.mark.parametrize("n", [24, 25, 26])
+@pytest.mark.parametrize("build", [build_f2, build_f3], ids=("f2", "f3"))
+def test_walsh_summary_matches_transform_at_large_n(build, n):
+    # 24 is the last bit done in float32; 25 and 26 finish in float64
+    t = build(n)
+    assert _summary_fields(t) == spectrum_reductions(walsh_transform(t).values)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_walsh_summary_of_constant_tables(n):
+    # pass 1 stores +-2^14, the largest magnitude int16 must hold
+    for t, sign in ((TruthTable.zeros(n), 1), (TruthTable.ones(n), -1)):
+        w0 = sign << n
+        assert _summary_fields(t) == (w0, max(w0, 0), min(w0, 0),
+                                      (1 << n) - 1, 0)
+
+
+def test_walsh_summary_one_constant_chunk():
+    # chunk 5 of 2^14 values is all ones, so its pass-1 W(0) is -2^14; the
+    # other chunks are random
+    n, chunk = 20, 1 << 14
+    rng = random.Random(5)
+    bits = rng.getrandbits(1 << n) | (((1 << chunk) - 1) << (5 * chunk))
+    t = table_from_int(n, bits)
+    assert _summary_fields(t) == spectrum_reductions(butterfly_walsh(t))
+
+
+@pytest.mark.parametrize("n", [17, 21])
+def test_walsh_summary_semi_bent_odd_f2(n):
+    # W in {0, +-2^((n+1)/2)}: by Parseval half the values are 0
+    t = build_f2(n)
+    s = walsh_summary(t)
+    assert s.is_semi_bent() and not s.is_bent()
+    assert s.w0 == 0 and s.zeros == 1 << (n - 1) == s.at_amp
+    assert _summary_fields(t) == spectrum_reductions(butterfly_walsh(t))
+
+
+def test_walsh_summary_bent_even_t():
+    s = walsh_summary(t_chain(20))
+    assert s.is_bent() and not s.is_semi_bent()
+    assert (s.max, s.min, s.zeros, s.at_amp) == (1 << 10, -(1 << 10), 0, 1 << 20)
+
+
 def test_t4_is_flat():
     spec = walsh_transform(t_chain(4))
     assert sorted({abs(v) for v in spec.values}) == [4]
@@ -369,7 +429,7 @@ def test_nonlinearity_equals_affine_enumeration():
             t = random_table(rng, n)
             want = affine_nonlinearity(t)
             assert nonlinearity(t) == want
-            assert walsh_transform(t).nonlinearity() == want
+            assert walsh_transform(t).summary().nonlinearity() == want
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +534,7 @@ def test_pc_profile_memory_is_one_half_size_float64_buffer():
 # ---------------------------------------------------------------------------
 
 def test_is_bent():
-    for bent in (is_bent, lambda f: walsh_transform(f).is_bent()):
+    for bent in (is_bent, lambda f: walsh_transform(f).summary().is_bent()):
         assert bent(t_chain(6)) is True
         assert bent(build_f2(6)) is False
         assert bent(TruthTable.zeros(4)) is False
@@ -483,7 +543,7 @@ def test_is_bent():
 
 def test_is_semi_bent():
     for semi_bent in (is_semi_bent_spectral,
-                      lambda f: walsh_transform(f).is_semi_bent()):
+                      lambda f: walsh_transform(f).summary().is_semi_bent()):
         for n in (5, 7, 9):
             assert semi_bent(build_f2(n)) is True
         assert semi_bent(linear_table(5, 3)) is False
@@ -512,7 +572,9 @@ def test_max_abs_is_taken_once_per_spectrum():
 
     values = walsh_transform(t_chain(6)).values.copy().view(CountedMax)
     spec = WalshSpectrum._adopt(6, values)
-    assert (spec.nonlinearity(), spec.is_bent(), spec.max_abs()) == (28, True, 8)
+    summary = spec.summary()
+    assert (summary.nonlinearity(), summary.is_bent()) == (28, True)
+    assert spec.max_abs() == 8
     repr(spec)
     assert CountedMax.calls == 1
 

@@ -29,9 +29,9 @@ EXPORTED = {
     ),
     "core": (
         "AffineTransform", "AnfPolynomial", "TruthTable", "WalshSpectrum",
-        "anf_to_truth_table", "apply_affine_transform", "concatenate",
-        "is_bent", "is_semi_bent_spectral", "nonlinearity", "pc_profile",
-        "walsh_transform", "weight",
+        "WalshSummary", "anf_to_truth_table", "apply_affine_transform",
+        "concatenate", "is_bent", "is_semi_bent_spectral", "nonlinearity",
+        "pc_profile", "walsh_summary", "walsh_transform", "weight",
     ),
     "theory": (
         "RationalGF", "builtin_gfs", "conjecture_check",
