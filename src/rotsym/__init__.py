@@ -29,9 +29,10 @@ _NAMES = {
         "pc_profile", "walsh_summary", "walsh_transform", "weight",
     ),
     "theory": (
-        "RationalGF", "builtin_gfs", "conjecture_check", "family_table",
-        "gf_series", "nl_f2", "nl_lower_bound_fk", "t_chain", "wt_f2_closed",
-        "wt_f2_recurrence", "wt_f3_recurrence",
+        "RationalGF", "builtin_gfs", "conjecture_check", "family_summary",
+        "family_table", "gf_series", "nl_f2", "nl_lower_bound_fk",
+        "orbit_summary", "t_chain", "wt_f2_closed", "wt_f2_recurrence",
+        "wt_f3_recurrence",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

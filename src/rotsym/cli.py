@@ -29,7 +29,6 @@ from .core import (  # noqa: E402
     MAX_VARS,
     TruthTable,
     pc_profile,
-    walsh_summary,
     walsh_transform,
 )
 from .refdata import load_reference_tables, weight_table_columns  # noqa: E402
@@ -38,6 +37,7 @@ from .theory import (  # noqa: E402
     FAST_MIN_N,
     builtin_gfs,
     conjecture_check,
+    family_summary,
     family_table,
     gf_series,
     wt_f2_closed,
@@ -165,11 +165,11 @@ def cmd_build(args: argparse.Namespace) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _analyze_one(table: TruthTable, spectrum: bool) -> dict:
+def _analyze_one(table: TruthTable, selector: str | None, spectrum: bool) -> dict:
     """The report row; from the stored spectrum when the command asks for
-    one, else from walsh_summary, which stores none."""
+    one, else from family_summary, which stores none."""
     summary = (walsh_transform(table).summary() if spectrum
-               else walsh_summary(table))
+               else family_summary(selector, table))
     return {
         "n": table.n,
         "weight": table.weight(),
@@ -226,7 +226,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                   for n in range(args.n_lo, args.n_hi + 1))
 
     for table in tables:
-        row = _analyze_one(table, args.pc or args.spectrum_csv is not None)
+        row = _analyze_one(table, args.selector,
+                           args.pc or args.spectrum_csv is not None)
         rows.append(row)
         lines.append(_kv_line(row))
         if args.pc:

@@ -1,15 +1,21 @@
 """Weight and nonlinearity theory for the rotation-symmetric families.
 
 Closed forms and recurrences for the degree-2 weights, the recurrence and
-rational generating functions for both families, the one dispatch from a
-selector to a table (family_table; builders makes the open chain t), and
-the weight-equals-nonlinearity scan for the degree-3 family.  All arithmetic
-is exact integer arithmetic.
+rational generating functions for both families, the transfer matrices of a
+rotation orbit and the Walsh criteria taken from them (orbit_summary), the
+one dispatch from a selector to a table (family_table; builders makes the
+open chain t) and to its criteria (family_summary: f2 and f3 from their
+transfer matrices, any other table from its own spectrum), and the
+weight-equals-nonlinearity scan for the degree-3 family.  All arithmetic is
+exact: in integers, or in floats within a stated bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from .builders import (
     OpCounter,
@@ -20,10 +26,15 @@ from .builders import (
     t_chain,
 )
 from .core import (
+    _FLOAT_BITS,
+    _GEMM_MACS,
+    _PANEL,
     MAX_VARS,
     TruthTable,
+    WalshSummary,
+    _tally,
     anf_to_truth_table,
-    nonlinearity,
+    walsh_summary,
     weight,
 )
 
@@ -131,6 +142,87 @@ def nl_lower_bound_fk(n: int, k: int) -> int:
     return 1 << (n - k)
 
 
+def _transfer(generator: Iterable[int], n: int) -> np.ndarray:
+    """The transfer matrices M_0, M_1 of a rotation orbit, as int64 2 x D x D.
+
+    The orbit of the monomial of generator is the cyclic sum over i of one
+    local term phi of the L bits x_i..x_(i+L-1), where the window starts
+    after the generator's largest cyclic gap, so L is least.  A state is
+    L-1 consecutive bits (D = 2^(L-1)), and the L-bit window w (x_i as its
+    top bit) steps from state w >> 1 to state w mod D with the sign
+    (-1)^(phi(w) + b x_i) in M_b.  For L = 1 both windows step from the one
+    state to itself, so its entry is their sum.
+    """
+    gen = sorted(set(generator))
+    if not gen:
+        raise ValueError("empty generator")
+    if any(not 1 <= k <= n for k in gen):
+        raise ValueError(f"generator indices outside 1..{n}")
+    gaps = [(b - a - 1) % n + 1 for a, b in zip(gen, gen[1:] + gen[:1])]
+    start = gen[(gaps.index(max(gaps)) + 1) % len(gen)]
+    offsets = [(k - start) % n for k in gen]
+    span = max(offsets) + 1
+    mask = sum(1 << (span - 1 - o) for o in offsets)
+    w = np.arange(1 << span)
+    d = 1 << (span - 1)
+    m = np.zeros((2, d, d), dtype=np.int64)
+    for b in (0, 1):
+        signs = 1 - 2 * (((w & mask) == mask) ^ (b & (w >> (span - 1))))
+        np.add.at(m[b], (w >> 1, w & (d - 1)), signs)
+    return m
+
+
+def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
+    """The WalshSummary of the rotation orbit of one monomial, from its
+    transfer matrices instead of its table.
+
+    With M_b = _transfer(generator, n), every x is one closed walk of n
+    steps, so W(a) = tr(M_(a_1) ... M_(a_n)), x_1 and a_1 being the top
+    index bits as in the table.  Split a into its top k = n // 2 bits a_hi
+    and the n - k others a_lo: with the int64 prefix products
+    P(a_hi) = M_(a_1) ... M_(a_k) and suffix products
+    S(a_lo) = M_(a_(k+1)) ... M_(a_n), W(a) = sum over s, t of
+    P[s, t] S[t, s].  So the whole spectrum is one GEMM,
+    (2^k x D^2) @ (D^2 x 2^(n-k)), run in panels of whole rows of about
+    _PANEL values; each call is tiled to at most _GEMM_MACS multiply-adds,
+    and each panel is reduced by _tally.
+
+    This is exact: every entry of P and S, every product and every partial
+    sum of the GEMM is a signed count of a subset of the 2^n closed walks,
+    one walk per x, so its magnitude is at most 2^n, which float32 holds
+    exactly for n <= _FLOAT_BITS (24) and float64 for n = 25, 26.  Memory
+    is P and S, D^2 (2^k + 2^(n-k)) values, as int64 and then as floats,
+    and one panel: 3.2 MiB at n = 26 for degree 3 (D = 4), and no 2^n
+    buffer.  The cost grows as 4^(L-1), so this suits short windows such
+    as those of f2 and f3.
+    """
+    if not 1 <= n <= MAX_VARS:
+        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
+    m = _transfer(generator, n)
+    d = m.shape[1]
+    k = n // 2
+    dtype = np.float32 if n <= _FLOAT_BITS else np.float64
+    pre = suf = np.eye(d, dtype=np.int64)[None]
+    for _ in range(k):  # [2 a_hi + b] = P(a_hi) M_b: one more low bit
+        pre = np.matmul(pre[:, None], m).reshape(-1, d, d)
+    pre = pre.reshape(-1, d * d).astype(dtype)  # [a_hi, s D + t] = P[s, t]
+    for _ in range(n - k):  # [b 2^j + a_lo] = M_b S(a_lo): one more high bit
+        suf = np.matmul(m[:, None], suf).reshape(-1, d, d)
+    # [s D + t, a_lo] = S(a_lo)[t, s]
+    suf = suf.transpose(2, 1, 0).astype(dtype, order="C").reshape(d * d, -1)
+    cols = suf.shape[1]  # 2^(n-k) <= 2^13: a panel is whole rows
+    height = min(len(pre), _PANEL // cols)
+    tile = min(cols, max(1, _GEMM_MACS // (height * d * d)))
+    tiles = suf.reshape(d * d, -1, tile).transpose(1, 0, 2)
+    panel = np.empty((height, cols), dtype=dtype)
+    tallies = []
+    for row in range(0, len(pre), height):
+        np.matmul(pre[row:row + height], tiles,
+                  out=panel.reshape(height, -1, tile).transpose(1, 0, 2))
+        tallies.append(_tally(n, panel))
+    return WalshSummary._of(n, tallies)
+
+
 def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
                  counter: OpCounter | None = None) -> TruthTable:
     """The table a selector names, one per n.
@@ -157,11 +249,27 @@ def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
     return anf_to_truth_table(rots_orbit_anf(generator, n))
 
 
+def family_summary(selector: str | None, table: TruthTable) -> WalshSummary:
+    """The WalshSummary of a table that family_table(selector, n) built.
+
+    f2 and f3 take it from the transfer matrices of their orbit
+    (orbit_summary), with no pass over the table and no 2^n buffer; any
+    other selector, or None for a table of unknown origin, from the table
+    itself (walsh_summary).
+    """
+    if selector in FAMILY_GENERATORS:
+        return orbit_summary(FAMILY_GENERATORS[selector], table.n)
+    return walsh_summary(table)
+
+
 def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:
     """Weight vs nonlinearity of the degree-3 family, one row per n.
 
     Each row is {"n", "weight", "nonlinearity", "equal", "source"}, with
     source "reference-table" within the published range, else "computed".
+    The weight is counted in the built table and the nonlinearity comes
+    from the transfer matrices (family_summary), so the two sides of each
+    comparison come from independent engines.
     Equality is reported, never asserted: it is only confirmed through n = 9,
     everything beyond is informational.
     """
@@ -172,7 +280,7 @@ def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:
     for n in range(n_lo, n_hi + 1):
         tab = family_table("f3", n)
         w = weight(tab)
-        nl = nonlinearity(tab)
+        nl = family_summary("f3", tab).nonlinearity()
         rows.append({"n": n, "weight": w, "nonlinearity": nl, "equal": w == nl,
                      "source": "reference-table" if lo <= n <= hi else "computed"})
     return rows

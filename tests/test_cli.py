@@ -11,6 +11,7 @@ import pytest
 
 import rotsym.cli
 import rotsym.core
+import rotsym.theory
 from rotsym import TruthTable
 from rotsym.cli import main
 
@@ -123,6 +124,23 @@ def test_analyze_26_peak_rss_over_startup_is_an_int16_spectrum():
     assert analyze - noop <= 2 * (1 << n) + (1 << n) // 8 + (16 << 20)
 
 
+def test_analyze_f3_26_peak_rss_over_startup_is_the_table():
+    # f3's criteria come from its transfer matrices: beside the table, a few
+    # MiB of matrix products and one panel, and no 2^n-value buffer
+    n = 26
+    analyze = _peak_rss("analyze", "f3", "--n", str(n), "--max-n", str(n))
+    noop = _peak_rss("gf", "f2", "--upto", "0")
+    assert analyze - noop <= (1 << n) // 8 + (12 << 20)
+
+
+def test_analyze_t_26_peak_rss_over_startup_is_an_int16_spectrum():
+    # t has no transfer path, so walsh_summary's int16 store is the peak
+    n = 26
+    analyze = _peak_rss("analyze", "t", "--n", str(n), "--max-n", str(n))
+    noop = _peak_rss("gf", "f2", "--upto", "0")
+    assert analyze - noop <= 2 * (1 << n) + (1 << n) // 8 + (16 << 20)
+
+
 def test_analyze_f3_n9(capsys):
     code, out, _ = run(capsys, "analyze", "f3", "--n", "9")
     assert code == 0
@@ -230,12 +248,17 @@ def test_analyze_pc_from_file_at_n21(tmp_path, capsys):
      "error: out of memory (Unable to allocate 2.00 KiB)\n"),
     (MemoryError(), "error: out of memory\n"),
 ])
-def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch, exc, message):
-    def no_memory(table):
+@pytest.mark.parametrize("selector, patched", [
+    ("f2", "orbit_summary"),  # the transfer-matrix path
+    ("t", "walsh_summary"),   # the table's own spectrum
+])
+def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch, exc, message,
+                                          selector, patched):
+    def no_memory(*args):
         raise exc
 
-    monkeypatch.setattr(rotsym.cli, "walsh_summary", no_memory)
-    assert run(capsys, "analyze", "f2", "--n", "9") == (1, "", message)
+    monkeypatch.setattr(rotsym.theory, patched, no_memory)
+    assert run(capsys, "analyze", selector, "--n", "9") == (1, "", message)
 
 
 def test_failed_transform_leaves_no_spectrum_csv(tmp_path, capsys, monkeypatch):

@@ -90,6 +90,11 @@ CASES: dict[str, dict] = {
                                             "--spectrum-csv", "{tmp}/s.csv"]},
     "analyze_f2_pc_19_21": {"argv": ["analyze", "f2", "--n", "19..21",
                                      "--pc", "--max-n", "21"]},
+    # sizes with many panels per spectrum
+    "analyze_f3_csv_15_22": {"argv": ["analyze", "f3", "--n", "15..22",
+                                      "--max-n", "22", "--format", "csv"]},
+    "analyze_f2_csv_15_22": {"argv": ["analyze", "f2", "--n", "15..22",
+                                      "--max-n", "22", "--format", "csv"]},
     "analyze_no_selector": {"argv": ["analyze", "--n", "5"]},
     "analyze_no_n": {"argv": ["analyze", "f2"]},
     "analyze_orbit_no_generator": {"argv": ["analyze", "orbit", "--n", "5..7"]},
@@ -124,6 +129,8 @@ CASES: dict[str, dict] = {
                                 "--format", "csv"]},
     "conjecture_json": {"argv": ["conjecture", "--n", "3..14",
                                  "--format", "json"]},
+    "conjecture_csv_15_22": {"argv": ["conjecture", "--n", "15..22",
+                                      "--max-n", "22", "--format", "csv"]},
     "conjecture_above_cap": {"argv": ["conjecture", "--n", "3..25"]},
     "conjecture_below_range": {"argv": ["conjecture", "--n", "2..5"]},
     "conjecture_reversed_range": {"argv": ["conjecture", "--n", "5..3"]},

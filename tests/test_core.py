@@ -17,16 +17,20 @@ from rotsym import (
     build_f2,
     build_f3,
     concatenate,
+    family_table,
     is_bent,
     is_semi_bent_spectral,
     nonlinearity,
+    orbit_summary,
     pc_profile,
+    rots_orbit_anf,
     t_chain,
     walsh_summary,
     walsh_transform,
     weight,
 )
 from rotsym.core import MAX_VARS, WalshSpectrum, _gemm_bits, gf2_invert
+from rotsym.theory import FAMILY_GENERATORS
 
 from oracles import (
     affine_nonlinearity,
@@ -402,6 +406,66 @@ def test_walsh_summary_bent_even_t():
     s = walsh_summary(t_chain(20))
     assert s.is_bent() and not s.is_semi_bent()
     assert (s.max, s.min, s.zeros, s.at_amp) == (1 << 10, -(1 << 10), 0, 1 << 20)
+
+
+# ---------------------------------------------------------------------------
+# orbit_summary: the criteria from the transfer matrices
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [*range(3, 21), 24, 25, 26])
+@pytest.mark.parametrize("selector", ["f2", "f3"])
+def test_orbit_summary_matches_the_family_table(selector, n):
+    # 24 is the last n whose GEMM runs in float32; 25 and 26 run in float64
+    generator = FAMILY_GENERATORS[selector]
+    assert orbit_summary(generator, n) == walsh_summary(family_table(selector, n))
+
+
+@st.composite
+def _orbits(draw, max_n=14):
+    """(generator, n): up to four indices within a window of five, turned
+    to any position on the cycle, so the window may wrap past x_n."""
+    n = draw(st.integers(1, max_n))
+    window = draw(st.lists(st.integers(1, min(n, 5)), min_size=1, max_size=4))
+    turn = draw(st.integers(0, n - 1))
+    return tuple((k - 1 + turn) % n + 1 for k in window), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(_orbits())
+@example(((1,), 1))          # degree 1 (L = 1): the one state sums both windows
+@example(((2,), 5))
+@example(((1, 1, 2), 6))     # a repeated index
+@example(((5, 1), 5))        # a window that wraps past x_n
+@example(((1, 3), 4))        # the rotations cancel in pairs: f = 0
+@example(((1, 3, 5, 7), 8))  # four equal rotations cancel: f = 0
+@example(((1, 4, 7), 9))     # three equal rotations: one term left of each
+@example(((1, 2, 4), 13))
+@example(((1, 3, 5), 12))
+def test_orbit_summary_matches_the_anf_table(orbit):
+    generator, n = orbit
+    table = anf_to_truth_table(rots_orbit_anf(generator, n))
+    assert orbit_summary(generator, n) == walsh_summary(table)
+
+
+def test_orbit_summary_rejects_bad_input():
+    for generator, n, message in (((1, 6), 5, "outside 1..5"),
+                                  ((), 5, "empty generator"),
+                                  ((1,), 0, "must be in 1..26"),
+                                  ((1, 2), 27, "must be in 1..26")):
+        with pytest.raises(ValueError, match=message):
+            orbit_summary(generator, n)
+
+
+def test_orbit_summary_memory_has_no_spectrum_sized_buffer():
+    # P and S, 16 * 2^13 values each at n = 26, as int64 and as float64,
+    # and one panel of 2^17 float64 values: no 2^n-value buffer
+    tracemalloc.start()
+    try:
+        orbit_summary((1, 2, 3), 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
 
 
 def test_t4_is_flat():

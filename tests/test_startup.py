@@ -18,7 +18,8 @@ import rotsym
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The names `rotsym/__init__.py` imported eagerly before it became lazy,
-# less the deleted `ConjectureRow` and `component_weights_f3`.
+# less the deleted `ConjectureRow` and `component_weights_f3`, plus the
+# transfer-matrix criteria `orbit_summary` and `family_summary`.
 EXPORTED = {
     "builders": (
         "BLOCKS", "BitString", "OpCounter", "build_f2", "build_f3",
@@ -34,9 +35,10 @@ EXPORTED = {
         "pc_profile", "walsh_summary", "walsh_transform", "weight",
     ),
     "theory": (
-        "RationalGF", "builtin_gfs", "conjecture_check",
-        "family_table", "gf_series", "nl_f2", "nl_lower_bound_fk", "t_chain",
-        "wt_f2_closed", "wt_f2_recurrence", "wt_f3_recurrence",
+        "RationalGF", "builtin_gfs", "conjecture_check", "family_summary",
+        "family_table", "gf_series", "nl_f2", "nl_lower_bound_fk",
+        "orbit_summary", "t_chain", "wt_f2_closed", "wt_f2_recurrence",
+        "wt_f3_recurrence",
     ),
 }
 

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import rotsym.theory
 from rotsym import (
     AnfPolynomial,
     OpCounter,
@@ -9,6 +11,7 @@ from rotsym import (
     build_f3,
     builtin_gfs,
     conjecture_check,
+    family_summary,
     family_table,
     gf_series,
     is_bent,
@@ -19,13 +22,14 @@ from rotsym import (
     monomial_table_general,
     rots_orbit_anf,
     t_chain,
+    walsh_summary,
     walsh_transform,
     weight,
     wt_f2_closed,
     wt_f2_recurrence,
     wt_f3_recurrence,
 )
-from rotsym.theory import FAST_MIN_N
+from rotsym.theory import FAST_MIN_N, _transfer
 
 from oracles import zero_count
 
@@ -97,6 +101,17 @@ def test_f3_weight_chain_agrees():
 
 def test_wt_f3_recurrence_against_built_13():
     assert weight(build_f3(13)) == 3264 == wt_f3_recurrence(13)
+
+
+@pytest.mark.parametrize("generator, weight_at, n_from", [
+    ((1, 2, 3), wt_f3_recurrence, 3), ((1, 2), wt_f2_closed, 4)],
+    ids=("f3", "f2"))
+def test_weight_is_the_trace_of_the_transfer_matrix(generator, weight_at, n_from):
+    # W(0) = sum over x of (-1)^f(x) = tr(M_0^n) = 2^n - 2 wt, with no table
+    for n in range(n_from, 27):
+        m0 = _transfer(generator, n)[0]
+        trace = int(np.trace(np.linalg.matrix_power(m0, n)))
+        assert trace == (1 << n) - 2 * weight_at(n), n
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +280,24 @@ def test_family_table_matches_anf_oracle():
     for n in range(3, 10):
         chain = AnfPolynomial.from_terms(n, [(i, i + 1) for i in range(1, n)])
         assert family_table("t", n) == anf_to_truth_table(chain)
+
+
+def test_family_summary_takes_f2_f3_from_the_transfer_matrix(monkeypatch):
+    cases = {"f2": (), "f3": (), "t": (), "orbit": (1, 2, 4), "monomial": (2, 3)}
+    for selector, gen in cases.items():
+        for n in range(4, 10):
+            table = family_table(selector, n, gen)
+            assert family_summary(selector, table) == walsh_summary(table)
+            assert family_summary(None, table) == walsh_summary(table)
+
+    def no_table_pass(table):
+        raise AssertionError("walsh_summary called")
+
+    monkeypatch.setattr(rotsym.theory, "walsh_summary", no_table_pass)
+    for selector in ("f2", "f3"):
+        assert family_summary(selector, family_table(selector, 9)).n == 9
+    with pytest.raises(AssertionError):
+        family_summary("t", family_table("t", 9))
 
 
 def test_family_table_counts_only_fast_builds():
