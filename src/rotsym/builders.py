@@ -1,16 +1,16 @@
 """Fast string-concatenation builders for rotation-symmetric truth tables.
 
-Tables are assembled from named 4-bit blocks by concatenation, repetition and
-three complement operators (full, second half, last quarter).  Copies and
-concatenations are free; an OpCounter charges only complemented bits, reported
+Tables are assembled from named 4-bit blocks by doubling: u || step(u), where
+step complements the second half (tilde) or the last quarter (hat) of the
+copy.  Copies are free; an OpCounter charges only complemented bits, reported
 as 4-bit blocks.  The doubling constructions reach a 2^n-bit table in
 O(2^n) work with roughly 2^(n-3) block complements, versus the (3n-1)/2 * 2^n
 operations of direct pointwise evaluation.  Every table built here (build_f2,
 build_f3, the open chain t_chain and monomial_table_general) is grown by
 those doublings in place, as byte copies and byte complements or zeroings in
-one 2^n/8-byte buffer that the table then holds.  The BitString operators
-state the same steps on packed ints; they are the published notation and the
-tests' reference, and no build calls them.
+one 2^n/8-byte buffer that the table then holds.  The seeds are written in
+the paper's block notation (BLOCKS, BitString.from_blocks); the published
+string operators, stated on BitStrings, are the tests' reference.
 """
 
 from __future__ import annotations
@@ -98,28 +98,12 @@ class BitString:
             raise ValueError("empty block string")
         return cls(4 * count, acc)
 
-    def to_blocks_str(self) -> str:
-        """Render in block-letter notation (the 16 blocks cover all nibbles)."""
-        if self.length % 4:
-            return "".join(str(self[i]) for i in range(self.length))
-        return "".join(
-            _BLOCK_NAME_BY_VALUE[(self.bits >> (4 * t)) & 0xF]
-            for t in range(self.length // 4)
-        )
-
-    def __repr__(self) -> str:
-        if self.length <= 64:
-            return f"BitString({self.to_blocks_str()!r})"
-        return f"BitString(length={self.length})"
-
 
 # the sixteen named 4-bit strings; each barred block is its base XOR 0xF
 BLOCKS: dict[str, BitString] = {}
 for _name, _pat in _BASE_PATTERNS.items():
     BLOCKS[_name] = BitString.from_bits(_pat)
     BLOCKS[_name + MACRON] = BitString(4, BLOCKS[_name].bits ^ 0xF)
-
-_BLOCK_NAME_BY_VALUE = {blk.bits: name for name, blk in BLOCKS.items()}
 
 
 @dataclass
@@ -137,72 +121,6 @@ class OpCounter:
     def block_complements(self) -> int | Fraction:
         q, r = divmod(self.bits_complemented, 4)
         return q if r == 0 else Fraction(self.bits_complemented, 4)
-
-    def reset(self) -> None:
-        self.bits_complemented = 0
-
-
-# ---------------------------------------------------------------------------
-# string operators
-# ---------------------------------------------------------------------------
-
-def repeat(u: BitString, k: int) -> BitString:
-    """Concatenation of k copies of u; free of complement charges."""
-    if k < 1:
-        raise ValueError("repeat count must be >= 1")
-    acc = 0
-    piece = u.bits
-    length = u.length
-    remaining = k
-    shift = 0
-    # binary doubling keeps huge repeats cheap
-    while remaining:
-        if remaining & 1:
-            acc |= piece << shift
-            shift += length
-        piece |= piece << length
-        length <<= 1
-        remaining >>= 1
-    return BitString(u.length * k, acc)
-
-
-def complement(u: BitString, counter: OpCounter | None = None) -> BitString:
-    """All bits flipped; charges length/4 blocks."""
-    if counter is not None:
-        counter.charge_bits(u.length)
-    return BitString(u.length, u.bits ^ ((1 << u.length) - 1))
-
-
-def tilde(u: BitString, counter: OpCounter | None = None) -> BitString:
-    """Second half complemented; charges length/8 blocks."""
-    if u.length % 2:
-        raise ValueError("tilde needs an even length")
-    half = u.length // 2
-    if counter is not None:
-        counter.charge_bits(half)
-    mask = ((1 << half) - 1) << half
-    return BitString(u.length, u.bits ^ mask)
-
-
-def hat(u: BitString, counter: OpCounter | None = None) -> BitString:
-    """Last quarter complemented; charges length/16 blocks."""
-    if u.length % 4:
-        raise ValueError("hat needs a length divisible by 4")
-    quarter = u.length // 4
-    if counter is not None:
-        counter.charge_bits(quarter)
-    mask = ((1 << quarter) - 1) << (u.length - quarter)
-    return BitString(u.length, u.bits ^ mask)
-
-
-def complement_first_half(u: BitString, counter: OpCounter | None = None) -> BitString:
-    """First half complemented: bar(tilde(u)) in a single pass."""
-    if u.length % 2:
-        raise ValueError("needs an even length")
-    half = u.length // 2
-    if counter is not None:
-        counter.charge_bits(half)
-    return BitString(u.length, u.bits ^ ((1 << half) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +316,12 @@ def f2_block_complements(n: int) -> int:
     return (1 << (n - 3)) - 2
 
 
-def f3_block_complements_measured(n: int) -> int:
-    """Closed form of the charges actually made by build_f3."""
-    if n < 7:
-        raise ValueError("fast degree-3 build needs n >= 7")
-    return (1 << (n - 4)) + (1 << (n - 6)) - 3
-
-
 def f3_block_complements_claimed(n: int) -> int:
     """The published degree-3 operation count, kept verbatim for comparison.
 
     It is not a count of 4-bit blocks, the unit that matches the degree-2
-    count: it equals the bits build_f3 complements, 4 *
-    f3_block_complements_measured(n), plus 2^(n-5).  bench reports both
-    values side by side instead of adjusting either.
+    count: it equals the bits build_f3 complements, 2^(n-2) + 2^(n-4) - 12,
+    plus 2^(n-5).  bench reports both values side by side instead of
+    adjusting either.
     """
     return (1 << (n - 2)) + (1 << (n - 4)) + (1 << (n - 5)) - 12

@@ -392,7 +392,8 @@ def cmd_gf(args: argparse.Namespace) -> int:
     if not 0 <= args.upto <= GF_MAX_DEGREE:
         raise UsageError(f"--upto must lie in 0..{GF_MAX_DEGREE}")
     f2_gf, f3_gf = builtin_gfs()
-    # the weight formulas hold from n = 5 (closed form) and n = 3 (recurrence)
+    # checked from where each published series starts, z^5 for f2 and z^3
+    # for f3: wt_f2_closed holds from n = 4, but the f2 series has 0 at z^4
     gf, wt_from, weight_at = ((f2_gf, 5, wt_f2_closed) if args.selector == "f2"
                               else (f3_gf, 3, wt_f3_recurrence))
 

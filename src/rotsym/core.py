@@ -43,30 +43,6 @@ _SIGNS = (1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)).astype(np.flo
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-# ---------------------------------------------------------------------------
-# GF(2) matrices as tuples of row masks (bit n-k of a row = coefficient of x_k)
-# ---------------------------------------------------------------------------
-
-def gf2_invert(rows: Sequence[int]) -> tuple[int, ...]:
-    """Inverse over GF(2) via Gauss-Jordan; raises ValueError if singular."""
-    n = len(rows)
-    m = list(rows)
-    inv = [1 << (n - 1 - i) for i in range(n)]
-    r = 0
-    for col in reversed(range(n)):
-        pivot = next((i for i in range(r, n) if (m[i] >> col) & 1), None)
-        if pivot is None:
-            raise ValueError("matrix is singular over GF(2)")
-        m[r], m[pivot] = m[pivot], m[r]
-        inv[r], inv[pivot] = inv[pivot], inv[r]
-        for i in range(n):
-            if i != r and (m[i] >> col) & 1:
-                m[i] ^= m[r]
-                inv[i] ^= inv[r]
-        r += 1
-    return tuple(inv)
-
-
 def _quoted(line: str) -> str:
     """A text line for an error message: whole, or its first 32 characters."""
     return repr(line) if len(line) <= 64 else f"{line[:32]!r}... ({len(line)} characters)"
@@ -131,28 +107,9 @@ class TruthTable:
     def is_balanced(self) -> bool:
         return 2 * self.weight() == self.size
 
-    def complement(self) -> "TruthTable":
-        flipped = np.invert(self.data)
-        if self.size < 8:
-            flipped &= (1 << self.size) - 1
-        return TruthTable(self.n, flipped)
-
-    def __xor__(self, other: "TruthTable") -> "TruthTable":
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
-        return TruthTable(self.n, self.data ^ other.data)
-
     def to_array(self) -> np.ndarray:
         """The 2^n values as a uint8 array in index order."""
         return np.unpackbits(self.data, bitorder="little", count=self.size)
-
-    @classmethod
-    def zeros(cls, n: int) -> "TruthTable":
-        return cls(n, np.zeros(max(1, (1 << n) // 8), dtype=np.uint8))
-
-    @classmethod
-    def ones(cls, n: int) -> "TruthTable":
-        return cls.zeros(n).complement()
 
     # -- text format: "n=<k>" header, then the 2^n bits as hex, index-0 bit
     #    as the most significant bit of the string --
@@ -250,11 +207,6 @@ class AnfPolynomial:
             m = frozenset(t)
             acc.symmetric_difference_update({m})
         return cls(n, frozenset(acc))
-
-    @classmethod
-    def zero(cls, n: int) -> "AnfPolynomial":
-        return cls(n, frozenset())
-
 
 def _monomial_mask(mono: frozenset[int], n: int) -> int:
     return sum(1 << (n - k) for k in mono)
@@ -504,46 +456,9 @@ class WalshSpectrum:
         return f"WalshSpectrum(n={self.n}, max_abs={self.max_abs()})"
 
 
-@dataclass(frozen=True)
-class AffineTransform:
-    """x -> h(Ax + a) + b.x + c with A invertible over GF(2).
-
-    Rows are GF(2) masks in the table index convention: bit n-k of rows[j-1]
-    is the coefficient of x_k in output variable j.
-    """
-
-    n: int
-    rows: tuple[int, ...]
-    a: int = 0
-    b: int = 0
-    c: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if len(self.rows) != self.n:
-            raise ValueError(f"need {self.n} rows, got {len(self.rows)}")
-        top = 1 << self.n
-        if any(not 0 <= r < top for r in self.rows):
-            raise ValueError("row mask out of range")
-        if not (0 <= self.a < top and 0 <= self.b < top):
-            raise ValueError("vector mask out of range")
-        if self.c not in (0, 1):
-            raise ValueError("c must be a single bit")
-        gf2_invert(self.rows)  # raises if singular
-
-    @classmethod
-    def identity(cls, n: int, a: int = 0, b: int = 0, c: int = 0) -> "AffineTransform":
-        return cls(n, tuple(1 << (n - 1 - j) for j in range(n)), a, b, c)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def weight(tt: TruthTable) -> int:
-    """Hamming weight: the number of ones in the table."""
-    return tt.weight()
-
 
 def _gemm_bits(src: np.ndarray, spare: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Transform index bits lo..hi-1 of the flat float array src.
@@ -745,33 +660,3 @@ def is_bent(f: TruthTable) -> bool:
 def is_semi_bent_spectral(f: TruthTable) -> bool:
     """Spectral semi-bent test for n = 2k+1; always false for even n."""
     return walsh_summary(f).is_semi_bent()
-
-
-def apply_affine_transform(h: TruthTable, t: AffineTransform) -> TruthTable:
-    """Pointwise g(x) = h(Ax + a) + b.x + c."""
-    if t.n != h.n:
-        raise ValueError(f"dimension mismatch: transform {t.n} != table {h.n}")
-    n = h.n
-    x = np.arange(h.size, dtype=np.uint32)
-    y = np.zeros(h.size, dtype=np.uint32)
-    for j, row in enumerate(t.rows):
-        y |= (np.bitwise_count(x & np.uint32(row)) & 1) << np.uint32(n - 1 - j)
-    arr = h.to_array()[y ^ np.uint32(t.a)]
-    if t.b:
-        arr = arr ^ (np.bitwise_count(x & np.uint32(t.b)) & 1)
-    if t.c:
-        arr = arr ^ np.uint8(1)
-    return TruthTable(n, np.packbits(arr, bitorder="little"))
-
-
-def concatenate(g0: TruthTable, g1: TruthTable) -> TruthTable:
-    """Join two n-variable tables into one on n+1 variables.
-
-    The new variable is x_1 (the most significant index bit): the first half
-    of the result is g0, the second half g1.
-    """
-    if g0.n != g1.n:
-        raise ValueError(f"dimension mismatch: {g0.n} != {g1.n}")
-    if g0.size < 8:  # both halves share the one byte
-        return TruthTable(g0.n + 1, g0.data | (g1.data << g0.size))
-    return TruthTable(g0.n + 1, np.concatenate((g0.data, g1.data)))

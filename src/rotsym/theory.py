@@ -1,12 +1,12 @@
 """Weight and nonlinearity theory for the rotation-symmetric families.
 
-Closed forms and recurrences for the degree-2 weights, the recurrence and
-rational generating functions for both families, the transfer matrices of a
-rotation orbit and the Walsh criteria taken from them (orbit_summary), the
-one dispatch from a selector to a table (family_table; builders makes the
-open chain t) and to its criteria (family_summary: f2 and f3 from their
-transfer matrices, any other table from its own spectrum), and the
-weight-equals-nonlinearity scan for the degree-3 family.  All arithmetic is
+The closed form of the degree-2 weight, the recurrence of the degree-3
+weight, rational generating functions for both families, the transfer
+matrices of a rotation orbit and the Walsh criteria taken from them
+(orbit_summary), the one dispatch from a selector to a table (family_table;
+builders makes the open chain t) and to its criteria (family_summary: f2 and
+f3 from their transfer matrices, any other table from its own spectrum), and
+the weight-equals-nonlinearity scan for the degree-3 family.  All arithmetic is
 exact: in integers, or in floats within a stated bound.
 """
 
@@ -35,7 +35,6 @@ from .core import (
     _tally,
     anf_to_truth_table,
     walsh_summary,
-    weight,
 )
 
 F3_REFERENCE_NL_RANGE = (3, 9)  # range covered by the published table
@@ -69,16 +68,6 @@ def wt_f2_closed(n: int) -> int:
     if n % 2:
         return 1 << (n - 1)
     return (1 << (n - 1)) - (1 << (n // 2))
-
-
-def wt_f2_recurrence(n: int) -> int:
-    """wt = 2*wt(n-2) + 2^(n-2) unrolled from the seeds 16 (n=5), 24 (n=6)."""
-    if n < 5:
-        raise ValueError("recurrence seeded at n = 5, 6")
-    w = {5: 16, 6: 24}
-    for s in range(7, n + 1):
-        w[s] = 2 * w[s - 2] + (1 << (s - 2))
-    return w[n]
 
 
 def wt_f3_recurrence(n: int) -> int:
@@ -123,23 +112,6 @@ def builtin_gfs() -> tuple[RationalGF, RationalGF]:
     f2 = RationalGF((0, 0, 0, 0, 0, 16, -8, -16), (1, -2, -2, 4))
     f3 = RationalGF((0, 0, 0, 1, 2, -4), (1, -2, -2, 2, 4))
     return f2, f3
-
-
-def nl_f2(n: int) -> int:
-    """Nonlinearity of the degree-2 function: 2^(n-1) - 2^((n-1)/2) for odd
-    n, 2^(n-1) - 2^(n/2) for even n."""
-    if n < 4:
-        raise ValueError("formula validated for n >= 4")
-    if n % 2:
-        return (1 << (n - 1)) - (1 << ((n - 1) // 2))
-    return (1 << (n - 1)) - (1 << (n // 2))
-
-
-def nl_lower_bound_fk(n: int, k: int) -> int:
-    """Lower bound 2^(n-k) on the nonlinearity of the degree-k family."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return 1 << (n - k)
 
 
 def _transfer(generator: Iterable[int], n: int) -> np.ndarray:
@@ -279,7 +251,7 @@ def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:
     lo, hi = F3_REFERENCE_NL_RANGE
     for n in range(n_lo, n_hi + 1):
         tab = family_table("f3", n)
-        w = weight(tab)
+        w = tab.weight()
         nl = family_summary("f3", tab).nonlinearity()
         rows.append({"n": n, "weight": w, "nonlinearity": nl, "equal": w == nl,
                      "source": "reference-table" if lo <= n <= hi else "computed"})

@@ -1,27 +1,34 @@
-"""Independent brute-force oracles used only by the test suite.
+"""Reference code and scaffolding used only by the test suite.
 
-Everything here is deliberately naive (per-point loops, O(4^n) transforms,
-exhaustive enumerations) and shares no code path with the library routines
-it checks.  The same goes for the inputs built here: linear_table gives the
-linear functions l_w(x) = w.x, random_table random functions.
+Three kinds of code live here, none of which the CLI or its benchmark runs:
+
+- Brute-force oracles.  They are deliberately naive (per-point loops,
+  O(4^n) transforms, exhaustive enumerations) and share no code path with
+  the library routines they check.  The same goes for the inputs built
+  here: linear_table gives the linear functions l_w(x) = w.x, random_table
+  random functions, and zeros_table, ones_table, complement_table and
+  xor_tables the constant, complemented and summed tables.
+- The paper's string operators on BitStrings (complement, tilde, hat,
+  complement_first_half), its block notation rendered back (to_blocks_str),
+  and operator_component, the published doubling construction they spell.
+  The byte builders are checked against them.
+- The affine tools behind the degree-2 semi-bent argument (gf2_invert,
+  AffineTransform, apply_affine_transform, concatenate), and published forms
+  that only the tests check (wt_f2_recurrence, nl_f2 and
+  f3_block_complements_measured).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from math import comb
+from typing import Sequence
 
 import numpy as np
 
-from rotsym import (
-    BitString,
-    OpCounter,
-    TruthTable,
-    complement_first_half,
-    hat,
-    tilde,
-)
+from rotsym import BLOCKS, BitString, OpCounter, TruthTable
 
 
 def slow_table(monomials, n: int) -> list[int]:
@@ -55,6 +62,27 @@ def table_from_int(n: int, bits: int) -> TruthTable:
 
 def table_to_list(tt: TruthTable) -> list[int]:
     return [tt[i] for i in range(tt.size)]
+
+
+def zeros_table(n: int) -> TruthTable:
+    return TruthTable(n, np.zeros(max(1, (1 << n) // 8), dtype=np.uint8))
+
+
+def complement_table(tt: TruthTable) -> TruthTable:
+    flipped = np.invert(tt.data)
+    if tt.size < 8:
+        flipped &= (1 << tt.size) - 1
+    return TruthTable(tt.n, flipped)
+
+
+def ones_table(n: int) -> TruthTable:
+    return complement_table(zeros_table(n))
+
+
+def xor_tables(t: TruthTable, u: TruthTable) -> TruthTable:
+    if t.n != u.n:
+        raise ValueError(f"dimension mismatch: {t.n} != {u.n}")
+    return TruthTable(t.n, t.data ^ u.data)
 
 
 def slow_walsh(bits: list[int]) -> list[int]:
@@ -226,9 +254,27 @@ def gf2_transpose(rows) -> tuple[int, ...]:
     )
 
 
-def random_invertible_rows(rng: random.Random, n: int) -> tuple[int, ...]:
-    from rotsym.core import gf2_invert
+def gf2_invert(rows: Sequence[int]) -> tuple[int, ...]:
+    """Inverse over GF(2) via Gauss-Jordan; raises ValueError if singular."""
+    n = len(rows)
+    m = list(rows)
+    inv = [1 << (n - 1 - i) for i in range(n)]
+    r = 0
+    for col in reversed(range(n)):
+        pivot = next((i for i in range(r, n) if (m[i] >> col) & 1), None)
+        if pivot is None:
+            raise ValueError("matrix is singular over GF(2)")
+        m[r], m[pivot] = m[pivot], m[r]
+        inv[r], inv[pivot] = inv[pivot], inv[r]
+        for i in range(n):
+            if i != r and (m[i] >> col) & 1:
+                m[i] ^= m[r]
+                inv[i] ^= inv[r]
+        r += 1
+    return tuple(inv)
 
+
+def random_invertible_rows(rng: random.Random, n: int) -> tuple[int, ...]:
     while True:
         rows = tuple(rng.getrandbits(n) for _ in range(n))
         try:
@@ -236,6 +282,149 @@ def random_invertible_rows(rng: random.Random, n: int) -> tuple[int, ...]:
             return rows
         except ValueError:
             continue
+
+
+@dataclass(frozen=True)
+class AffineTransform:
+    """x -> h(Ax + a) + b.x + c with A invertible over GF(2).
+
+    Rows are GF(2) masks in the table index convention: bit n-k of rows[j-1]
+    is the coefficient of x_k in output variable j.
+    """
+
+    n: int
+    rows: tuple[int, ...]
+    a: int = 0
+    b: int = 0
+    c: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(self.rows))
+        if len(self.rows) != self.n:
+            raise ValueError(f"need {self.n} rows, got {len(self.rows)}")
+        top = 1 << self.n
+        if any(not 0 <= r < top for r in self.rows):
+            raise ValueError("row mask out of range")
+        if not (0 <= self.a < top and 0 <= self.b < top):
+            raise ValueError("vector mask out of range")
+        if self.c not in (0, 1):
+            raise ValueError("c must be a single bit")
+        gf2_invert(self.rows)  # raises if singular
+
+    @classmethod
+    def identity(cls, n: int, a: int = 0, b: int = 0, c: int = 0) -> "AffineTransform":
+        return cls(n, tuple(1 << (n - 1 - j) for j in range(n)), a, b, c)
+
+
+def apply_affine_transform(h: TruthTable, t: AffineTransform) -> TruthTable:
+    """Pointwise g(x) = h(Ax + a) + b.x + c."""
+    if t.n != h.n:
+        raise ValueError(f"dimension mismatch: transform {t.n} != table {h.n}")
+    n = h.n
+    x = np.arange(h.size, dtype=np.uint32)
+    y = np.zeros(h.size, dtype=np.uint32)
+    for j, row in enumerate(t.rows):
+        y |= (np.bitwise_count(x & np.uint32(row)) & 1) << np.uint32(n - 1 - j)
+    arr = h.to_array()[y ^ np.uint32(t.a)]
+    if t.b:
+        arr = arr ^ (np.bitwise_count(x & np.uint32(t.b)) & 1)
+    if t.c:
+        arr = arr ^ np.uint8(1)
+    return TruthTable(n, np.packbits(arr, bitorder="little"))
+
+
+def concatenate(g0: TruthTable, g1: TruthTable) -> TruthTable:
+    """Join two n-variable tables into one on n+1 variables.
+
+    The new variable is x_1 (the most significant index bit): the first half
+    of the result is g0, the second half g1.
+    """
+    if g0.n != g1.n:
+        raise ValueError(f"dimension mismatch: {g0.n} != {g1.n}")
+    if g0.size < 8:  # both halves share the one byte
+        return TruthTable(g0.n + 1, g0.data | (g1.data << g0.size))
+    return TruthTable(g0.n + 1, np.concatenate((g0.data, g1.data)))
+
+
+# ---------------------------------------------------------------------------
+# the paper's string operators and published forms
+# ---------------------------------------------------------------------------
+
+def complement(u: BitString, counter: OpCounter | None = None) -> BitString:
+    """All bits flipped; charges length/4 blocks."""
+    if counter is not None:
+        counter.charge_bits(u.length)
+    return BitString(u.length, u.bits ^ ((1 << u.length) - 1))
+
+
+def tilde(u: BitString, counter: OpCounter | None = None) -> BitString:
+    """Second half complemented; charges length/8 blocks."""
+    if u.length % 2:
+        raise ValueError("tilde needs an even length")
+    half = u.length // 2
+    if counter is not None:
+        counter.charge_bits(half)
+    mask = ((1 << half) - 1) << half
+    return BitString(u.length, u.bits ^ mask)
+
+
+def hat(u: BitString, counter: OpCounter | None = None) -> BitString:
+    """Last quarter complemented; charges length/16 blocks."""
+    if u.length % 4:
+        raise ValueError("hat needs a length divisible by 4")
+    quarter = u.length // 4
+    if counter is not None:
+        counter.charge_bits(quarter)
+    mask = ((1 << quarter) - 1) << (u.length - quarter)
+    return BitString(u.length, u.bits ^ mask)
+
+
+def complement_first_half(u: BitString, counter: OpCounter | None = None) -> BitString:
+    """First half complemented: bar(tilde(u)) in a single pass."""
+    if u.length % 2:
+        raise ValueError("needs an even length")
+    half = u.length // 2
+    if counter is not None:
+        counter.charge_bits(half)
+    return BitString(u.length, u.bits ^ ((1 << half) - 1))
+
+
+_BLOCK_NAME_BY_VALUE = {blk.bits: name for name, blk in BLOCKS.items()}
+
+
+def to_blocks_str(s: BitString) -> str:
+    """Render in block-letter notation (the 16 blocks cover all nibbles)."""
+    if s.length % 4:
+        return "".join(str(s[i]) for i in range(s.length))
+    return "".join(_BLOCK_NAME_BY_VALUE[(s.bits >> (4 * t)) & 0xF]
+                   for t in range(s.length // 4))
+
+
+def f3_block_complements_measured(n: int) -> int:
+    """Closed form of the charges actually made by build_f3."""
+    if n < 7:
+        raise ValueError("fast degree-3 build needs n >= 7")
+    return (1 << (n - 4)) + (1 << (n - 6)) - 3
+
+
+def wt_f2_recurrence(n: int) -> int:
+    """wt = 2*wt(n-2) + 2^(n-2) unrolled from the seeds 16 (n=5), 24 (n=6)."""
+    if n < 5:
+        raise ValueError("recurrence seeded at n = 5, 6")
+    w = {5: 16, 6: 24}
+    for s in range(7, n + 1):
+        w[s] = 2 * w[s - 2] + (1 << (s - 2))
+    return w[n]
+
+
+def nl_f2(n: int) -> int:
+    """Nonlinearity of the degree-2 function: 2^(n-1) - 2^((n-1)/2) for odd
+    n, 2^(n-1) - 2^(n/2) for even n."""
+    if n < 4:
+        raise ValueError("formula validated for n >= 4")
+    if n % 2:
+        return (1 << (n - 1)) - (1 << ((n - 1) // 2))
+    return (1 << (n - 1)) - (1 << (n // 2))
 
 
 def operator_component(seeds: tuple[str, ...], i: int, level: int,

@@ -10,17 +10,13 @@ import time
 from contextlib import contextmanager
 
 from rotsym import (
-    AffineTransform,
     OpCounter,
     anf_to_truth_table,
-    apply_affine_transform,
     build_f2,
     build_f3,
     builtin_gfs,
-    concatenate,
     conjecture_check,
     f3_block_complements_claimed,
-    f3_block_complements_measured,
     gf_series,
     is_bent,
     is_semi_bent_spectral,
@@ -29,22 +25,25 @@ from rotsym import (
     rots_orbit_anf,
     t_chain,
     walsh_transform,
-    weight,
     wt_f2_closed,
-    wt_f2_recurrence,
 )
 from rotsym.cli import main as cli_main
-from rotsym.core import gf2_invert
 from rotsym.refdata import load_reference_tables, weight_table_columns
 
 from oracles import (
+    AffineTransform,
     affine_nonlinearity,
+    apply_affine_transform,
+    concatenate,
     dot2,
+    f3_block_complements_measured,
     gf2_apply,
+    gf2_invert,
     gf2_transpose,
     parseval_sum,
     random_invertible_rows,
     random_table,
+    wt_f2_recurrence,
     zero_count,
 )
 
@@ -145,7 +144,7 @@ def test_f2_weight_formulas():
             w = wt_f2_closed(n)
             assert wt_f2_recurrence(n) == w, n
             assert coeffs[n] == w, n
-            assert weight(build_f2(n)) == w, n
+            assert build_f2(n).weight() == w, n
 
 
 def test_f2_nonlinearity_formulas():
@@ -238,7 +237,7 @@ def test_gf_series_reproduction():
                                         360, 760, 1576]
         coeffs = gf_series(f2_gf, 18)
         for n in range(5, 19):
-            assert coeffs[n] == weight(build_f2(n)), n
+            assert coeffs[n] == build_f2(n).weight(), n
 
 
 def test_conjecture_scan():

@@ -15,6 +15,8 @@ import rotsym.theory
 from rotsym import TruthTable
 from rotsym.cli import main
 
+from oracles import zeros_table
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -115,15 +117,6 @@ def test_build_above_default_cap_with_flag(capsys):
 # analyze
 # ---------------------------------------------------------------------------
 
-def test_analyze_26_peak_rss_over_startup_is_an_int16_spectrum():
-    # the criteria come from walsh_summary: beside the table, one int16
-    # value per spectrum entry and cache-sized scratch; no int32 spectrum
-    n = 26
-    analyze = _peak_rss("analyze", "f3", "--n", str(n), "--max-n", str(n))
-    noop = _peak_rss("gf", "f2", "--upto", "0")
-    assert analyze - noop <= 2 * (1 << n) + (1 << n) // 8 + (16 << 20)
-
-
 def test_analyze_f3_26_peak_rss_over_startup_is_the_table():
     # f3's criteria come from its transfer matrices: beside the table, a few
     # MiB of matrix products and one panel, and no 2^n-value buffer
@@ -156,7 +149,7 @@ def test_analyze_f2_pc(capsys):
 
 def test_analyze_zero_function_from_file(tmp_path, capsys):
     path = tmp_path / "zero.tt"
-    path.write_text(TruthTable.zeros(4).to_text())
+    path.write_text(zeros_table(4).to_text())
     code, out, _ = run(capsys, "analyze", "--from-file", str(path))
     assert code == 0
     assert "weight=0 nonlinearity=0" in out

@@ -9,14 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotsym import (
-    AffineTransform,
     AnfPolynomial,
     TruthTable,
     anf_to_truth_table,
-    apply_affine_transform,
     build_f2,
     build_f3,
-    concatenate,
     family_table,
     is_bent,
     is_semi_bent_spectral,
@@ -27,22 +24,27 @@ from rotsym import (
     t_chain,
     walsh_summary,
     walsh_transform,
-    weight,
 )
-from rotsym.core import MAX_VARS, WalshSpectrum, _gemm_bits, gf2_invert
+from rotsym.core import MAX_VARS, WalshSpectrum, _gemm_bits
 from rotsym.theory import FAMILY_GENERATORS
 
 from oracles import (
+    AffineTransform,
     affine_nonlinearity,
+    apply_affine_transform,
     autocorrelation_pc_profile,
     butterfly_walsh,
+    complement_table,
+    concatenate,
     derivative_sum,
     dot2,
     gf2_apply,
+    gf2_invert,
     gf2_transpose,
     line_by_line_csv,
     linear_table,
     mobius_anf,
+    ones_table,
     packbits_hex,
     parseval_sum,
     random_invertible_rows,
@@ -53,6 +55,8 @@ from oracles import (
     table_from_int,
     table_from_list,
     table_to_list,
+    xor_tables,
+    zeros_table,
 )
 
 
@@ -109,7 +113,7 @@ def test_truth_table_weight_allocates_a_count_per_word():
 
 def test_truth_table_xor_requires_same_n():
     with pytest.raises(ValueError):
-        TruthTable.zeros(3) ^ TruthTable.zeros(4)
+        xor_tables(zeros_table(3), zeros_table(4))
 
 
 def _value_lists(n: int, count: int):
@@ -131,8 +135,8 @@ def test_byte_format_matches_the_list_oracles(pair):
     assert t.bits == sum(b << i for i, b in enumerate(values))
     assert [t[i] for i in range(t.size)] == values
     assert t.weight() == sum(values)
-    assert table_to_list(t.complement()) == [1 - b for b in values]
-    assert table_to_list(t ^ u) == [a ^ b for a, b in zip(values, other)]
+    assert table_to_list(complement_table(t)) == [1 - b for b in values]
+    assert table_to_list(xor_tables(t, u)) == [a ^ b for a, b in zip(values, other)]
     assert table_to_list(concatenate(t, u)) == values + other
 
 
@@ -170,7 +174,7 @@ def test_anf_to_truth_table_examples():
     # x_1 x_2 on 4 variables: ones exactly where both top bits are set
     t = anf_to_truth_table(AnfPolynomial.from_terms(4, [(1, 2)]))
     assert table_to_list(t) == [0] * 12 + [1] * 4
-    assert anf_to_truth_table(AnfPolynomial.zero(3)) == TruthTable.zeros(3)
+    assert anf_to_truth_table(AnfPolynomial(3, frozenset())) == zeros_table(3)
 
 
 def test_anf_to_truth_table_matches_pointwise(seeded=4242):
@@ -206,9 +210,9 @@ def test_mobius_interpolation_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_weight_examples():
-    assert weight(build_f2(5)) == 16
-    assert weight(TruthTable.zeros(5)) == 0
-    assert weight(build_f3(10)) == 360
+    assert build_f2(5).weight() == 16
+    assert zeros_table(5).weight() == 0
+    assert build_f3(10).weight() == 360
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +220,7 @@ def test_weight_examples():
 # ---------------------------------------------------------------------------
 
 def test_walsh_zero_function():
-    spec = walsh_transform(TruthTable.zeros(3))
+    spec = walsh_transform(zeros_table(3))
     assert spec[0] == 8
     assert all(spec[w] == 0 for w in range(1, 8))
 
@@ -244,7 +248,7 @@ def test_walsh_invariants_random():
         t = random_table(rng, n)
         spec = walsh_transform(t)
         assert parseval_sum(spec.values) == 1 << (2 * n)
-        assert spec[0] == (1 << n) - 2 * weight(t)
+        assert spec[0] == (1 << n) - 2 * t.weight()
         assert all(v % 2 == 0 for v in spec.values)
         assert t.is_balanced() == (spec[0] == 0)
 
@@ -296,7 +300,7 @@ def test_walsh_n25_concatenation_identity():
 def test_walsh_zeros_25_reaches_the_exactness_limit():
     # the float32 stages end with W(0) = 2^24 in each half, the largest
     # value they must hold; bit 24 then doubles it in int32
-    values = walsh_transform(TruthTable.zeros(25)).values
+    values = walsh_transform(zeros_table(25)).values
     assert values[0] == 1 << 25
     assert np.count_nonzero(values) == 1
 
@@ -376,7 +380,7 @@ def test_walsh_summary_matches_transform_at_large_n(build, n):
 @pytest.mark.parametrize("n", [15, 16])
 def test_walsh_summary_of_constant_tables(n):
     # pass 1 stores +-2^14, the largest magnitude int16 must hold
-    for t, sign in ((TruthTable.zeros(n), 1), (TruthTable.ones(n), -1)):
+    for t, sign in ((zeros_table(n), 1), (ones_table(n), -1)):
         w0 = sign << n
         assert _summary_fields(t) == (w0, max(w0, 0), min(w0, 0),
                                       (1 << n) - 1, 0)
@@ -483,7 +487,7 @@ def test_nonlinearity_examples():
     for n in (3, 4):
         for w in range(1 << n):
             assert nonlinearity(linear_table(n, w)) == 0
-            assert nonlinearity(linear_table(n, w).complement()) == 0
+            assert nonlinearity(complement_table(linear_table(n, w))) == 0
 
 
 def test_nonlinearity_equals_affine_enumeration():
@@ -601,7 +605,7 @@ def test_is_bent():
     for bent in (is_bent, lambda f: walsh_transform(f).summary().is_bent()):
         assert bent(t_chain(6)) is True
         assert bent(build_f2(6)) is False
-        assert bent(TruthTable.zeros(4)) is False
+        assert bent(zeros_table(4)) is False
         assert bent(t_chain(5)) is False  # odd n short-circuits
 
 
@@ -620,7 +624,7 @@ def test_max_abs_int32_bound():
     # max_abs takes |W| in int32, exact while |W| <= 2^MAX_VARS < 2^31
     assert MAX_VARS <= 30
     for n in (1, 5, 12):
-        for t in (TruthTable.zeros(n), TruthTable.ones(n),
+        for t in (zeros_table(n), ones_table(n),
                   linear_table(n, 1),
                   linear_table(n, (1 << n) - 1)):
             assert walsh_transform(t).max_abs() == 1 << n
@@ -671,7 +675,7 @@ def test_affine_shift_matches_substituted_anf():
 def test_affine_complement_input_preserves_weight():
     f = build_f2(5)
     moved = apply_affine_transform(f, AffineTransform.identity(5, a=31))
-    assert weight(moved) == weight(f)
+    assert moved.weight() == f.weight()
 
 
 def test_affine_preserves_weight_and_nonlinearity():
@@ -682,7 +686,7 @@ def test_affine_preserves_weight_and_nonlinearity():
         rows = random_invertible_rows(rng, n)
         a = rng.getrandbits(n)
         t0 = AffineTransform(n, rows, a=a)
-        assert weight(apply_affine_transform(h, t0)) == weight(h)
+        assert apply_affine_transform(h, t0).weight() == h.weight()
         t1 = AffineTransform(n, rows, a=a, b=rng.getrandbits(n),
                              c=rng.getrandbits(1))
         assert nonlinearity(apply_affine_transform(h, t1)) == nonlinearity(h)
@@ -742,9 +746,9 @@ def test_affine_transform_spectrum_identity_property(case):
 # ---------------------------------------------------------------------------
 
 def test_concatenate_basic():
-    assert concatenate(TruthTable.zeros(3), TruthTable.zeros(3)) == TruthTable.zeros(4)
+    assert concatenate(zeros_table(3), zeros_table(3)) == zeros_table(4)
     with pytest.raises(ValueError):
-        concatenate(TruthTable.zeros(3), TruthTable.zeros(4))
+        concatenate(zeros_table(3), zeros_table(4))
 
 
 def test_concatenate_halves_recoverable():
@@ -808,7 +812,7 @@ def test_streamed_text_matches_returned_text():
     # n = 1, 2 end in a partial byte; n = 20 is two _TEXT_BYTES slices
     rng = random.Random(67)
     tables = [random_table(rng, n) for n in (*range(1, 13), 20)]
-    tables += [TruthTable.zeros(1), TruthTable.ones(2), build_f3(12)]
+    tables += [zeros_table(1), ones_table(2), build_f3(12)]
     for t in tables:
         buf = io.StringIO()
         assert t.to_text(buf) is None
@@ -884,7 +888,7 @@ def test_text_parse_errors():
 
 def test_spectrum_csv():
     buf = io.StringIO()
-    walsh_transform(TruthTable.zeros(2)).write_csv(buf)
+    walsh_transform(zeros_table(2)).write_csv(buf)
     assert buf.getvalue() == "w,value\n0,4\n1,0\n2,0\n3,0\n"
 
 

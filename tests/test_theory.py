@@ -16,22 +16,19 @@ from rotsym import (
     gf_series,
     is_bent,
     is_semi_bent_spectral,
-    nl_f2,
-    nl_lower_bound_fk,
     nonlinearity,
     monomial_table_general,
     rots_orbit_anf,
     t_chain,
     walsh_summary,
     walsh_transform,
-    weight,
     wt_f2_closed,
-    wt_f2_recurrence,
     wt_f3_recurrence,
 )
+from rotsym.refdata import load_reference_tables
 from rotsym.theory import FAST_MIN_N, _transfer
 
-from oracles import zero_count
+from oracles import nl_f2, wt_f2_recurrence, zero_count
 
 
 def orbit_table(gen, n):
@@ -66,7 +63,7 @@ def test_f2_weight_chain_agrees():
         c = wt_f2_closed(n)
         assert wt_f2_recurrence(n) == c
         assert coeffs[n] == c
-        assert weight(build_f2(n)) == c
+        assert build_f2(n).weight() == c
 
 
 def test_f2_weight_bounds_implied():
@@ -94,13 +91,13 @@ def test_f3_weight_chain_agrees():
     _, f3_gf = builtin_gfs()
     coeffs = gf_series(f3_gf, 18)
     for n in range(3, 7):
-        assert wt_f3_recurrence(n) == coeffs[n] == weight(orbit_table((1, 2, 3), n))
+        assert wt_f3_recurrence(n) == coeffs[n] == orbit_table((1, 2, 3), n).weight()
     for n in range(7, 19):
-        assert wt_f3_recurrence(n) == coeffs[n] == weight(build_f3(n))
+        assert wt_f3_recurrence(n) == coeffs[n] == build_f3(n).weight()
 
 
 def test_wt_f3_recurrence_against_built_13():
-    assert weight(build_f3(13)) == 3264 == wt_f3_recurrence(13)
+    assert build_f3(13).weight() == 3264 == wt_f3_recurrence(13)
 
 
 @pytest.mark.parametrize("generator, weight_at, n_from", [
@@ -182,18 +179,16 @@ def test_nl_f2_matches_spectrum():
 
 
 def test_nl_lower_bound():
-    assert nl_lower_bound_fk(9, 3) == 64 <= 172
-    assert nl_lower_bound_fk(6, 2) == 16 <= 24
-    assert nl_lower_bound_fk(5, 5) == 1
-    assert nonlinearity(orbit_table(tuple(range(1, 6)), 5)) == 1
-    with pytest.raises(ValueError):
-        nl_lower_bound_fk(4, 5)
+    # the degree-k family's nonlinearity is at least 2^(n-k)
+    assert nonlinearity(build_f3(9)) == 172 >= 1 << (9 - 3)
+    assert nonlinearity(orbit_table((1, 2), 6)) == 24 >= 1 << (6 - 2)
+    assert nonlinearity(orbit_table(tuple(range(1, 6)), 5)) == 1 == 1 << (5 - 5)
 
 
 def test_nl_lower_bound_holds_for_families():
     for k, gen in ((2, (1, 2)), (3, (1, 2, 3))):
         for n in range(k + 2, 15):
-            assert nonlinearity(orbit_table(gen, n)) >= nl_lower_bound_fk(n, k)
+            assert nonlinearity(orbit_table(gen, n)) >= 1 << (n - k)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +200,7 @@ def test_t_chain():
     spec = walsh_transform(t_chain(5))
     assert {abs(v) for v in spec.values} <= {0, 8}
     # x1x2 + x2x3 is one on exactly two of the eight points
-    assert weight(t_chain(3)) == 2
+    assert t_chain(3).weight() == 2
     with pytest.raises(ValueError):
         t_chain(2)
 
@@ -237,6 +232,14 @@ def test_conjecture_published_range():
     assert [r["weight"] for r in rows] == [1, 4, 6, 18, 36, 80, 172]
     assert all(r["equal"] for r in rows)
     assert all(r["source"] == "reference-table" for r in rows)
+
+
+def test_reference_range_is_the_published_nonlinearity_table():
+    # `tables` looks up the reference of each row labelled reference-table,
+    # so a wider range would fail with a KeyError, not a mismatch line
+    lo, hi = rotsym.theory.F3_REFERENCE_NL_RANGE
+    published = load_reference_tables()["f3_nonlinearity"]
+    assert sorted(published) == list(range(lo, hi + 1)) == list(range(3, 10))
 
 
 def test_conjecture_row_n10():
