@@ -4,9 +4,11 @@ Bit-packed truth tables, the Walsh-Hadamard transform and cryptographic
 criteria, fast block-concatenation builders for the degree-2 and degree-3
 rotation-symmetric functions, and the exact weight/nonlinearity theory
 (the degree-3 recurrence, the degree-2 closed form, generating functions).
-These are the names the CLI, its table builds and its benchmark reach; the
-paper's string operators and affine tools, and published forms that only
-the tests check, live with the tests (tests/oracles.py).
+These are the names the CLI, its table builds and its benchmark reach.
+Packed bytes are the one bit-string form: the builders and their components
+return TruthTables.  The paper's bit strings and string operators, the
+affine tools, and published forms that only the tests check live with the
+tests (tests/oracles.py).
 
 Each name listed below loads its submodule on first use (PEP 562), so
 ``import rotsym`` does not import numpy: ``rotsym.cli`` can still choose
@@ -19,7 +21,7 @@ __version__ = "0.1.0"
 
 _NAMES = {
     "builders": (
-        "BLOCKS", "BitString", "OpCounter", "build_f2", "build_f3",
+        "OpCounter", "build_f2", "build_f3",
         "f2_block_complements", "f2_component",
         "f3_block_complements_claimed", "f3_component",
         "monomial_table_general", "rots_orbit_anf",
@@ -30,7 +32,7 @@ _NAMES = {
         "nonlinearity", "pc_profile", "walsh_summary", "walsh_transform",
     ),
     "theory": (
-        "RationalGF", "builtin_gfs", "conjecture_check", "family_summary",
+        "builtin_gfs", "conjecture_check", "family_summary",
         "family_table", "gf_series", "orbit_summary", "t_chain",
         "wt_f2_closed", "wt_f3_recurrence",
     ),

@@ -6,16 +6,16 @@ copy.  Copies are free; an OpCounter charges only complemented bits, reported
 as 4-bit blocks.  The doubling constructions reach a 2^n-bit table in
 O(2^n) work with roughly 2^(n-3) block complements, versus the (3n-1)/2 * 2^n
 operations of direct pointwise evaluation.  Every table built here (build_f2,
-build_f3, the open chain t_chain and monomial_table_general) is grown by
-those doublings in place, as byte copies and byte complements or zeroings in
-one 2^n/8-byte buffer that the table then holds.  The seeds are written in
-the paper's block notation (BLOCKS, BitString.from_blocks); the published
-string operators, stated on BitStrings, are the tests' reference.
+build_f3, their components, the open chain t_chain and
+monomial_table_general) is grown by those doublings in place, as byte copies
+and byte complements or zeroings in one 2^n/8-byte buffer that the table then
+holds.  The seeds are written in the paper's block notation and parsed
+straight into bytes; the published string operators, stated on bit strings in
+tests/oracles.py, are the tests' reference.
 """
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -26,84 +26,11 @@ from .core import AnfPolynomial, TruthTable
 
 MACRON = "̄"  # combining overbar used in block names
 
-_BASE_PATTERNS: dict[str, tuple[int, int, int, int]] = {
-    "A": (0, 0, 1, 1),
-    "B": (0, 1, 0, 1),
-    "C": (0, 1, 1, 0),
-    "D": (0, 0, 0, 0),
-    "U": (1, 0, 0, 0),
-    "V": (0, 0, 0, 1),
-    "X": (0, 1, 0, 0),
-    "Y": (0, 0, 1, 0),
-}
-
-
-def _pattern_to_int(pattern: Sequence[int]) -> int:
-    # first element of the written string = lowest bit (table index order)
-    return sum(b << i for i, b in enumerate(pattern))
-
-
-@dataclass(frozen=True)
-class BitString:
-    """A packed bit string; element 0 of the written string is bit 0."""
-
-    length: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("empty bit string")
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError("packed bits do not fit the stated length")
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __add__(self, other: "BitString") -> "BitString":
-        """Concatenation u || v."""
-        return BitString(self.length + other.length,
-                         self.bits | (other.bits << self.length))
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    @classmethod
-    def from_bits(cls, seq: Iterable[int]) -> "BitString":
-        seq = list(seq)
-        return cls(len(seq), _pattern_to_int(seq))
-
-    @classmethod
-    def from_blocks(cls, notation: str) -> "BitString":
-        """Parse block-letter notation, e.g. "VY" or "XŪ" (overbars)."""
-        notation = unicodedata.normalize("NFD", notation)
-        acc = 0
-        count = 0
-        i = 0
-        while i < len(notation):
-            name = notation[i]
-            if i + 1 < len(notation) and notation[i + 1] == MACRON:
-                name += MACRON
-                i += 1
-            i += 1
-            if name not in BLOCKS:
-                raise ValueError(f"unknown block {name!r}")
-            acc |= BLOCKS[name].bits << (4 * count)
-            count += 1
-        if count == 0:
-            raise ValueError("empty block string")
-        return cls(4 * count, acc)
-
-
-# the sixteen named 4-bit strings; each barred block is its base XOR 0xF
-BLOCKS: dict[str, BitString] = {}
-for _name, _pat in _BASE_PATTERNS.items():
-    BLOCKS[_name] = BitString.from_bits(_pat)
-    BLOCKS[_name + MACRON] = BitString(4, BLOCKS[_name].bits ^ 0xF)
+# the eight base blocks as nibbles, the first written bit lowest (table index
+# order): A = 0011, B = 0101, C = 0110, D = 0000, U = 1000, V = 0001,
+# X = 0100, Y = 0010; a barred block is its base XOR 0xF
+_NIBBLES = {"A": 0xC, "B": 0xA, "C": 0x6, "D": 0x0,
+            "U": 0x1, "V": 0x8, "X": 0x2, "Y": 0x4}
 
 
 @dataclass
@@ -161,13 +88,19 @@ def monomial_table_general(indices: Sequence[int], n: int) -> TruthTable:
     return TruthTable(n, buf)
 
 
-def rots_orbit_anf(generator: Iterable[int], n: int) -> AnfPolynomial:
-    """ANF of the rotation orbit of one monomial (duplicates cancelling)."""
+def _generator(generator: Iterable[int], n: int) -> frozenset[int]:
+    """The variable indices of a rotation orbit's monomial, checked."""
     gen = frozenset(generator)
     if not gen:
         raise ValueError("empty generator")
     if any(not 1 <= k <= n for k in gen):
         raise ValueError(f"generator indices outside 1..{n}")
+    return gen
+
+
+def rots_orbit_anf(generator: Iterable[int], n: int) -> AnfPolynomial:
+    """ANF of the rotation orbit of one monomial (duplicates cancelling)."""
+    gen = _generator(generator, n)
     terms = [frozenset(((k - 1 + d) % n) + 1 for k in gen) for d in range(n)]
     return AnfPolynomial.from_terms(n, terms)
 
@@ -176,10 +109,22 @@ def rots_orbit_anf(generator: Iterable[int], n: int) -> AnfPolynomial:
 # the doubling algorithms, in place in one byte buffer
 # ---------------------------------------------------------------------------
 
+def _seed_bytes(notation: str) -> bytes:
+    """A seed in block notation as bytes: the first block is the low nibble
+    of byte 0, and a MACRON after a letter bars it."""
+    nibbles: list[int] = []
+    for c in notation:
+        if c == MACRON:
+            nibbles[-1] ^= 0xF
+        else:
+            nibbles.append(_NIBBLES[c])
+    return bytes(lo | hi << 4 for lo, hi in zip(nibbles[::2], nibbles[1::2]))
+
+
 # the seeds of each family's segments: degree 2 at level 3 (8 bits), doubled
 # by tilde; degree 3 at level 4 (16 bits), doubled by hat
-_F2_SEEDS = ("VY", "XU" + MACRON)
-_F3_SEEDS = ("DVDY", "VDVA", "XBXC")
+_F2_SEEDS = tuple(map(_seed_bytes, ("VY", "XU" + MACRON)))
+_F3_SEEDS = tuple(map(_seed_bytes, ("DVDY", "VDVA", "XBXC")))
 _TILDE, _HAT = 1, 2  # a doubling complements the last 2^-shift of the copy
 
 
@@ -197,7 +142,7 @@ def _flip(seg: np.ndarray, lo: int, hi: int, counter: OpCounter | None) -> None:
         seg[lo // 8] ^= ((1 << (hi - lo)) - 1) << (lo % 8)
 
 
-def _grow(seg: np.ndarray, seed: BitString, shift: int,
+def _grow(seg: np.ndarray, seed: bytes, shift: int,
           counter: OpCounter | None) -> None:
     """Fill seg with seed doubled in place up to seg's length.
 
@@ -205,8 +150,8 @@ def _grow(seg: np.ndarray, seed: BitString, shift: int,
     half and complements the last 2^-shift of that copy: step is tilde for
     shift 1 and hat for shift 2, and charges what they charge.
     """
-    k = seed.length // 8
-    seg[:k] = np.frombuffer(seed.bits.to_bytes(k, "little"), dtype=np.uint8)
+    k = len(seed)
+    seg[:k] = np.frombuffer(seed, dtype=np.uint8)
     while k < seg.size:
         seg[k:2 * k] = seg[:k]
         _flip(seg, 16 * k - (8 * k >> shift), 16 * k, counter)
@@ -225,7 +170,7 @@ def _derive(seg: np.ndarray, shift: int, counter: OpCounter | None) -> None:
     _flip(seg, 0, bits // 2, counter)
 
 
-def _layout(n: int, seeds: Sequence[str], shift: int,
+def _layout(n: int, seeds: Sequence[bytes], shift: int,
             counter: OpCounter | None) -> np.ndarray:
     """The 2^n-bit table as one byte buffer of its segments.
 
@@ -236,20 +181,20 @@ def _layout(n: int, seeds: Sequence[str], shift: int,
     ends = [buf.size - (buf.size >> i) for i in range(1, len(seeds) + 1)]
     segs = np.split(buf, ends)
     for seg, seed in zip(segs, seeds):
-        _grow(seg, BitString.from_blocks(seed), shift, counter)
+        _grow(seg, seed, shift, counter)
     segs[-1][:] = segs[-2]
     _derive(segs[-1], shift, counter)
     return buf
 
 
-def _component(seeds: Sequence[str], shift: int, i: int, level: int,
+def _component(seeds: Sequence[bytes], shift: int, i: int, level: int,
                counter: OpCounter | None) -> np.ndarray:
     """Segment i of a build at its level as bytes: a seed doubled, or the
     derived last one.  The least level is the seed's own, log2 of its bits."""
     if not 1 <= i <= len(seeds) + 1:
         raise ValueError(f"component index must be 1..{len(seeds) + 1}, got {i}")
-    seed = BitString.from_blocks(seeds[min(i, len(seeds)) - 1])
-    least = seed.length.bit_length() - 1
+    seed = seeds[min(i, len(seeds)) - 1]
+    least = (8 * len(seed)).bit_length() - 1
     if level < least:
         raise ValueError(f"components start at level {least}, got {level}")
     seg = np.empty(1 << (level - 3), dtype=np.uint8)
@@ -259,16 +204,14 @@ def _component(seeds: Sequence[str], shift: int, i: int, level: int,
     return seg
 
 
-def f2_component(i: int, level: int, counter: OpCounter | None = None) -> BitString:
+def f2_component(i: int, level: int, counter: OpCounter | None = None) -> TruthTable:
     """g_i^level of the degree-2 build (i = 1, 2, or the derived 3; level >= 3)."""
-    seg = _component(_F2_SEEDS, _TILDE, i, level, counter)
-    return BitString(1 << level, int.from_bytes(seg, "little"))
+    return TruthTable(level, _component(_F2_SEEDS, _TILDE, i, level, counter))
 
 
-def f3_component(i: int, level: int, counter: OpCounter | None = None) -> BitString:
+def f3_component(i: int, level: int, counter: OpCounter | None = None) -> TruthTable:
     """h_i^level of the degree-3 build (i = 1..3, or the derived 4; level >= 4)."""
-    seg = _component(_F3_SEEDS, _HAT, i, level, counter)
-    return BitString(1 << level, int.from_bytes(seg, "little"))
+    return TruthTable(level, _component(_F3_SEEDS, _HAT, i, level, counter))
 
 
 def t_chain(n: int) -> TruthTable:
@@ -281,7 +224,7 @@ def t_chain(n: int) -> TruthTable:
     nonlinearity is 2^(2k) - 2^k, but the chain is not balanced, so it does
     not pass the strict semi-bent predicate.
     """
-    return TruthTable(n, _component(_F2_SEEDS, _TILDE, 1, n, None))
+    return f2_component(1, n)
 
 
 def build_f2(n: int, counter: OpCounter | None = None) -> TruthTable:

@@ -399,7 +399,7 @@ def cmd_gf(args: argparse.Namespace) -> int:
 
     rows = []
     lines = []
-    for k, c in enumerate(gf_series(gf, args.upto)):
+    for k, c in enumerate(gf_series(*gf, args.upto)):
         row: dict = {"degree": k, "coefficient": c}
         note = ""
         if k >= wt_from:

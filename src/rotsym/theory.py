@@ -12,13 +12,13 @@ exact: in integers, or in floats within a stated bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .builders import (
     OpCounter,
+    _generator,
     build_f2,
     build_f3,
     monomial_table_general,
@@ -45,20 +45,6 @@ FAMILY_GENERATORS = {"f2": (1, 2), "f3": (1, 2, 3)}
 FAST_MIN_N = {"f2": 5, "f3": 7}
 
 
-@dataclass(frozen=True)
-class RationalGF:
-    """A rational generating function as two integer coefficient lists."""
-
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "numerator", tuple(self.numerator))
-        object.__setattr__(self, "denominator", tuple(self.denominator))
-        if not self.denominator or self.denominator[0] == 0:
-            raise ValueError("denominator needs a nonzero constant term")
-
-
 def wt_f2_closed(n: int) -> int:
     """Closed-form weight of the degree-2 function: 2^(n-1), minus 2^(n/2)
     when n is even (the parity factor is handled by branching, so no
@@ -80,37 +66,38 @@ def wt_f3_recurrence(n: int) -> int:
     return w[n]
 
 
-def gf_series(gf: RationalGF, upto: int) -> list[int]:
-    """Exact power-series coefficients through degree upto.
+def gf_series(numerator: Sequence[int], denominator: Sequence[int],
+              upto: int) -> list[int]:
+    """Exact power-series coefficients of numerator/denominator through
+    degree upto; each is an integer coefficient list, constant term first.
 
     Driven by the linear recurrence induced by the denominator, whose
     constant term must be a unit (+-1) for integer coefficients.
     """
     if upto < 0:
         raise ValueError("negative degree bound")
-    den = gf.denominator
-    if den[0] not in (1, -1):
+    if not denominator or denominator[0] not in (1, -1):
         raise ValueError("denominator constant term must be +-1")
-    num = gf.numerator
     coeffs: list[int] = []
     for k in range(upto + 1):
-        acc = num[k] if k < len(num) else 0
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc -= den[j] * coeffs[k - j]
-        coeffs.append(acc * den[0])
+        acc = numerator[k] if k < len(numerator) else 0
+        for j in range(1, min(k, len(denominator) - 1) + 1):
+            acc -= denominator[j] * coeffs[k - j]
+        coeffs.append(acc * denominator[0])
     return coeffs
 
 
-def builtin_gfs() -> tuple[RationalGF, RationalGF]:
-    """The two weight generating functions in cleared polynomial form.
+def builtin_gfs() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The two weight generating functions in cleared polynomial form, each
+    a (numerator, denominator) pair for gf_series.
 
     Both are normalized to a single polynomial fraction by clearing the
     embedded 1/(1-2z) factor and absorbing signs:
       degree 2: (16z^5 - 8z^6 - 16z^7) / ((1-2z)(1-2z^2))
       degree 3: (z^3 + 2z^4 - 4z^5)    / ((1-2z)(1-2z^2-2z^3))
     """
-    f2 = RationalGF((0, 0, 0, 0, 0, 16, -8, -16), (1, -2, -2, 4))
-    f3 = RationalGF((0, 0, 0, 1, 2, -4), (1, -2, -2, 2, 4))
+    f2 = ((0, 0, 0, 0, 0, 16, -8, -16), (1, -2, -2, 4))
+    f3 = ((0, 0, 0, 1, 2, -4), (1, -2, -2, 2, 4))
     return f2, f3
 
 
@@ -125,11 +112,7 @@ def _transfer(generator: Iterable[int], n: int) -> np.ndarray:
     (-1)^(phi(w) + b x_i) in M_b.  For L = 1 both windows step from the one
     state to itself, so its entry is their sum.
     """
-    gen = sorted(set(generator))
-    if not gen:
-        raise ValueError("empty generator")
-    if any(not 1 <= k <= n for k in gen):
-        raise ValueError(f"generator indices outside 1..{n}")
+    gen = sorted(_generator(generator, n))
     gaps = [(b - a - 1) % n + 1 for a, b in zip(gen, gen[1:] + gen[:1])]
     start = gen[(gaps.index(max(gaps)) + 1) % len(gen)]
     offsets = [(k - start) % n for k in gen]

@@ -8,10 +8,12 @@ Three kinds of code live here, none of which the CLI or its benchmark runs:
   here: linear_table gives the linear functions l_w(x) = w.x, random_table
   random functions, and zeros_table, ones_table, complement_table and
   xor_tables the constant, complemented and summed tables.
-- The paper's string operators on BitStrings (complement, tilde, hat,
-  complement_first_half), its block notation rendered back (to_blocks_str),
-  and operator_component, the published doubling construction they spell.
-  The byte builders are checked against them.
+- The paper's bit strings (BitString, a Python int and a length) with its
+  sixteen named 4-bit blocks (BLOCKS, parsed by BitString.from_blocks and
+  rendered back by to_blocks_str), the string operators on them
+  (complement, tilde, hat, complement_first_half), and operator_component,
+  the published doubling construction they spell.  The byte builders are
+  checked against them, through as_bitstring.
 - The affine tools behind the degree-2 semi-bent argument (gf2_invert,
   AffineTransform, apply_affine_transform, concatenate), and published forms
   that only the tests check (wt_f2_recurrence, nl_f2 and
@@ -22,13 +24,15 @@ from __future__ import annotations
 
 import itertools
 import random
+import unicodedata
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from rotsym import BLOCKS, BitString, OpCounter, TruthTable
+from rotsym import OpCounter, TruthTable
+from rotsym.builders import MACRON
 
 
 def slow_table(monomials, n: int) -> list[int]:
@@ -347,8 +351,93 @@ def concatenate(g0: TruthTable, g1: TruthTable) -> TruthTable:
 
 
 # ---------------------------------------------------------------------------
-# the paper's string operators and published forms
+# the paper's bit strings, string operators and published forms
 # ---------------------------------------------------------------------------
+
+_BASE_PATTERNS: dict[str, tuple[int, int, int, int]] = {
+    "A": (0, 0, 1, 1),
+    "B": (0, 1, 0, 1),
+    "C": (0, 1, 1, 0),
+    "D": (0, 0, 0, 0),
+    "U": (1, 0, 0, 0),
+    "V": (0, 0, 0, 1),
+    "X": (0, 1, 0, 0),
+    "Y": (0, 0, 1, 0),
+}
+
+
+def _pattern_to_int(pattern: Sequence[int]) -> int:
+    # first element of the written string = lowest bit (table index order)
+    return sum(b << i for i, b in enumerate(pattern))
+
+
+@dataclass(frozen=True)
+class BitString:
+    """A packed bit string; element 0 of the written string is bit 0."""
+
+    length: int
+    bits: int
+
+    def __post_init__(self) -> None:
+        if self.length < 1:
+            raise ValueError("empty bit string")
+        if not 0 <= self.bits < (1 << self.length):
+            raise ValueError("packed bits do not fit the stated length")
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, i: int) -> int:
+        if not 0 <= i < self.length:
+            raise IndexError(i)
+        return (self.bits >> i) & 1
+
+    def __add__(self, other: "BitString") -> "BitString":
+        """Concatenation u || v."""
+        return BitString(self.length + other.length,
+                         self.bits | (other.bits << self.length))
+
+    def weight(self) -> int:
+        return self.bits.bit_count()
+
+    @classmethod
+    def from_bits(cls, seq: Iterable[int]) -> "BitString":
+        seq = list(seq)
+        return cls(len(seq), _pattern_to_int(seq))
+
+    @classmethod
+    def from_blocks(cls, notation: str) -> "BitString":
+        """Parse block-letter notation, e.g. "VY" or "XŪ" (overbars)."""
+        notation = unicodedata.normalize("NFD", notation)
+        acc = 0
+        count = 0
+        i = 0
+        while i < len(notation):
+            name = notation[i]
+            if i + 1 < len(notation) and notation[i + 1] == MACRON:
+                name += MACRON
+                i += 1
+            i += 1
+            if name not in BLOCKS:
+                raise ValueError(f"unknown block {name!r}")
+            acc |= BLOCKS[name].bits << (4 * count)
+            count += 1
+        if count == 0:
+            raise ValueError("empty block string")
+        return cls(4 * count, acc)
+
+
+# the sixteen named 4-bit strings; each barred block is its base XOR 0xF
+BLOCKS: dict[str, BitString] = {}
+for _name, _pat in _BASE_PATTERNS.items():
+    BLOCKS[_name] = BitString.from_bits(_pat)
+    BLOCKS[_name + MACRON] = BitString(4, BLOCKS[_name].bits ^ 0xF)
+
+
+def as_bitstring(tt: TruthTable) -> BitString:
+    """The table's 2^n bits as a bit string, bit i = f at index i."""
+    return BitString(tt.size, tt.bits)
+
 
 def complement(u: BitString, counter: OpCounter | None = None) -> BitString:
     """All bits flipped; charges length/4 blocks."""

@@ -139,7 +139,7 @@ def test_f3_cost_comparison(capsys):
 def test_f2_weight_formulas():
     with criterion("degree-2 weights: closed form = recurrence = series = table"):
         f2_gf, _ = builtin_gfs()
-        coeffs = gf_series(f2_gf, 18)
+        coeffs = gf_series(*f2_gf, 18)
         for n in range(5, 19):
             w = wt_f2_closed(n)
             assert wt_f2_recurrence(n) == w, n
@@ -233,9 +233,9 @@ def test_structural_identities():
 def test_gf_series_reproduction():
     with criterion("generating functions: printed expansion and weights"):
         f2_gf, f3_gf = builtin_gfs()
-        assert gf_series(f3_gf, 12) == [0, 0, 0, 1, 4, 6, 18, 36, 80, 172,
+        assert gf_series(*f3_gf, 12) == [0, 0, 0, 1, 4, 6, 18, 36, 80, 172,
                                         360, 760, 1576]
-        coeffs = gf_series(f2_gf, 18)
+        coeffs = gf_series(*f2_gf, 18)
         for n in range(5, 19):
             assert coeffs[n] == build_f2(n).weight(), n
 

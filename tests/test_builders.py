@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from rotsym import (
     AnfPolynomial,
-    BLOCKS,
-    BitString,
     OpCounter,
     anf_to_truth_table,
     build_f2,
@@ -23,12 +21,15 @@ from rotsym import (
     t_chain,
     walsh_transform,
 )
-from rotsym.builders import MACRON
+from rotsym.builders import MACRON, _seed_bytes
 from rotsym.theory import FAST_MIN_N, family_table
 
 from oracles import (
+    BLOCKS,
     AffineTransform,
+    BitString,
     apply_affine_transform,
+    as_bitstring,
     complement,
     complement_first_half,
     concatenate,
@@ -88,6 +89,14 @@ def test_bitstring_blocks_round_trip():
     assert BitString.from_blocks("XŪ") == BitString.from_blocks("XU" + MACRON)
     with pytest.raises(ValueError):
         BitString.from_blocks("Q")
+
+
+def test_seed_bytes_match_the_reference_parse():
+    for spec, hexed in (("VY", "48"), ("XU" + MACRON, "e2"), ("DVDY", "8040"),
+                        ("VDVA", "08c8"), ("XBXC", "a262")):
+        ref = BitString.from_blocks(spec)
+        assert _seed_bytes(spec) == ref.bits.to_bytes(len(ref) // 8, "little") \
+            == bytes.fromhex(hexed), spec
 
 
 def test_bitstring_validation():
@@ -245,7 +254,8 @@ def test_build_f2_worked_example():
     counter = OpCounter()
     t = build_f2(5, counter)
     assert t.to_hex() == "121d47b7"
-    s = (f2_component(1, 4) + f2_component(2, 3) + f2_component(3, 3))
+    s = (as_bitstring(f2_component(1, 4)) + as_bitstring(f2_component(2, 3))
+         + as_bitstring(f2_component(3, 3)))
     assert to_blocks_str(s) == ("VYVY" + MACRON + "XU" + MACRON
                                 + "X" + MACRON + "U" + MACRON)
     assert counter.block_complements == 2
@@ -272,6 +282,15 @@ def test_build_f2_cost():
 def test_build_f2_minimum():
     with pytest.raises(ValueError):
         build_f2(4)
+
+
+def test_build_f2_is_its_three_components():
+    # the table is g1 at level n-1, then g2 and the derived g3 at level n-2
+    for n in range(5, 17):
+        parts = (f2_component(1, n - 1), f2_component(2, n - 2),
+                 f2_component(3, n - 2))
+        assert build_f2(n).data.tobytes() == \
+            b"".join(p.data.tobytes() for p in parts), n
 
 
 def test_f2_component_weight_recurrence():
@@ -337,7 +356,7 @@ def test_f3_component_weight_recurrence():
         for s in range(7, 17):
             assert w[s] == 2 * (w[s - 2] + w[s - 3]) + (1 << (s - 3)), (i, s)
     # the derived fourth segment satisfies the same recurrence
-    h3 = {s: f3_component(3, s) for s in range(4, 17)}
+    h3 = {s: as_bitstring(f3_component(3, s)) for s in range(4, 17)}
     w4 = {s: complement_first_half(hat(h3[s])).weight() for s in range(4, 17)}
     for s in range(7, 17):
         assert w4[s] == 2 * (w4[s - 2] + w4[s - 3]) + (1 << (s - 3)), s
@@ -359,9 +378,9 @@ def test_hat_step_output_matches_oracle_components():
     for n in (7, 9, 10):
         table = build_f3(n)
         bits = table_to_list(table)
-        h1 = f3_component(1, n - 1)
-        h2 = f3_component(2, n - 2)
-        h3 = f3_component(3, n - 3)
+        h1 = as_bitstring(f3_component(1, n - 1))
+        h2 = as_bitstring(f3_component(2, n - 2))
+        h3 = as_bitstring(f3_component(3, n - 3))
         h4 = complement_first_half(hat(h3))
         glued = [h1[i] for i in range(len(h1))] + \
                 [h2[i] for i in range(len(h2))] + \
@@ -377,7 +396,7 @@ def test_components_match_string_operators():
         for i in (1, 2, 3):
             level = n - min(i, 2)
             ours, ref = OpCounter(), OpCounter()
-            assert f2_component(i, level, ours) == \
+            assert as_bitstring(f2_component(i, level, ours)) == \
                 operator_component(F2_SEEDS, i, level, ref), (i, n)
             assert ours == ref
         for i in (1, 2, 3, 4):
@@ -385,7 +404,7 @@ def test_components_match_string_operators():
             if level < 4:
                 continue
             ours, ref = OpCounter(), OpCounter()
-            assert f3_component(i, level, ours) == \
+            assert as_bitstring(f3_component(i, level, ours)) == \
                 operator_component(F3_SEEDS, i, level, ref), (i, n)
             assert ours == ref
         if n >= 7:

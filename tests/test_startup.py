@@ -1,10 +1,12 @@
-"""Start-up: `import rotsym` is lazy, and the CLI loads numpy with one
-OpenBLAS thread unless the user chose a count.
+"""Start-up: `import rotsym` is lazy, the CLI loads numpy with one
+OpenBLAS thread unless the user chose a count, and no module of the package
+imports a name it never uses.
 
-Each check runs in a fresh interpreter, because numpy reads
+Each start-up check runs in a fresh interpreter, because numpy reads
 OPENBLAS_NUM_THREADS once, when it is first imported.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -22,10 +24,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # transfer-matrix criteria `orbit_summary` and `family_summary`, less the
 # names that only the tests used: `repeat`, `nl_lower_bound_fk` and `weight`
 # are deleted, and the string operators, the affine tools and the published
-# forms that only the tests check moved to tests/oracles.py.
+# forms that only the tests check moved to tests/oracles.py, as did the bit
+# strings `BitString` and `BLOCKS`; `RationalGF` is deleted (`gf_series`
+# takes the two coefficient tuples).
 EXPORTED = {
     "builders": (
-        "BLOCKS", "BitString", "OpCounter", "build_f2", "build_f3",
+        "OpCounter", "build_f2", "build_f3",
         "f2_block_complements", "f2_component",
         "f3_block_complements_claimed", "f3_component",
         "monomial_table_general", "rots_orbit_anf",
@@ -36,7 +40,7 @@ EXPORTED = {
         "nonlinearity", "pc_profile", "walsh_summary", "walsh_transform",
     ),
     "theory": (
-        "RationalGF", "builtin_gfs", "conjecture_check", "family_summary",
+        "builtin_gfs", "conjecture_check", "family_summary",
         "family_table", "gf_series", "orbit_summary", "t_chain",
         "wt_f2_closed", "wt_f3_recurrence",
     ),
@@ -103,6 +107,26 @@ print(json.dumps({"same": [
     names = sorted(n for names in EXPORTED.values() for n in names)
     assert sorted(state["same"]) == names
     assert state["all"] == names
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a name counts as used where it is read as a Name node, annotations
+    # included; the package quotes no annotation that names an import
+    unused = []
+    for path in sorted((SRC / "rotsym").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
+                   if name not in used]
+    assert unused == []
 
 
 def test_unknown_name_raises_attribute_error():
