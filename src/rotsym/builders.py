@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import AnfPolynomial, TruthTable
+from .core import MAX_VARS, AnfPolynomial, TruthTable
 
 MACRON = "̄"  # combining overbar used in block names
 
@@ -50,6 +50,14 @@ class OpCounter:
         return q if r == 0 else Fraction(self.bits_complemented, 4)
 
 
+def _table_bytes(n: int) -> np.ndarray:
+    """An unfilled buffer for the packed bytes of a 2^n-bit table; n is
+    checked against MAX_VARS first, so an oversized n allocates nothing."""
+    if n > MAX_VARS:
+        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
+    return np.empty(max(1, (1 << n) >> 3), dtype=np.uint8)
+
+
 # ---------------------------------------------------------------------------
 # monomial truth tables by block composition
 # ---------------------------------------------------------------------------
@@ -72,7 +80,7 @@ def monomial_table_general(indices: Sequence[int], n: int) -> TruthTable:
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError(f"indices must be strictly increasing: {idx}")
 
-    buf = np.empty(max(1, (1 << n) >> 3), dtype=np.uint8)
+    buf = _table_bytes(n)
     seed = 0xFF if n >= 3 else 0x0F
     # the byte of positions 0..7 where x_n, x_(n-1) or x_(n-2) is 1
     for v, pattern in ((n, 0xAA), (n - 1, 0xCC), (n - 2, 0xF0)):
@@ -177,7 +185,7 @@ def _layout(n: int, seeds: Sequence[bytes], shift: int,
     Segment i = 1..len(seeds) holds seed i doubled to 2^(n-i) bits; the last
     segment, as long as the one before it, is a copy of that one, derived.
     """
-    buf = np.empty(1 << (n - 3), dtype=np.uint8)
+    buf = _table_bytes(n)
     ends = [buf.size - (buf.size >> i) for i in range(1, len(seeds) + 1)]
     segs = np.split(buf, ends)
     for seg, seed in zip(segs, seeds):
@@ -197,7 +205,7 @@ def _component(seeds: Sequence[bytes], shift: int, i: int, level: int,
     least = (8 * len(seed)).bit_length() - 1
     if level < least:
         raise ValueError(f"components start at level {least}, got {level}")
-    seg = np.empty(1 << (level - 3), dtype=np.uint8)
+    seg = _table_bytes(level)
     _grow(seg, seed, shift, counter)
     if i > len(seeds):
         _derive(seg, shift, counter)

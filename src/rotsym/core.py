@@ -21,7 +21,8 @@ MAX_VARS = 26          # 2^26-bit tables; the spectrum still fits int32
 # The GEMM kernel (see _two_pass).  float32 holds every integer of magnitude
 # <= 2^24 exactly, so walsh_transform does the low 24 index bits in float32
 # and any higher bits in float64 (exact to 2^53); pc_profile does all its
-# bits in float64; theory.orbit_summary's GEMM runs in float32 to n = 24.
+# bits in float64; theory.orbit_summary's GEMM runs in float32 while its
+# bound on every partial sum is <= 2^24.
 _FLOAT_BITS = 24
 _GROUP_BITS = 5        # index bits per GEMM stage, against one 32x32 matrix
 _GEMM_MACS = 1 << 18   # multiply-adds per GEMM call (see _gemm_bits)
@@ -279,8 +280,10 @@ class WalshSummary(NamedTuple):
 
     @classmethod
     def _of(cls, n: int, tallies) -> "WalshSummary":
-        """Combine the _tally of blocks that hold every value once, the first
-        block starting at W(0)."""
+        """Combine the _tally of blocks that cover every value once, the first
+        block starting at W(0).  A tally's counts may be weighted: a block
+        that stands for several blocks of the same values (the mirror rows
+        of theory.orbit_summary) carries its counts times their number."""
         w0, high, low, zeros, at_amp = zip(*tallies)
         return cls(n, int(w0[0]), int(max(high)), int(min(low)),
                    int(sum(zeros)), int(sum(at_amp)))

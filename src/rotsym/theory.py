@@ -127,6 +127,41 @@ def _transfer(generator: Iterable[int], n: int) -> np.ndarray:
     return m
 
 
+def _mirrored(generator: frozenset[int], n: int) -> bool:
+    """Whether the reflection of generator, g -> -g mod n, is a rotation of
+    it, so that the orbit is its own mirror image."""
+    mirror = {-g % n for g in generator}
+    return any({(g + d) % n for g in generator} == mirror for d in range(n))
+
+
+def _walks(generator: frozenset[int],
+           n: int) -> tuple[np.ndarray, np.ndarray, type, int]:
+    """orbit_summary's int64 prefix and suffix products P and S, the float
+    dtype whose GEMM of them is exact, and the bound B it is chosen by.
+
+    B = sum over s, t of max_a |P[s, t]| max_b |S[t, s]| bounds every
+    product and every partial sum of the GEMM, in any summation order, so
+    float32 is exact when B <= 2^_FLOAT_BITS (2^24); else float64, which is
+    exact to 2^53.  B <= 2^n, because max_a |P[s, t]| is at most the number
+    of k-step walks from s to t, and the products of these counts sum to
+    the 2^n closed walks of n steps.
+    """
+    m = _transfer(generator, n)
+    d = m.shape[1]
+    k = n // 2
+    pre = suf = np.eye(d, dtype=np.int64)[None]
+    for _ in range(k):  # [2 a_hi + b] = P(a_hi) M_b: one more low bit
+        pre = np.matmul(pre[:, None], m).reshape(-1, d, d)
+    pre = pre.reshape(-1, d * d)  # [a_hi, s D + t] = P[s, t]
+    for _ in range(n - k):  # [b 2^j + a_lo] = M_b S(a_lo): one more high bit
+        suf = np.matmul(m[:, None], suf).reshape(-1, d, d)
+    # [s D + t, a_lo] = S(a_lo)[t, s]
+    suf = suf.transpose(2, 1, 0).reshape(d * d, -1)
+    bound = int(np.abs(pre).max(axis=0) @ np.abs(suf).max(axis=1))
+    dtype = np.float32 if bound <= 1 << _FLOAT_BITS else np.float64
+    return pre, suf, dtype, bound
+
+
 def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     """The WalshSummary of the rotation orbit of one monomial, from its
     transfer matrices instead of its table.
@@ -137,44 +172,55 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     and the n - k others a_lo: with the int64 prefix products
     P(a_hi) = M_(a_1) ... M_(a_k) and suffix products
     S(a_lo) = M_(a_(k+1)) ... M_(a_n), W(a) = sum over s, t of
-    P[s, t] S[t, s].  So the whole spectrum is one GEMM,
+    P[s, t] S[t, s].  So the spectrum is one GEMM, rows a_hi of
     (2^k x D^2) @ (D^2 x 2^(n-k)), run in panels of whole rows of about
     _PANEL values; each call is tiled to at most _GEMM_MACS multiply-adds,
     and each panel is reduced by _tally.
 
-    This is exact: every entry of P and S, every product and every partial
-    sum of the GEMM is a signed count of a subset of the 2^n closed walks,
-    one walk per x, so its magnitude is at most 2^n, which float32 holds
-    exactly for n <= _FLOAT_BITS (24) and float64 for n = 25, 26.  Memory
-    is P and S, D^2 (2^k + 2^(n-k)) values, as int64 and then as floats,
-    and one panel: 3.2 MiB at n = 26 for degree 3 (D = 4), and no 2^n
-    buffer.  The cost grows as 4^(L-1), so this suits short windows such
-    as those of f2 and f3.
+    Mirror rows: the reflection i -> k + 1 - i (mod n) of the variables
+    reverses the k bits of a_hi and the n - k bits of a_lo separately.
+    When the generator's reflection is a rotation of it (f2's (1, 2), f3's
+    (1, 2, 3), not (1, 2, 4)), the function is invariant under it, so
+    W(a_hi, a_lo) = W(rev(a_hi), rev(a_lo)): row rev(a_hi) holds the values
+    of row a_hi, permuted.  Then only the rows a_hi <= rev(a_hi) are
+    computed: the palindromes first (row 0, which holds W(0), leads), each
+    tallied once, and then the others, whose counts of 0 and of +-amp are
+    doubled; max and min need no weight.  Otherwise every row runs once.
+
+    This is exact: the GEMM runs in float32 when the bound B of _walks is
+    at most 2^24, which f2 and f3 meet at every n <= 26 (f3: B = 2^21.86
+    at n = 26), and in float64 otherwise (B <= 2^n <= 2^26).  Memory is P
+    and S, D^2 (2^k + 2^(n-k)) int64 values, the computed rows and S as
+    floats, and one panel: about 3 MiB at n = 26 for degree 3 (D = 4), and
+    no 2^n buffer.  The cost grows as 4^(L-1), so this suits short windows
+    such as those of f2 and f3.
     """
     if not 1 <= n <= MAX_VARS:
         raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
-    m = _transfer(generator, n)
-    d = m.shape[1]
+    gen = _generator(generator, n)
+    pre, suf, dtype, _ = _walks(gen, n)
+    suf = suf.astype(dtype, order="C")
     k = n // 2
-    dtype = np.float32 if n <= _FLOAT_BITS else np.float64
-    pre = suf = np.eye(d, dtype=np.int64)[None]
-    for _ in range(k):  # [2 a_hi + b] = P(a_hi) M_b: one more low bit
-        pre = np.matmul(pre[:, None], m).reshape(-1, d, d)
-    pre = pre.reshape(-1, d * d).astype(dtype)  # [a_hi, s D + t] = P[s, t]
-    for _ in range(n - k):  # [b 2^j + a_lo] = M_b S(a_lo): one more high bit
-        suf = np.matmul(m[:, None], suf).reshape(-1, d, d)
-    # [s D + t, a_lo] = S(a_lo)[t, s]
-    suf = suf.transpose(2, 1, 0).astype(dtype, order="C").reshape(d * d, -1)
-    cols = suf.shape[1]  # 2^(n-k) <= 2^13: a panel is whole rows
-    height = min(len(pre), _PANEL // cols)
-    tile = min(cols, max(1, _GEMM_MACS // (height * d * d)))
-    tiles = suf.reshape(d * d, -1, tile).transpose(1, 0, 2)
+    rows = np.arange(1 << k)
+    groups = [(rows, 1)]
+    if _mirrored(gen, n):
+        rev = sum(((rows >> j) & 1) << (k - 1 - j) for j in range(k))
+        groups = [(rows[rows == rev], 1), (rows[rows < rev], 2)]
+    dd, cols = suf.shape  # cols = 2^(n-k) <= 2^13: a panel is whole rows
+    height = min(len(rows), _PANEL // cols)
+    tile = min(cols, max(1, _GEMM_MACS // (height * dd)))
+    tiles = suf.reshape(dd, -1, tile).transpose(1, 0, 2)
     panel = np.empty((height, cols), dtype=dtype)
     tallies = []
-    for row in range(0, len(pre), height):
-        np.matmul(pre[row:row + height], tiles,
-                  out=panel.reshape(height, -1, tile).transpose(1, 0, 2))
-        tallies.append(_tally(n, panel))
+    for group, weight in groups:
+        lhs = pre[group].astype(dtype)
+        for row in range(0, len(lhs), height):
+            part = lhs[row:row + height]
+            block = panel[:len(part)]
+            np.matmul(part, tiles,
+                      out=block.reshape(len(part), -1, tile).transpose(1, 0, 2))
+            w0, high, low, zeros, at_amp = _tally(n, block)
+            tallies.append((w0, high, low, weight * zeros, weight * at_amp))
     return WalshSummary._of(n, tallies)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,22 @@ def test_component_level_validation():
         f3_component(1, 3)
     with pytest.raises(ValueError):
         f3_component(5, 6)
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_f2, (27,)), (build_f3, (27,)), (f3_component, (1, 27)),
+    (monomial_table_general, ((1, 2), 27))],
+    ids=["build_f2", "build_f3", "f3_component", "monomial_table_general"])
+def test_oversized_n_is_rejected_before_the_buffer(build, args):
+    # the 2^27-bit table would be 16 MiB; n is checked before np.empty
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="must be in 1..26, got 27"):
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_hat_step_output_matches_oracle_components():

@@ -26,7 +26,7 @@ from rotsym import (
     walsh_transform,
 )
 from rotsym.core import MAX_VARS, WalshSpectrum, _gemm_bits
-from rotsym.theory import FAMILY_GENERATORS
+from rotsym.theory import FAMILY_GENERATORS, _mirrored, _walks
 
 from oracles import (
     AffineTransform,
@@ -419,7 +419,8 @@ def test_walsh_summary_bent_even_t():
 @pytest.mark.parametrize("n", [*range(3, 21), 24, 25, 26])
 @pytest.mark.parametrize("selector", ["f2", "f3"])
 def test_orbit_summary_matches_the_family_table(selector, n):
-    # 24 is the last n whose GEMM runs in float32; 25 and 26 run in float64
+    # every n runs the float32 GEMM on the mirror rows; 25 and 26 are the
+    # largest bounds B (see test_orbit_gemm_bound_of_the_families)
     generator = FAMILY_GENERATORS[selector]
     assert orbit_summary(generator, n) == walsh_summary(family_table(selector, n))
 
@@ -445,10 +446,44 @@ def _orbits(draw, max_n=14):
 @example(((1, 4, 7), 9))     # three equal rotations: one term left of each
 @example(((1, 2, 4), 13))
 @example(((1, 3, 5), 12))
+@example(((1, 2, 4, 5), 11))  # its own mirror at odd n: the mirror rows
 def test_orbit_summary_matches_the_anf_table(orbit):
     generator, n = orbit
     table = anf_to_truth_table(rots_orbit_anf(generator, n))
     assert orbit_summary(generator, n) == walsh_summary(table)
+
+
+@pytest.mark.parametrize("n", [20, 21])
+def test_orbit_summary_of_an_unmirrored_orbit_runs_every_row(n):
+    # (1, 2, 4) is not its own mirror, so every GEMM row runs once
+    table = family_table("orbit", n, (1, 2, 4))
+    assert orbit_summary((1, 2, 4), n) == walsh_summary(table)
+
+
+def test_mirror_test_of_the_generators():
+    for n in (11, 12):
+        for generator in ((1, 2), (1, 2, 3), (1, 3, 5)):
+            assert _mirrored(frozenset(generator), n)
+        assert not _mirrored(frozenset((1, 2, 4)), n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_orbits(max_n=18))
+def test_orbit_gemm_bound_is_at_most_the_closed_walks(orbit):
+    # B <= 2^n, so the bound chooses float32 wherever n <= 24 would have
+    generator, n = orbit
+    dtype, bound = _walks(frozenset(generator), n)[2:]
+    assert bound <= 1 << n
+    assert dtype == (np.float32 if bound <= 1 << 24 else np.float64)
+
+
+@pytest.mark.parametrize("generator, n, bound", [
+    ((1, 2), 25, 1 << 14), ((1, 2), 26, 1 << 14),
+    ((1, 2, 3), 25, 2155008), ((1, 2, 3), 26, 3810304)],
+    ids=["f2-25", "f2-26", "f3-25", "f3-26"])
+def test_orbit_gemm_bound_of_the_families(generator, n, bound):
+    # f3 at n = 26: B = 2^21.86, under 2^24, so its GEMM runs in float32
+    assert _walks(frozenset(generator), n)[2:] == (np.float32, bound)
 
 
 def test_orbit_summary_rejects_bad_input():
@@ -461,8 +496,9 @@ def test_orbit_summary_rejects_bad_input():
 
 
 def test_orbit_summary_memory_has_no_spectrum_sized_buffer():
-    # P and S, 16 * 2^13 values each at n = 26, as int64 and as float64,
-    # and one panel of 2^17 float64 values: no 2^n-value buffer
+    # P and S, 16 * 2^13 values each at n = 26, as int64, the mirror rows
+    # of P and all of S as float32, and one panel of 2^17 float32 values:
+    # no 2^n-value buffer
     tracemalloc.start()
     try:
         orbit_summary((1, 2, 3), 26)
