@@ -24,7 +24,7 @@ _NAMES = {
         "OpCounter", "build_f2", "build_f3",
         "f2_block_complements", "f2_component",
         "f3_block_complements_claimed", "f3_component",
-        "monomial_table_general", "rots_orbit_anf",
+        "monomial_table_general", "rots_orbit_anf", "t_chain",
     ),
     "core": (
         "AnfPolynomial", "TruthTable", "WalshSpectrum", "WalshSummary",
@@ -32,9 +32,8 @@ _NAMES = {
         "nonlinearity", "pc_profile", "walsh_summary", "walsh_transform",
     ),
     "theory": (
-        "builtin_gfs", "conjecture_check", "family_summary",
-        "family_table", "gf_series", "orbit_summary", "t_chain",
-        "wt_f2_closed", "wt_f3_recurrence",
+        "builtin_gfs", "conjecture_check", "family_table", "gf_series",
+        "orbit_summary", "wt_f2_closed", "wt_f3_recurrence",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

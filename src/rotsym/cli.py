@@ -28,7 +28,9 @@ from .builders import (  # noqa: E402
 from .core import (  # noqa: E402
     MAX_VARS,
     TruthTable,
+    WalshSummary,
     pc_profile,
+    walsh_summary,
     walsh_transform,
 )
 from .refdata import load_reference_tables, weight_table_columns  # noqa: E402
@@ -37,9 +39,9 @@ from .theory import (  # noqa: E402
     FAST_MIN_N,
     builtin_gfs,
     conjecture_check,
-    family_summary,
     family_table,
     gf_series,
+    orbit_summary,
     wt_f2_closed,
     wt_f3_recurrence,
 )
@@ -165,16 +167,14 @@ def cmd_build(args: argparse.Namespace) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _analyze_one(table: TruthTable, selector: str | None, spectrum: bool) -> dict:
-    """The report row; from the stored spectrum when the command asks for
-    one, else from family_summary, which stores none."""
-    summary = (walsh_transform(table).summary() if spectrum
-               else family_summary(selector, table))
+def _analyze_one(summary: WalshSummary) -> dict:
+    """The report row, all of it read from the Walsh summary: the weight
+    from W(0) = 2^n - 2 wt, and the balance as W(0) = 0."""
     return {
-        "n": table.n,
-        "weight": table.weight(),
+        "n": summary.n,
+        "weight": summary.weight(),
         "nonlinearity": summary.nonlinearity(),
-        "balanced": table.is_balanced(),
+        "balanced": summary.w0 == 0,
         "bent": summary.is_bent(),
         "semibent": summary.is_semi_bent(),
     }
@@ -205,6 +205,7 @@ def _rows_to_csv(cols, rows) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     rows = []
     lines = []
+    spectrum = args.pc or args.spectrum_csv is not None
     if args.from_file is not None:
         if args.selector or args.n or args.generator:
             raise UsageError("--from-file takes no selector, --n or --generator")
@@ -222,12 +223,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _check_range(args, MAX_VARS)
         if args.spectrum_csv is not None and args.n_lo != args.n_hi:
             raise UsageError("--spectrum-csv needs a single n")
-        tables = (family_table(args.selector, n, args.generator)
-                  for n in range(args.n_lo, args.n_hi + 1))
+        ns = range(args.n_lo, args.n_hi + 1)
+        tables = (family_table(args.selector, n, args.generator) for n in ns)
+    if args.selector in FAMILY_GENERATORS and not spectrum:
+        # the transfer matrices give the whole row: no table is built
+        gen = FAMILY_GENERATORS[args.selector]
+        items = ((orbit_summary(gen, n), None) for n in ns)
+    else:  # a stored spectrum only when --pc or --spectrum-csv reads one
+        items = ((walsh_transform(t).summary() if spectrum else walsh_summary(t), t)
+                 for t in tables)
 
-    for table in tables:
-        row = _analyze_one(table, args.selector,
-                           args.pc or args.spectrum_csv is not None)
+    for summary, table in items:
+        row = _analyze_one(summary)
         rows.append(row)
         lines.append(_kv_line(row))
         if args.pc:

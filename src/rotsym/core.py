@@ -105,9 +105,6 @@ class TruthTable:
         words = self.data.view(np.uint64) if self.data.size >= 8 else self.data
         return int(np.bitwise_count(words).sum())
 
-    def is_balanced(self) -> bool:
-        return 2 * self.weight() == self.size
-
     def to_array(self) -> np.ndarray:
         """The 2^n values as a uint8 array in index order."""
         return np.unpackbits(self.data, bitorder="little", count=self.size)
@@ -287,6 +284,10 @@ class WalshSummary(NamedTuple):
         w0, high, low, zeros, at_amp = zip(*tallies)
         return cls(n, int(w0[0]), int(max(high)), int(min(low)),
                    int(sum(zeros)), int(sum(at_amp)))
+
+    def weight(self) -> int:
+        """The table's weight, from W(0) = 2^n - 2 wt."""
+        return ((1 << self.n) - self.w0) // 2
 
     def max_abs(self) -> int:
         return max(self.max, -self.min)

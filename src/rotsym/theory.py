@@ -4,10 +4,9 @@ The closed form of the degree-2 weight, the recurrence of the degree-3
 weight, rational generating functions for both families, the transfer
 matrices of a rotation orbit and the Walsh criteria taken from them
 (orbit_summary), the one dispatch from a selector to a table (family_table;
-builders makes the open chain t) and to its criteria (family_summary: f2 and
-f3 from their transfer matrices, any other table from its own spectrum), and
-the weight-equals-nonlinearity scan for the degree-3 family.  All arithmetic is
-exact: in integers, or in floats within a stated bound.
+builders makes the open chain t), and the weight-equals-nonlinearity scan for
+the degree-3 family.  All arithmetic is exact: in integers, or in floats
+within a stated bound.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .core import (
     WalshSummary,
     _tally,
     anf_to_truth_table,
-    walsh_summary,
 )
 
 F3_REFERENCE_NL_RANGE = (3, 9)  # range covered by the published table
@@ -250,26 +248,13 @@ def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
     return anf_to_truth_table(rots_orbit_anf(generator, n))
 
 
-def family_summary(selector: str | None, table: TruthTable) -> WalshSummary:
-    """The WalshSummary of a table that family_table(selector, n) built.
-
-    f2 and f3 take it from the transfer matrices of their orbit
-    (orbit_summary), with no pass over the table and no 2^n buffer; any
-    other selector, or None for a table of unknown origin, from the table
-    itself (walsh_summary).
-    """
-    if selector in FAMILY_GENERATORS:
-        return orbit_summary(FAMILY_GENERATORS[selector], table.n)
-    return walsh_summary(table)
-
-
 def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:
     """Weight vs nonlinearity of the degree-3 family, one row per n.
 
     Each row is {"n", "weight", "nonlinearity", "equal", "source"}, with
     source "reference-table" within the published range, else "computed".
     The weight is counted in the built table and the nonlinearity comes
-    from the transfer matrices (family_summary), so the two sides of each
+    from the transfer matrices (orbit_summary), so the two sides of each
     comparison come from independent engines.
     Equality is reported, never asserted: it is only confirmed through n = 9,
     everything beyond is informational.
@@ -279,9 +264,8 @@ def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:
     rows = []
     lo, hi = F3_REFERENCE_NL_RANGE
     for n in range(n_lo, n_hi + 1):
-        tab = family_table("f3", n)
-        w = tab.weight()
-        nl = family_summary("f3", tab).nonlinearity()
+        w = family_table("f3", n).weight()
+        nl = orbit_summary(FAMILY_GENERATORS["f3"], n).nonlinearity()
         rows.append({"n": n, "weight": w, "nonlinearity": nl, "equal": w == nl,
                      "source": "reference-table" if lo <= n <= hi else "computed"})
     return rows

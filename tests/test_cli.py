@@ -117,13 +117,13 @@ def test_build_above_default_cap_with_flag(capsys):
 # analyze
 # ---------------------------------------------------------------------------
 
-def test_analyze_f3_26_peak_rss_over_startup_is_the_table():
-    # f3's criteria come from its transfer matrices: beside the table, a few
-    # MiB of matrix products and one panel, and no 2^n-value buffer
+def test_analyze_f3_26_peak_rss_over_startup_is_a_few_mib():
+    # f3's whole row comes from its transfer matrices: a few MiB of matrix
+    # products and one panel, and neither the 8 MiB table nor a 2^n buffer
     n = 26
     analyze = _peak_rss("analyze", "f3", "--n", str(n), "--max-n", str(n))
     noop = _peak_rss("gf", "f2", "--upto", "0")
-    assert analyze - noop <= (1 << n) // 8 + (12 << 20)
+    assert analyze - noop <= 8 << 20
 
 
 def test_analyze_t_26_peak_rss_over_startup_is_an_int16_spectrum():
@@ -138,6 +138,30 @@ def test_analyze_f3_n9(capsys):
     code, out, _ = run(capsys, "analyze", "f3", "--n", "9")
     assert code == 0
     assert "n=9 weight=172 nonlinearity=172 balanced=false" in out
+
+
+@pytest.mark.parametrize("selector", ["f2", "f3"])
+def test_analyze_f2_f3_build_a_table_only_for_its_bytes(capsys, monkeypatch,
+                                                        selector):
+    expected = run(capsys, "analyze", selector, "--n", "3..12")
+    assert expected[0] == 0
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("family_table called")
+
+    monkeypatch.setattr(rotsym.cli, "family_table", no_table)
+    assert run(capsys, "analyze", selector, "--n", "3..12") == expected
+
+    # --pc reads the table's bytes: one table per n
+    built = []
+
+    def counted(selector, n, *args):
+        built.append(n)
+        return rotsym.theory.family_table(selector, n, *args)
+
+    monkeypatch.setattr(rotsym.cli, "family_table", counted)
+    assert run(capsys, "analyze", selector, "--n", "3..12", "--pc")[0] == 0
+    assert built == list(range(3, 13))
 
 
 def test_analyze_f2_pc(capsys):
@@ -250,7 +274,7 @@ def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch, exc, message,
     def no_memory(*args):
         raise exc
 
-    monkeypatch.setattr(rotsym.theory, patched, no_memory)
+    monkeypatch.setattr(rotsym.cli, patched, no_memory)
     assert run(capsys, "analyze", selector, "--n", "9") == (1, "", message)
 
 

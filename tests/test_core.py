@@ -250,7 +250,9 @@ def test_walsh_invariants_random():
         assert parseval_sum(spec.values) == 1 << (2 * n)
         assert spec[0] == (1 << n) - 2 * t.weight()
         assert all(v % 2 == 0 for v in spec.values)
-        assert t.is_balanced() == (spec[0] == 0)
+        summary = walsh_summary(t)
+        assert summary.weight() == t.weight()
+        assert (summary.w0 == 0) == (2 * t.weight() == 1 << n)
 
 
 def _tables(max_n: int):

@@ -1,6 +1,6 @@
 """Start-up: `import rotsym` is lazy, the CLI loads numpy with one
-OpenBLAS thread unless the user chose a count, and no module of the package
-imports a name it never uses.
+OpenBLAS thread unless the user chose a count, no module of the package
+imports a name it never uses, and every exported name has a caller.
 
 Each start-up check runs in a fresh interpreter, because numpy reads
 OPENBLAS_NUM_THREADS once, when it is first imported.
@@ -17,22 +17,24 @@ import pytest
 
 import rotsym
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # The names `rotsym/__init__.py` imported eagerly before it became lazy,
 # less the deleted `ConjectureRow` and `component_weights_f3`, plus the
-# transfer-matrix criteria `orbit_summary` and `family_summary`, less the
-# names that only the tests used: `repeat`, `nl_lower_bound_fk` and `weight`
-# are deleted, and the string operators, the affine tools and the published
-# forms that only the tests check moved to tests/oracles.py, as did the bit
-# strings `BitString` and `BLOCKS`; `RationalGF` is deleted (`gf_series`
-# takes the two coefficient tuples).
+# transfer-matrix criteria `orbit_summary`, less the names that only the
+# tests used: `repeat`, `nl_lower_bound_fk` and `weight` are deleted, and the
+# string operators, the affine tools and the published forms that only the
+# tests check moved to tests/oracles.py, as did the bit strings `BitString`
+# and `BLOCKS`; `RationalGF` is deleted (`gf_series` takes the two
+# coefficient tuples), and so is `family_summary` (`analyze` reads each row
+# from one WalshSummary).  `t_chain` is listed where builders defines it.
 EXPORTED = {
     "builders": (
         "OpCounter", "build_f2", "build_f3",
         "f2_block_complements", "f2_component",
         "f3_block_complements_claimed", "f3_component",
-        "monomial_table_general", "rots_orbit_anf",
+        "monomial_table_general", "rots_orbit_anf", "t_chain",
     ),
     "core": (
         "AnfPolynomial", "TruthTable", "WalshSpectrum", "WalshSummary",
@@ -40,9 +42,8 @@ EXPORTED = {
         "nonlinearity", "pc_profile", "walsh_summary", "walsh_transform",
     ),
     "theory": (
-        "builtin_gfs", "conjecture_check", "family_summary",
-        "family_table", "gf_series", "orbit_summary", "t_chain",
-        "wt_f2_closed", "wt_f3_recurrence",
+        "builtin_gfs", "conjecture_check", "family_table", "gf_series",
+        "orbit_summary", "wt_f2_closed", "wt_f3_recurrence",
     ),
 }
 
@@ -127,6 +128,38 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
                    if name not in used]
     assert unused == []
+
+
+def _reads(tree: ast.AST, inside: tuple[str, ...] = ()) -> set[str]:
+    """The names read as Name nodes in tree, less those read inside the
+    definition of the same name."""
+    out = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out |= _reads(node, inside + (node.name,))
+        else:
+            if isinstance(node, ast.Name) and node.id not in inside:
+                out.add(node.id)
+            out |= _reads(node, inside)
+    return out
+
+
+def test_every_exported_name_has_a_caller():
+    # the library ships only what the CLI, the builds and the benchmark call:
+    # an exported name must be read in the package outside __init__.py, or
+    # in the benchmark, where bench_trace's quoted "module.name" spans count
+    read = set()
+    for path in sorted((SRC / "rotsym").glob("*.py")):
+        if path.name != "__init__.py":
+            read |= _reads(ast.parse(path.read_text(encoding="utf-8")))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _reads(tree)
+        read |= {node.value.rsplit(".", 1)[1] for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 and node.value.split(".")[0] in EXPORTED
+                 and node.value.count(".") == 1}
+    assert sorted(set(rotsym.__all__) - read) == []
 
 
 def test_unknown_name_raises_attribute_error():

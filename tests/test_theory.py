@@ -10,7 +10,6 @@ from rotsym import (
     build_f3,
     builtin_gfs,
     conjecture_check,
-    family_summary,
     family_table,
     gf_series,
     is_bent,
@@ -19,7 +18,6 @@ from rotsym import (
     monomial_table_general,
     rots_orbit_anf,
     t_chain,
-    walsh_summary,
     walsh_transform,
     wt_f2_closed,
     wt_f3_recurrence,
@@ -218,7 +216,7 @@ def test_t_chain_parity_classes():
         assert {abs(int(v)) for v in spec.values} <= {0, 1 << (k + 1)}
         assert zero_count(spec.values) == 1 << (n - 1)
         assert nonlinearity(t) == (1 << (n - 1)) - (1 << k)
-        assert not t.is_balanced()
+        assert 2 * t.weight() != t.size
         assert is_semi_bent_spectral(t) is False
 
 
@@ -282,24 +280,6 @@ def test_family_table_matches_anf_oracle():
     for n in range(3, 10):
         chain = AnfPolynomial.from_terms(n, [(i, i + 1) for i in range(1, n)])
         assert family_table("t", n) == anf_to_truth_table(chain)
-
-
-def test_family_summary_takes_f2_f3_from_the_transfer_matrix(monkeypatch):
-    cases = {"f2": (), "f3": (), "t": (), "orbit": (1, 2, 4), "monomial": (2, 3)}
-    for selector, gen in cases.items():
-        for n in range(4, 10):
-            table = family_table(selector, n, gen)
-            assert family_summary(selector, table) == walsh_summary(table)
-            assert family_summary(None, table) == walsh_summary(table)
-
-    def no_table_pass(table):
-        raise AssertionError("walsh_summary called")
-
-    monkeypatch.setattr(rotsym.theory, "walsh_summary", no_table_pass)
-    for selector in ("f2", "f3"):
-        assert family_summary(selector, family_table(selector, 9)).n == 9
-    with pytest.raises(AssertionError):
-        family_summary("t", family_table("t", 9))
 
 
 def test_family_table_counts_only_fast_builds():
