@@ -17,12 +17,14 @@ tests/oracles.py, are the tests' reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .core import MAX_VARS, AnfPolynomial, TruthTable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MACRON = "̄"  # combining overbar used in block names
 
@@ -47,7 +49,13 @@ class OpCounter:
     @property
     def block_complements(self) -> int | Fraction:
         q, r = divmod(self.bits_complemented, 4)
-        return q if r == 0 else Fraction(self.bits_complemented, 4)
+        if r == 0:
+            return q
+        # imported only here: _flip charges whole blocks, so no build
+        # reaches this line, and importing fractions (which loads decimal)
+        # would cost every CLI start-up ~0.4 MiB and ~3 ms
+        from fractions import Fraction
+        return Fraction(self.bits_complemented, 4)
 
 
 def _table_bytes(n: int) -> np.ndarray:

@@ -30,6 +30,10 @@ _CHUNK = 1 << 16       # float32 values per chunk of walsh_transform's pass 1
 _INT16_CHUNK = 1 << 14  # values per int16 chunk of walsh_summary's pass 1
 _PANEL = 1 << 17       # values per panel of _two_pass's pass 2 (and orbit_summary)
 _PC_SCRATCH_BYTES = 1 << 17  # each float64 scratch buffer of pc_profile
+# index bits pc_profile transforms as it loads W^2 (see pc_profile): two
+# halve its buffer against one bit's; a three-bit fold was measured 35%
+# slower at n = 24 (each of its eight runs squares every value)
+_PC_FOLD_BITS = 2
 _CSV_ROWS = 1 << 14    # rows per formatted block of WalshSpectrum.write_csv
 _TEXT_BYTES = 1 << 16  # packed bytes per hex slice of TruthTable.to_text
 
@@ -375,48 +379,56 @@ class WalshSpectrum:
         autocorrelation spectrum, the transform of W^2, rather than one
         2^n-point derivative per direction, so the 2^n - 1 directions cost
         O(n 2^n) total.
-        The top index bit is transformed as the values are loaded: each half
-        of the autocorrelation, top bit 0 and 1, is a float64 run of
-        _two_pass over low^2 + high^2 and low^2 - high^2, through one
-        4*2^n-byte buffer and two scratch buffers of _PC_SCRATCH_BYTES.
+        The top f = min(_PC_FOLD_BITS, n - 1) index bits are transformed as
+        the values are loaded: with W^2 read in its 2^f parts W_t^2 (top
+        bits t), the part of the autocorrelation whose top bits are s is a
+        float64 run of _two_pass over sum_t (-1)^popcount(s & t) W_t^2,
+        through one 8*2^(n-f)-byte buffer, two scratch buffers of
+        _PC_SCRATCH_BYTES and one more for the loaded squares.
         Each finished panel's zeros are tallied by weight class there,
-        since the weight of index top * 2^(n-1) + r * chunk + col + j is
-        the sum of the popcounts of top, r, col and j: the zeros of a panel
+        since the weight of index s * 2^(n-f) + r * chunk + col + j is
+        the sum of the popcounts of s, r, col and j: the zeros of a panel
         are counted per row and column popcount class by two float32 GEMMs,
-        summed per top + popcount(col), and folded into weights at the end.
+        summed per popcount(s) + popcount(col), and folded into weights at
+        the end.
         This is exact for every n <= MAX_VARS: every partial sum of the
         transform is bounded by sum W^2 = 2^(2n) <= 2^52 < 2^53 (Parseval),
         an integer float64 holds exactly in any summation order; and every
         zero count, per panel and summed over panels, counts directions of
         one weight w, so it is at most C(n, w) <= C(26, 13) = 10400600 < 2^24,
-        an integer float32 holds exactly.  At n = 26 the buffer is 256 MiB
+        an integer float32 holds exactly.  At n = 26 the buffer is 128 MiB
         beside the 256 MiB spectrum.
         """
-        n, half = self.n, len(self) // 2
-        low, high = self.values[:half], self.values[half:]
+        n = self.n
+        fold = min(_PC_FOLD_BITS, n - 1)
+        part = len(self) >> fold
+        parts = [self.values[t * part:(t + 1) * part] for t in range(1 << fold)]
+        scratch = _PC_SCRATCH_BYTES // 8
+        squares = np.empty(scratch, dtype=np.float64)
 
         def load(start, count, out):
-            # W^2 with the top index bit transformed: low^2 +- high^2
-            np.square(low[start:start + count], out=out[:count],
-                      dtype=np.float64)
-            combine(out[:count], np.square(high[start:start + count],
-                                           dtype=np.float64), out=out[:count])
+            # sum_t (-1)^popcount(s & t) W_t^2, the top bits s transformed
+            acc, sq = out[:count], squares[:count]
+            np.square(parts[0][start:start + count], out=acc, dtype=np.float64)
+            for t in range(1, len(parts)):
+                np.square(parts[t][start:start + count], out=sq, dtype=np.float64)
+                combine = np.subtract if (s & t).bit_count() & 1 else np.add
+                combine(acc, sq, out=acc)
 
         def finish(col, done):
             # done[r, j] = 2^n * sum_x (-1)^(f(x)+f(x+c)) for the direction c
-            # of weight top + popcount(col) + popcount(r) + popcount(j); it
-            # is zero iff that derivative is balanced
+            # of weight popcount(s) + popcount(col) + popcount(r) +
+            # popcount(j); it is zero iff that derivative is balanced
             rows, width = done.shape
             zeros = (_popcount_classes(rows).T @ (done == 0)
                      @ _popcount_classes(width))  # [row class, column class]
-            key = top + col.bit_count()
+            key = s.bit_count() + col.bit_count()
             counts[key] = counts.get(key, 0) + zeros
 
         counts = {}
-        buf = np.empty(half, dtype=np.float64)
-        scratch = _PC_SCRATCH_BYTES // 8
-        for top, combine in ((0, np.add), (1, np.subtract)):  # read by both
-            _two_pass(buf, np.float64, n - 1, scratch, scratch, load, finish)
+        buf = np.empty(part, dtype=np.float64)
+        for s in range(len(parts)):  # read by load and finish
+            _two_pass(buf, np.float64, n - fold, scratch, scratch, load, finish)
         tallies = np.zeros(n + 1, dtype=np.int64)
         for key, zeros in counts.items():  # weight key + row class + column class
             a, b = np.indices(zeros.shape)
@@ -431,8 +443,10 @@ class WalshSpectrum:
         w, ",", "-", the digits of |value|, "\\n", with as many digit
         columns as the largest w and |value| need.  A keep mask of the same
         shape drops the leading zeros and the "-" of non-negative values;
-        one flat np.compress of the block by the mask gives the block's
-        text.
+        indexing the flat block by the flat mask gives the block's text.
+        Boolean indexing copies the kept bytes straight out, where
+        np.compress would first build an int64 index of them, 8 bytes per
+        kept byte.
         """
         fileobj.write("w,value\n")
         size = len(self)
@@ -453,7 +467,7 @@ class WalshSpectrum:
             np.less(values, 0, out=keep[:, iw + 1])
             np.abs(values, out=work[0].view(np.int32))  # |-2^31| wraps to 2^31
             _digits_into(work, block, keep, iw + vw + 1, vw)
-            text = np.compress(keep.ravel(), block.ravel())
+            text = block.ravel()[keep.ravel()]
             fileobj.write(str(text.data, "ascii"))
 
     def __repr__(self) -> str:

@@ -134,20 +134,24 @@ def _mirrored(generator: frozenset[int], n: int) -> bool:
 
 def _walks(generator: frozenset[int],
            n: int) -> tuple[np.ndarray, np.ndarray, type, int]:
-    """orbit_summary's int64 prefix and suffix products P and S, the float
+    """orbit_summary's prefix and suffix products P and S, in the float
     dtype whose GEMM of them is exact, and the bound B it is chosen by.
 
+    The products are taken in float32, which is exact: an entry of a
+    product of j transfer matrices, and every partial sum forming it, is a
+    signed count of at most 2^j walks, and j <= n - n // 2 <= 13 for
+    n <= 26 (float32 holds integers to 2^24, so up to n = 48).
     B = sum over s, t of max_a |P[s, t]| max_b |S[t, s]| bounds every
     product and every partial sum of the GEMM, in any summation order, so
-    float32 is exact when B <= 2^_FLOAT_BITS (2^24); else float64, which is
-    exact to 2^53.  B <= 2^n, because max_a |P[s, t]| is at most the number
-    of k-step walks from s to t, and the products of these counts sum to
-    the 2^n closed walks of n steps.
+    the GEMM runs in float32 when B <= 2^_FLOAT_BITS (2^24); else P and S
+    are cast to float64, which is exact to 2^53.  B <= 2^n, because
+    max_a |P[s, t]| is at most the number of k-step walks from s to t, and
+    the products of these counts sum to the 2^n closed walks of n steps.
     """
-    m = _transfer(generator, n)
+    m = _transfer(generator, n).astype(np.float32)
     d = m.shape[1]
     k = n // 2
-    pre = suf = np.eye(d, dtype=np.int64)[None]
+    pre = suf = np.eye(d, dtype=np.float32)[None]
     for _ in range(k):  # [2 a_hi + b] = P(a_hi) M_b: one more low bit
         pre = np.matmul(pre[:, None], m).reshape(-1, d, d)
     pre = pre.reshape(-1, d * d)  # [a_hi, s D + t] = P[s, t]
@@ -155,9 +159,13 @@ def _walks(generator: frozenset[int],
         suf = np.matmul(m[:, None], suf).reshape(-1, d, d)
     # [s D + t, a_lo] = S(a_lo)[t, s]
     suf = suf.transpose(2, 1, 0).reshape(d * d, -1)
-    bound = int(np.abs(pre).max(axis=0) @ np.abs(suf).max(axis=1))
-    dtype = np.float32 if bound <= 1 << _FLOAT_BITS else np.float64
-    return pre, suf, dtype, bound
+    # the largest |entry| of each column of P and row of S, as exact ints
+    pre_max = np.maximum(pre.max(axis=0), -pre.min(axis=0)).astype(np.int64)
+    suf_max = np.maximum(suf.max(axis=1), -suf.min(axis=1)).astype(np.int64)
+    bound = int(pre_max @ suf_max)
+    if bound <= 1 << _FLOAT_BITS:
+        return pre, suf, np.float32, bound
+    return pre.astype(np.float64), suf.astype(np.float64), np.float64, bound
 
 
 def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
@@ -167,7 +175,7 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     With M_b = _transfer(generator, n), every x is one closed walk of n
     steps, so W(a) = tr(M_(a_1) ... M_(a_n)), x_1 and a_1 being the top
     index bits as in the table.  Split a into its top k = n // 2 bits a_hi
-    and the n - k others a_lo: with the int64 prefix products
+    and the n - k others a_lo: with the prefix products
     P(a_hi) = M_(a_1) ... M_(a_k) and suffix products
     S(a_lo) = M_(a_(k+1)) ... M_(a_n), W(a) = sum over s, t of
     P[s, t] S[t, s].  So the spectrum is one GEMM, rows a_hi of
@@ -188,8 +196,8 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     This is exact: the GEMM runs in float32 when the bound B of _walks is
     at most 2^24, which f2 and f3 meet at every n <= 26 (f3: B = 2^21.86
     at n = 26), and in float64 otherwise (B <= 2^n <= 2^26).  Memory is P
-    and S, D^2 (2^k + 2^(n-k)) int64 values, the computed rows and S as
-    floats, and one panel: about 3 MiB at n = 26 for degree 3 (D = 4), and
+    and S, D^2 (2^k + 2^(n-k)) values of the GEMM dtype, the computed rows
+    of P, and one panel: about 2 MiB at n = 26 for degree 3 (D = 4), and
     no 2^n buffer.  The cost grows as 4^(L-1), so this suits short windows
     such as those of f2 and f3.
     """
@@ -197,7 +205,6 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
         raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
     gen = _generator(generator, n)
     pre, suf, dtype, _ = _walks(gen, n)
-    suf = suf.astype(dtype, order="C")
     k = n // 2
     rows = np.arange(1 << k)
     groups = [(rows, 1)]
@@ -211,7 +218,7 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     panel = np.empty((height, cols), dtype=dtype)
     tallies = []
     for group, weight in groups:
-        lhs = pre[group].astype(dtype)
+        lhs = pre[group]
         for row in range(0, len(lhs), height):
             part = lhs[row:row + height]
             block = panel[:len(part)]

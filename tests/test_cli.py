@@ -134,6 +134,19 @@ def test_analyze_t_26_peak_rss_over_startup_is_an_int16_spectrum():
     assert analyze - noop <= 2 * (1 << n) + (1 << n) // 8 + (16 << 20)
 
 
+def test_analyze_pc_csv_22_peak_rss_over_startup_is_the_spectrum_and_a_quarter(
+        tmp_path):
+    # --pc and --spectrum-csv store the int32 spectrum, 4*2^n bytes;
+    # pc_profile adds its float64 buffer of a quarter of the values,
+    # 2*2^n bytes, and the CSV writer a few blocks; a half-size buffer
+    # would add 2*2^n bytes more
+    n = 22
+    analyze = _peak_rss("analyze", "f2", "--n", str(n), "--max-n", str(n),
+                        "--pc", "--spectrum-csv", str(tmp_path / "F"))
+    noop = _peak_rss("gf", "f2", "--upto", "0")
+    assert analyze - noop <= 6 * (1 << n) + (1 << n) // 8 + (4 << 20)
+
+
 def test_analyze_f3_n9(capsys):
     code, out, _ = run(capsys, "analyze", "f3", "--n", "9")
     assert code == 0

@@ -605,13 +605,17 @@ def test_pc_profile_linear_function():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 22), st.sampled_from(["random", "f2", "f3"]),
        st.integers(0, 2**32 - 1))
+@example(1, "random", 0)   # no folded bit: one run over both values
+@example(2, "random", 0)   # one folded bit
+@example(3, "random", 0)   # two folded bits, one transformed
 @example(21, "f2", 0)
 @example(21, "f3", 0)
 @example(22, "f2", 0)
 @example(22, "f3", 0)
 def test_pc_profile_matches_int64_autocorrelation(n, kind, seed):
     # the float64 GEMM autocorrelation against the int64 butterfly; the
-    # orbit functions have many balanced directions, random tables few
+    # orbit functions have many balanced directions, random tables few;
+    # n = 1, 2, 3 are the edge cases of the fold of the top index bits
     if kind == "random" or n < 5:
         t = random_table(random.Random(seed), n)
     else:
@@ -620,10 +624,10 @@ def test_pc_profile_matches_int64_autocorrelation(n, kind, seed):
     assert spec.pc_profile() == autocorrelation_pc_profile(spec.values)
 
 
-def test_pc_profile_memory_is_one_half_size_float64_buffer():
-    # one float64 buffer of 2^(n-1) values, 4*2^n bytes; its two scratch
-    # buffers, the loaded squares and the zero masks fit in the 0.5 MiB
-    # beyond it
+def test_pc_profile_memory_is_one_quarter_size_float64_buffer():
+    # two index bits are folded into the load, so one float64 buffer of
+    # 2^(n-2) values, 2*2^n bytes; its two scratch buffers, the loaded
+    # squares and the zero masks fit in the 1 MiB beyond it
     n = 20
     spec = walsh_transform(build_f2(n))
     tracemalloc.start()
@@ -632,7 +636,7 @@ def test_pc_profile_memory_is_one_half_size_float64_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (1 << n) + (1 << 19)
+    assert peak <= 2 * (1 << n) + (1 << 20)
 
 
 # ---------------------------------------------------------------------------
@@ -967,3 +971,22 @@ def test_spectrum_csv_memory_is_a_few_blocks():
         finally:
             tracemalloc.stop()
     assert peak <= 4 << 20
+
+
+def test_spectrum_csv_to_a_file_builds_no_index_of_the_kept_bytes(tmp_path):
+    # a block of _CSV_ROWS rows, its keep mask, its digit scratch and its
+    # text: ~1.2 MiB at n = 20; an int64 index of the kept bytes, 8 bytes
+    # each, would add ~1.2 MiB more
+    spec = walsh_transform(build_f2(20))
+    path = tmp_path / "spectrum.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            spec.write_csv(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1536 << 10
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readline() == "w,value\n"
+        assert fh.readline() == f"0,{spec[0]}\n"

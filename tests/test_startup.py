@@ -1,6 +1,7 @@
 """Start-up: `import rotsym` is lazy, the CLI loads numpy with one
-OpenBLAS thread unless the user chose a count, no module of the package
-imports a name it never uses, and every exported name has a caller.
+OpenBLAS thread unless the user chose a count and does not load fractions,
+no module of the package imports a name it never uses, and every exported
+name has a caller.
 
 Each start-up check runs in a fresh interpreter, because numpy reads
 OPENBLAS_NUM_THREADS once, when it is first imported.
@@ -90,6 +91,14 @@ def test_cli_defaults_to_one_blas_thread():
 def test_cli_keeps_the_users_blas_thread_count():
     state = _fresh(_CLI_STATE, OPENBLAS_NUM_THREADS="2")
     assert state["blas"] == "2"
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    # only a build charging a part of a 4-bit block needs a Fraction, and no
+    # build does; fractions imports decimal, which every start-up would pay
+    state = _fresh("import json, sys, rotsym.cli; print(json.dumps("
+                   "{m: m in sys.modules for m in ('fractions', 'decimal')}))")
+    assert state == {"fractions": False, "decimal": False}
 
 
 def test_old_exports_resolve_lazily_to_the_submodule_objects():
