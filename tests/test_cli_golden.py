@@ -40,6 +40,14 @@ CASES: dict[str, dict] = {
     "build_t_n13": {"argv": ["build", "t", "--n", "13"]},
     "build_orbit": {"argv": ["build", "orbit", "--n", "7",
                              "--generator", "1,2,4"]},
+    # orbit edge cases: degree 1 (parity), terms that cancel in pairs,
+    # unsorted and repeated indices past one byte
+    "build_orbit_parity": {"argv": ["build", "orbit", "--n", "4",
+                                    "--generator", "1"]},
+    "build_orbit_cancels": {"argv": ["build", "orbit", "--n", "4",
+                                     "--generator", "1,3"]},
+    "build_orbit_unsorted_n13": {"argv": ["build", "orbit", "--n", "13",
+                                          "--generator", "2,1,1"]},
     "build_out_file": {"argv": ["build", "f3", "--n", "9",
                                 "--out", "{tmp}/f3.tt"]},
     "build_out_missing_dir": {"argv": ["build", "f2", "--n", "5",
@@ -71,6 +79,9 @@ CASES: dict[str, dict] = {
                                     "--generator", "1,2,4", "--format", "json"]},
     "analyze_orbit_text": {"argv": ["analyze", "orbit", "--n", "5..9",
                                     "--generator", "1,2,3,4,5"]},
+    "analyze_orbit_csv_5_16": {"argv": ["analyze", "orbit", "--n", "5..16",
+                                        "--generator", "1,3,5",
+                                        "--format", "csv"]},
     "analyze_f2_pc": {"argv": ["analyze", "f2", "--n", "3..12", "--pc"]},
     "analyze_f3_pc": {"argv": ["analyze", "f3", "--n", "5..11", "--pc"]},
     "analyze_t_pc_json": {"argv": ["analyze", "t", "--n", "4..8", "--pc",
