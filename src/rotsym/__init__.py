@@ -24,10 +24,10 @@ _NAMES = {
         "OpCounter", "build_f2", "build_f3",
         "f2_block_complements", "f2_component",
         "f3_block_complements_claimed", "f3_component",
-        "monomial_table_general", "rots_orbit_anf", "t_chain",
+        "monomial_table_general", "t_chain",
     ),
     "core": (
-        "AnfPolynomial", "TruthTable", "WalshSpectrum", "WalshSummary",
+        "TruthTable", "WalshSpectrum", "WalshSummary",
         "anf_to_truth_table", "is_bent", "is_semi_bent_spectral",
         "nonlinearity", "pc_profile", "walsh_summary", "walsh_transform",
     ),

@@ -9,7 +9,9 @@ operations of direct pointwise evaluation.  Every table built here (build_f2,
 build_f3, their components, the open chain t_chain and
 monomial_table_general) is grown by those doublings in place, as byte copies
 and byte complements or zeroings in one 2^n/8-byte buffer that the table then
-holds.  The seeds are written in the paper's block notation and parsed
+holds.  Any other rotation orbit is no doubling: theory.family_table
+tabulates its ANF with core.anf_to_truth_table, in a buffer of the same
+size.  The seeds are written in the paper's block notation and parsed
 straight into bytes; the published string operators, stated on bit strings in
 tests/oracles.py, are the tests' reference.
 """
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_VARS, AnfPolynomial, TruthTable
+from .core import MAX_VARS, TruthTable
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -112,13 +114,6 @@ def _generator(generator: Iterable[int], n: int) -> frozenset[int]:
     if any(not 1 <= k <= n for k in gen):
         raise ValueError(f"generator indices outside 1..{n}")
     return gen
-
-
-def rots_orbit_anf(generator: Iterable[int], n: int) -> AnfPolynomial:
-    """ANF of the rotation orbit of one monomial (duplicates cancelling)."""
-    gen = _generator(generator, n)
-    terms = [frozenset(((k - 1 + d) % n) + 1 for k in gen) for d in range(n)]
-    return AnfPolynomial.from_terms(n, terms)
 
 
 # ---------------------------------------------------------------------------

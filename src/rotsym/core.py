@@ -46,6 +46,8 @@ _HADAMARD = {np.dtype(t): 1 - 2 * (np.bitwise_count(np.bitwise_and.outer(
 _SIGNS = (1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)).astype(np.float32)
 # _BIT_REVERSED[b] is the byte b with its 8 bits in reverse order
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# _SUPERSETS[y] has bit x set for the x in 0..7 with y & x == y
+_SUPERSETS = bytes(sum(1 << x for x in range(8) if y & x == y) for y in range(8))
 
 
 def _quoted(line: str) -> str:
@@ -184,51 +186,39 @@ class TruthTable:
         return f"TruthTable(n={self.n}, weight={self.weight()})"
 
 
-@dataclass(frozen=True)
-class AnfPolynomial:
-    """Algebraic normal form: an XOR of monomials over variables 1..n."""
+def anf_to_truth_table(n: int, terms: Iterable[Iterable[int]]) -> TruthTable:
+    """The table of an XOR of monomials over variables 1..n.
 
-    n: int
-    monomials: frozenset[frozenset[int]]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need at least one variable")
-        monos = frozenset(frozenset(m) for m in self.monomials)
-        object.__setattr__(self, "monomials", monos)
-        for m in monos:
-            for k in m:
-                if not 1 <= k <= self.n:
-                    raise ValueError(f"variable index {k} outside 1..{self.n}")
-
-    @classmethod
-    def from_terms(cls, n: int, terms: Iterable[Iterable[int]]) -> "AnfPolynomial":
-        """Build from a term list with XOR semantics: repeated monomials cancel."""
-        acc: set[frozenset[int]] = set()
-        for t in terms:
-            m = frozenset(t)
-            acc.symmetric_difference_update({m})
-        return cls(n, frozenset(acc))
-
-def _monomial_mask(mono: frozenset[int], n: int) -> int:
-    return sum(1 << (n - k) for k in mono)
-
-
-def anf_to_truth_table(anf: AnfPolynomial) -> TruthTable:
-    """Tabulate an ANF over all 2^n points.
-
-    This direct expansion is the correctness oracle that every fast builder
-    is checked against.
+    Each term is an iterable of variable indices in 1..n; the empty term is
+    the constant 1, a repeated index is the same variable and a repeated
+    term cancels.  Over GF(2) the ANF is a 2^n-bit vector: the coefficient
+    of a monomial is the bit at the index of its variables (x_k is index bit
+    n - k), and the table is that vector's binary Moebius transform, bit x
+    the XOR of the coefficients at the indices y with y & x == y.  This is
+    the correctness oracle that every fast builder is checked against.
     """
-    if anf.n > MAX_VARS:
-        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {anf.n}")
-    size = 1 << anf.n
-    idx = np.arange(size, dtype=np.uint32)
-    acc = np.zeros(size, dtype=bool)
-    for mono in anf.monomials:
-        mask = np.uint32(_monomial_mask(mono, anf.n))
-        acc ^= (idx & mask) == mask
-    return TruthTable(anf.n, np.packbits(acc, bitorder="little"))
+    if not 1 <= n <= MAX_VARS:
+        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
+    table = np.zeros(max(1, (1 << n) >> 3), dtype=np.uint8)
+    for term in terms:
+        index = 0
+        for k in term:
+            if not 1 <= k <= n:
+                raise ValueError(f"variable index {k} outside 1..{n}")
+            index |= 1 << (n - k)
+        # index bits 0..2 lie in one byte: XOR in the coefficient bit's
+        # transform over them, the byte's positions that contain it
+        table[index >> 3] ^= _SUPERSETS[index & 7]
+    # index bits 3.. are byte strides: the upper half of each pair of
+    # blocks takes the XOR of the lower, in place
+    step = 1
+    while step < table.size:
+        pairs = table.reshape(-1, 2, step)
+        pairs[:, 1] ^= pairs[:, 0]
+        step *= 2
+    if n < 3:  # the one byte's positions from 2^n on are no points
+        table[0] &= (1 << (1 << n)) - 1
+    return TruthTable(n, table)
 
 
 def _digits_into(work: np.ndarray, block: np.ndarray, keep: np.ndarray,

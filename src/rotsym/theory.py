@@ -21,7 +21,6 @@ from .builders import (
     build_f2,
     build_f3,
     monomial_table_general,
-    rots_orbit_anf,
     t_chain,
 )
 from .core import (
@@ -233,9 +232,11 @@ def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
                  counter: OpCounter | None = None) -> TruthTable:
     """The table a selector names, one per n.
 
-    f2/f3 use the fast builder from FAST_MIN_N on (charging counter) and the
-    ANF expansion of their orbit below it; t is the open chain; monomial and
-    orbit need a generator (the CLI's --generator).
+    f2/f3 use the fast builder from FAST_MIN_N on (charging counter) and
+    their orbit below it; t is the open chain; monomial and orbit need a
+    generator (the CLI's --generator).  An orbit is the ANF of the n
+    rotations of the generator's monomial, tabulated in place by
+    anf_to_truth_table, so rotations that coincide cancel in pairs.
     """
     if selector in FAST_MIN_N:
         if n >= FAST_MIN_N[selector]:
@@ -252,7 +253,9 @@ def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
         raise ValueError(f"{selector} needs --generator")
     if selector == "monomial":
         return monomial_table_general(generator, n)
-    return anf_to_truth_table(rots_orbit_anf(generator, n))
+    gen = _generator(generator, n)
+    return anf_to_truth_table(n, [[(k - 1 + d) % n + 1 for k in gen]
+                                  for d in range(n)])
 
 
 def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:

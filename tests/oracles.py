@@ -7,7 +7,9 @@ Three kinds of code live here, none of which the CLI or its benchmark runs:
   the library routines they check.  The same goes for the inputs built
   here: linear_table gives the linear functions l_w(x) = w.x, random_table
   random functions, and zeros_table, ones_table, complement_table and
-  xor_tables the constant, complemented and summed tables.
+  xor_tables the constant, complemented and summed tables.  orbit_table
+  is the one exception: it spells a rotation orbit's n terms for the
+  library's ANF tabulation, anf_to_truth_table, which slow_table checks.
 - The paper's bit strings (BitString, a Python int and a length) with its
   sixteen named 4-bit blocks (BLOCKS, parsed by BitString.from_blocks and
   rendered back by to_blocks_str), the string operators on them
@@ -31,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from rotsym import OpCounter, TruthTable
+from rotsym import OpCounter, TruthTable, anf_to_truth_table
 from rotsym.builders import MACRON
 
 
@@ -47,6 +49,13 @@ def slow_table(monomials, n: int) -> list[int]:
             v ^= term
         out.append(v)
     return out
+
+
+def orbit_table(gen: Iterable[int], n: int) -> TruthTable:
+    """The rotation orbit of the monomial of gen: the XOR of its n
+    rotations x_k -> x_(k+d), tabulated from the ANF."""
+    return anf_to_truth_table(n, [[(k - 1 + d) % n + 1 for k in gen]
+                                  for d in range(n)])
 
 
 def table_from_list(bits: list[int]) -> TruthTable:

@@ -11,7 +11,6 @@ from contextlib import contextmanager
 
 from rotsym import (
     OpCounter,
-    anf_to_truth_table,
     build_f2,
     build_f3,
     builtin_gfs,
@@ -22,7 +21,6 @@ from rotsym import (
     is_semi_bent_spectral,
     nonlinearity,
     pc_profile,
-    rots_orbit_anf,
     t_chain,
     walsh_transform,
     wt_f2_closed,
@@ -40,6 +38,7 @@ from oracles import (
     gf2_apply,
     gf2_invert,
     gf2_transpose,
+    orbit_table,
     parseval_sum,
     random_invertible_rows,
     random_table,
@@ -61,10 +60,6 @@ def criterion(name: str, budget_s: float | None = None):
         print(f"[ACCEPTANCE] {name}: FAIL (took {elapsed:.2f}s > {budget_s}s)")
         raise AssertionError(f"{name} exceeded {budget_s}s ({elapsed:.2f}s)")
     print(f"[ACCEPTANCE] {name}: PASS ({elapsed:.2f}s)")
-
-
-def orbit_table(gen, n):
-    return anf_to_truth_table(rots_orbit_anf(gen, n))
 
 
 def f3_table_any(n):

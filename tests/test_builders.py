@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotsym import (
-    AnfPolynomial,
     OpCounter,
     anf_to_truth_table,
     build_f2,
@@ -18,7 +17,6 @@ from rotsym import (
     f3_block_complements_claimed,
     f3_component,
     monomial_table_general,
-    rots_orbit_anf,
     t_chain,
     walsh_transform,
 )
@@ -36,18 +34,18 @@ from oracles import (
     concatenate,
     f3_block_complements_measured,
     hat,
+    mobius_anf,
     operator_component,
+    orbit_table,
+    slow_table,
     table_to_list,
     tilde,
     to_blocks_str,
+    zeros_table,
 )
 
 F2_SEEDS = ("VY", "XU" + MACRON)
 F3_SEEDS = ("DVDY", "VDVA", "XBXC")
-
-
-def orbit_table(gen, n):
-    return anf_to_truth_table(rots_orbit_anf(gen, n))
 
 
 def f3_component_weights(n):
@@ -56,7 +54,7 @@ def f3_component_weights(n):
 
 
 def oracle_monomial(indices, n):
-    return anf_to_truth_table(AnfPolynomial.from_terms(n, [tuple(indices)]))
+    return anf_to_truth_table(n, [indices])
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +213,17 @@ def test_monomial_general_validation():
 # ---------------------------------------------------------------------------
 
 def test_orbit_examples():
-    anf = rots_orbit_anf((1, 2), 5)
-    assert anf.monomials == frozenset(
-        frozenset(m) for m in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
-    anf = rots_orbit_anf((1, 2, 3), 6)
-    assert len(anf.monomials) == 6
-    anf = rots_orbit_anf((1,), 7)
-    assert anf.monomials == frozenset(frozenset({k}) for k in range(1, 8))
+    terms = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
+    assert table_to_list(family_table("orbit", 5, (1, 2))) == slow_table(terms, 5)
+    assert len(mobius_anf(family_table("orbit", 6, (1, 2, 3)))) == 6
+    # the orbit of x_1 is the parity of the index
+    assert table_to_list(family_table("orbit", 7, (1,))) == [
+        bin(i).count("1") & 1 for i in range(1 << 7)]
 
 
 def test_orbit_duplicates_cancel():
     # the shift-by-2 orbit of x1x3 on 4 variables covers each term twice
-    assert rots_orbit_anf((1, 3), 4).monomials == frozenset()
+    assert family_table("orbit", 4, (1, 3)) == zeros_table(4)
 
 
 def test_orbit_rotation_invariance():
@@ -234,17 +231,16 @@ def test_orbit_rotation_invariance():
     for _ in range(20):
         n = rng.randint(3, 9)
         gen = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
-        anf = rots_orbit_anf(gen, n)
-        rotated = frozenset(
-            frozenset((k % n) + 1 for k in m) for m in anf.monomials)
-        assert rotated == anf.monomials
+        monomials = mobius_anf(family_table("orbit", n, gen))
+        rotated = {frozenset((k % n) + 1 for k in m) for m in monomials}
+        assert rotated == monomials
 
 
 def test_orbit_validation():
     with pytest.raises(ValueError):
-        rots_orbit_anf((), 5)
-    with pytest.raises(ValueError):
-        rots_orbit_anf((0, 1), 5)
+        family_table("orbit", 5, ())
+    with pytest.raises(ValueError, match="generator indices outside 1..5"):
+        family_table("orbit", 5, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +372,11 @@ def test_component_level_validation():
 
 @pytest.mark.parametrize("build, args", [
     (build_f2, (27,)), (build_f3, (27,)), (f3_component, (1, 27)),
-    (monomial_table_general, ((1, 2), 27))],
-    ids=["build_f2", "build_f3", "f3_component", "monomial_table_general"])
+    (monomial_table_general, ((1, 2), 27)), (anf_to_truth_table, (27, [()]))],
+    ids=["build_f2", "build_f3", "f3_component", "monomial_table_general",
+         "anf_to_truth_table"])
 def test_oversized_n_is_rejected_before_the_buffer(build, args):
-    # the 2^27-bit table would be 16 MiB; n is checked before np.empty
+    # the 2^27-bit table would be 16 MiB; n is checked before its buffer
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="must be in 1..26, got 27"):
@@ -436,22 +433,22 @@ def test_components_match_string_operators():
 
 def test_t_chain_matches_oracle():
     for n in range(3, 19):
-        chain = AnfPolynomial.from_terms(n, [(i, i + 1) for i in range(1, n)])
-        assert t_chain(n) == anf_to_truth_table(chain), n
+        chain = [(i, i + 1) for i in range(1, n)]
+        assert t_chain(n) == anf_to_truth_table(n, chain), n
 
 
-# the ANF each family selector's table expands: an orbit, or the open chain
+# each family selector's table from its ANF: an orbit, or the open chain
 FAMILY_ANF = {
-    "f2": lambda n: rots_orbit_anf((1, 2), n),
-    "f3": lambda n: rots_orbit_anf((1, 2, 3), n),
-    "t": lambda n: AnfPolynomial.from_terms(n, [(i, i + 1) for i in range(1, n)]),
+    "f2": lambda n: orbit_table((1, 2), n),
+    "f3": lambda n: orbit_table((1, 2, 3), n),
+    "t": lambda n: anf_to_truth_table(n, [(i, i + 1) for i in range(1, n)]),
 }
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(sorted(FAMILY_ANF)), st.integers(3, 14))
 def test_family_table_matches_anf_property(selector, n):
-    assert family_table(selector, n) == anf_to_truth_table(FAMILY_ANF[selector](n))
+    assert family_table(selector, n) == FAMILY_ANF[selector](n)
 
 
 def rotation_symmetric_tables():

@@ -66,11 +66,12 @@ def _peak_rss(*argv) -> int:
 
 
 @pytest.mark.parametrize("selector", [
-    ("f3",), ("t",), ("monomial", "--generator", "1,13,26")],
-    ids=("f3", "t", "monomial"))
+    ("f3",), ("t",), ("monomial", "--generator", "1,13,26"),
+    ("orbit", "--generator", "1,2,4")],
+    ids=("f3", "t", "monomial", "orbit"))
 def test_build_26_peak_rss_over_startup_is_a_few_tables(tmp_path, selector):
-    # the build's byte buffer is the table; the text writer holds it and
-    # one hex slice
+    # the build's byte buffer is the table (an orbit's ANF is transformed
+    # in it); the text writer holds it and one hex slice
     n = 26
     build = _peak_rss("build", *selector, "--n", str(n), "--max-n", str(n),
                       "--out", str(tmp_path / "F"))
@@ -126,10 +127,13 @@ def test_analyze_f3_26_peak_rss_over_startup_is_a_few_mib():
     assert analyze - noop <= 8 << 20
 
 
-def test_analyze_t_26_peak_rss_over_startup_is_an_int16_spectrum():
-    # t has no transfer path, so walsh_summary's int16 store is the peak
+@pytest.mark.parametrize("selector", [
+    ("t",), ("orbit", "--generator", "1,2,4")], ids=("t", "orbit"))
+def test_analyze_t_26_peak_rss_over_startup_is_an_int16_spectrum(selector):
+    # t and orbit build their table and take walsh_summary, whose int16
+    # store is the peak
     n = 26
-    analyze = _peak_rss("analyze", "t", "--n", str(n), "--max-n", str(n))
+    analyze = _peak_rss("analyze", *selector, "--n", str(n), "--max-n", str(n))
     noop = _peak_rss("gf", "f2", "--upto", "0")
     assert analyze - noop <= 2 * (1 << n) + (1 << n) // 8 + (16 << 20)
 

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotsym import (
-    AnfPolynomial,
     TruthTable,
     anf_to_truth_table,
     build_f2,
@@ -20,7 +19,6 @@ from rotsym import (
     nonlinearity,
     orbit_summary,
     pc_profile,
-    rots_orbit_anf,
     t_chain,
     walsh_summary,
     walsh_transform,
@@ -45,6 +43,7 @@ from oracles import (
     linear_table,
     mobius_anf,
     ones_table,
+    orbit_table,
     packbits_hex,
     parseval_sum,
     random_invertible_rows,
@@ -156,38 +155,66 @@ def test_small_tables_reject_nonzero_padding_bits(n, byte):
 # ---------------------------------------------------------------------------
 
 def test_anf_xor_cancellation():
-    anf = AnfPolynomial.from_terms(3, [(1, 2), (1, 2)])
-    assert anf.monomials == frozenset()
-    anf = AnfPolynomial.from_terms(3, [(1, 2), (2, 3), (1, 2)])
-    assert anf.monomials == frozenset({frozenset({2, 3})})
+    assert anf_to_truth_table(3, [(1, 2), (1, 2)]) == zeros_table(3)
+    assert anf_to_truth_table(3, [(1, 2), (2, 3), (1, 2)]) == \
+        anf_to_truth_table(3, [(2, 3)])
 
 
 def test_anf_index_validation():
-    with pytest.raises(ValueError):
-        AnfPolynomial.from_terms(3, [(1, 4)])
+    with pytest.raises(ValueError, match="index 4 outside 1..3"):
+        anf_to_truth_table(3, [(1, 4)])
+    with pytest.raises(ValueError, match="index 0 outside 1..3"):
+        anf_to_truth_table(3, [(0,)])
+    with pytest.raises(ValueError, match="must be in 1..26, got 0"):
+        anf_to_truth_table(0, [])
 
 
 def test_anf_to_truth_table_examples():
     # x_(n-1) x_n on 4 variables: the 4-bit pattern 0001 repeated
-    t = anf_to_truth_table(AnfPolynomial.from_terms(4, [(3, 4)]))
+    t = anf_to_truth_table(4, [(3, 4)])
     assert table_to_list(t) == [0, 0, 0, 1] * 4
     # x_1 x_2 on 4 variables: ones exactly where both top bits are set
-    t = anf_to_truth_table(AnfPolynomial.from_terms(4, [(1, 2)]))
+    t = anf_to_truth_table(4, [(1, 2)])
     assert table_to_list(t) == [0] * 12 + [1] * 4
-    assert anf_to_truth_table(AnfPolynomial(3, frozenset())) == zeros_table(3)
+    assert anf_to_truth_table(3, []) == zeros_table(3)
+    assert anf_to_truth_table(3, [()]) == ones_table(3)
 
 
-def test_anf_to_truth_table_matches_pointwise(seeded=4242):
-    rng = random.Random(seeded)
-    for n in (2, 4, 6, 8):
-        for _ in range(5):
-            terms = [tuple(sorted(rng.sample(range(1, n + 1),
-                                             rng.randint(0, n))))
-                     for _ in range(rng.randint(0, 8))]
-            anf = AnfPolynomial.from_terms(n, terms)
-            fast = anf_to_truth_table(anf)
-            slow = slow_table(anf.monomials, n)
-            assert table_to_list(fast) == slow
+def anf_terms():
+    """An n in 1..12 and a term list over 1..n.  A term may be empty (the
+    constant 1), unsorted or repeat an index; the terms drawn second appear
+    twice, so they must cancel."""
+    def terms(n):
+        term = st.lists(st.integers(1, n), max_size=n + 1)
+        return st.tuples(st.just(n), st.lists(term, max_size=8),
+                         st.lists(term, max_size=3))
+    return st.integers(1, 12).flatmap(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(anf_terms())
+@example((1, [[1], []], []))                   # n = 1: one byte, masked to 2 bits
+@example((2, [[2, 1], [2], []], [[1, 2, 2]]))  # n = 2: masked to 4 bits
+@example((3, [[3, 1, 2], [3, 3], []], [[2]]))  # n = 3: the whole byte
+def test_anf_to_truth_table_matches_pointwise(case):
+    n, terms, twice = case
+    table = anf_to_truth_table(n, terms + twice + twice)
+    assert table_to_list(table) == slow_table(terms, n)
+    assert table == anf_to_truth_table(n, terms)
+
+
+def test_anf_to_truth_table_memory_is_the_table():
+    # the coefficients are XORed into the table's own bytes and transformed
+    # there; no 2^n-element index or bool array
+    n = 24
+    terms = [[(k - 1 + d) % n + 1 for k in (1, 2, 4)] for d in range(n)]
+    tracemalloc.start()
+    try:
+        anf_to_truth_table(n, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << n) // 8 + (1 << 20)
 
 
 def test_mobius_interpolation_round_trip():
@@ -197,12 +224,13 @@ def test_mobius_interpolation_round_trip():
             terms = [tuple(sorted(rng.sample(range(1, n + 1),
                                              rng.randint(0, min(n, 4)))))
                      for _ in range(6)]
-            anf = AnfPolynomial.from_terms(n, terms)
-            table = anf_to_truth_table(anf)
+            monomials = set()
+            for term in terms:
+                monomials ^= {frozenset(term)}
+            table = anf_to_truth_table(n, terms)
             recovered = mobius_anf(table)
-            assert recovered == set(anf.monomials)
-            rebuilt = anf_to_truth_table(AnfPolynomial(n, frozenset(recovered)))
-            assert rebuilt == table
+            assert recovered == monomials
+            assert anf_to_truth_table(n, recovered) == table
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +479,7 @@ def _orbits(draw, max_n=14):
 @example(((1, 2, 4, 5), 11))  # its own mirror at odd n: the mirror rows
 def test_orbit_summary_matches_the_anf_table(orbit):
     generator, n = orbit
-    table = anf_to_truth_table(rots_orbit_anf(generator, n))
-    assert orbit_summary(generator, n) == walsh_summary(table)
+    assert orbit_summary(generator, n) == walsh_summary(orbit_table(generator, n))
 
 
 @pytest.mark.parametrize("n", [20, 21])
@@ -709,9 +736,8 @@ def test_affine_shift_matches_substituted_anf():
     h = t_chain(4)
     moved = apply_affine_transform(
         h, AffineTransform.identity(4, a=0b1010))
-    r = AnfPolynomial.from_terms(
-        4, [(1, 2), (2,), (2, 3), (2,), (3, 4), (4,)])
-    assert moved == anf_to_truth_table(r)
+    r = [(1, 2), (2,), (2, 3), (2,), (3, 4), (4,)]
+    assert moved == anf_to_truth_table(4, r)
 
 
 def test_affine_complement_input_preserves_weight():

@@ -29,16 +29,18 @@ SRC = ROOT / "src"
 # tests check moved to tests/oracles.py, as did the bit strings `BitString`
 # and `BLOCKS`; `RationalGF` is deleted (`gf_series` takes the two
 # coefficient tuples), and so is `family_summary` (`analyze` reads each row
-# from one WalshSummary).  `t_chain` is listed where builders defines it.
+# from one WalshSummary); `AnfPolynomial` and `rots_orbit_anf` are deleted
+# (`anf_to_truth_table` takes n and a term list, and `family_table` spells
+# an orbit's rotations).  `t_chain` is listed where builders defines it.
 EXPORTED = {
     "builders": (
         "OpCounter", "build_f2", "build_f3",
         "f2_block_complements", "f2_component",
         "f3_block_complements_claimed", "f3_component",
-        "monomial_table_general", "rots_orbit_anf", "t_chain",
+        "monomial_table_general", "t_chain",
     ),
     "core": (
-        "AnfPolynomial", "TruthTable", "WalshSpectrum", "WalshSummary",
+        "TruthTable", "WalshSpectrum", "WalshSummary",
         "anf_to_truth_table", "is_bent", "is_semi_bent_spectral",
         "nonlinearity", "pc_profile", "walsh_summary", "walsh_transform",
     ),
