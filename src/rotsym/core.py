@@ -34,7 +34,11 @@ _PC_SCRATCH_BYTES = 1 << 17  # each float64 scratch buffer of pc_profile
 # halve its buffer against one bit's; a three-bit fold was measured 35%
 # slower at n = 24 (each of its eight runs squares every value)
 _PC_FOLD_BITS = 2
-_CSV_ROWS = 1 << 14    # rows per formatted block of WalshSpectrum.write_csv
+# rows per formatted block of WalshSpectrum.write_csv: 10^4, so that a
+# block's indices share their digits above the lowest four
+_CSV_ROWS = 10**4
+# write_csv's translation: byte 1 of its sign column is "-"
+_CSV_MINUS = bytes.maketrans(b"\1", b"-")
 _TEXT_BYTES = 1 << 16  # packed bytes per hex slice of TruthTable.to_text
 
 # Sylvester-Hadamard H[j, k] = (-1)^(j.k), one copy per GEMM dtype; its
@@ -221,25 +225,25 @@ def anf_to_truth_table(n: int, terms: Iterable[Iterable[int]]) -> TruthTable:
     return TruthTable(n, table)
 
 
-def _digits_into(work: np.ndarray, block: np.ndarray, keep: np.ndarray,
-                 last: int, count: int) -> None:
-    """Write the decimal digits of the uint32 values work[0] into `count`
-    columns of block, ending at column `last`, and mark the significant ones
-    in keep.
+@functools.cache
+def _csv_groups() -> np.ndarray:
+    """The 4-character digit groups of write_csv, as 2 x 2*10^4 uint32s.
 
-    Each digit is q - 10 * (q // 10); the digit of 10^p is significant when
-    q // 10^p is nonzero, or when p = 0.  work is 3 x len(block) scratch,
-    and the values are used up.
+    Entry g < 10^4 is g with its leading zeros as NUL, entry 10^4 + g is g
+    with them kept.  Row 0 writes "0" for 0, as a lowest group must; row 1
+    writes nothing for it, as a higher one must.  Each group's 4 bytes are
+    in text order in memory.  Read-only, since every caller shares it.
     """
-    q, quot, digit = work
-    for col in range(last, last - count, -1):
-        np.floor_divide(q, 10, out=quot)
-        np.multiply(quot, 10, out=digit)
-        np.subtract(q, digit, out=digit)
-        np.add(digit, ord("0"), out=block[:, col], casting="unsafe")
-        if col != last:
-            np.not_equal(q, 0, out=keep[:, col])
-        q, quot = quot, q
+    # int16 keeps the build's temporaries small: the table is built inside
+    # write_csv, whose heap sets the peak RSS of `analyze --spectrum-csv`
+    powers = np.array([1000, 100, 10, 1], dtype=np.int16)
+    digits = np.arange(10**4, dtype=np.int16)[:, None] // powers
+    text = (digits % 10 + ord("0")).astype(np.uint8)
+    halves = np.concatenate([np.where(digits > 0, text, 0), text])
+    groups = np.repeat(halves.view("<u4").T, 2, axis=0)
+    groups[0, 0] = ord("0") << 24
+    groups.setflags(write=False)
+    return groups
 
 
 @functools.cache
@@ -428,37 +432,44 @@ class WalshSpectrum:
     def write_csv(self, fileobj) -> None:
         """CSV export with columns w, value, written to a text file.
 
-        Rows are formatted _CSV_ROWS at a time in numpy.  Every row of a
-        block is laid out at one fixed width in a uint8 block: the digits of
-        w, ",", "-", the digits of |value|, "\\n", with as many digit
-        columns as the largest w and |value| need.  A keep mask of the same
-        shape drops the leading zeros and the "-" of non-negative values;
-        indexing the flat block by the flat mask gives the block's text.
-        Boolean indexing copies the kept bytes straight out, where
-        np.compress would first build an int64 index of them, 8 bytes per
-        kept byte.
+        Rows are formatted _CSV_ROWS at a time in numpy, each as one packed
+        record: the 8 characters of w, ",", a sign byte, 4 characters per
+        digit group of |value| (as many groups as max_abs() needs) and
+        "\\n".  Each digit group of |value| is one np.take from
+        _csv_groups(); below the top group the index is min(a, r + 10^4),
+        for r the group and a the digits from it up, so the zeros are kept
+        exactly when a digit stands above them.  w costs no arithmetic: its
+        high group is one constant per block and its low group a slice of
+        the table (n <= MAX_VARS keeps w below 10^8).  One bytes.translate
+        per block turns the sign byte 1 into "-" and deletes every NUL.
         """
         fileobj.write("w,value\n")
-        size = len(self)
-        iw = len(str(size - 1))  # digit columns of w
-        vw = len(str(self.max_abs()))  # digit columns of |value|
-        rows = min(size, _CSV_ROWS)
-        block = np.empty((rows, iw + vw + 3), dtype=np.uint8)
-        keep = np.ones_like(block, dtype=bool)
-        block[:, iw] = ord(",")
-        block[:, iw + 1] = ord("-")
-        block[:, -1] = ord("\n")
-        base = np.arange(rows, dtype=np.uint32)
-        work = np.empty((3, rows), dtype=np.uint32)
-        for start in range(0, size, rows):
-            values = self.values[start:start + rows]
-            np.add(base, start, out=work[0])
-            _digits_into(work, block, keep, iw - 1, iw)
-            np.less(values, 0, out=keep[:, iw + 1])
-            np.abs(values, out=work[0].view(np.int32))  # |-2^31| wraps to 2^31
-            _digits_into(work, block, keep, iw + vw + 1, vw)
-            text = block.ravel()[keep.ravel()]
-            fileobj.write(str(text.data, "ascii"))
+        groups = _csv_groups()
+        low_w = groups[0].astype(np.uint64) << 32  # bytes 4..7 of w's field
+        width = -(-len(str(self.max_abs())) // 4)  # digit groups of |value|
+        block = np.empty(min(len(self), _CSV_ROWS), [
+            ("w", "<u8"), ("comma", "u1"), ("sign", "u1"),
+            ("value", "<u4", width), ("newline", "u1")])
+        block["comma"] = ord(",")
+        block["newline"] = ord("\n")
+        for start in range(0, len(self), _CSV_ROWS):
+            values = self.values[start:start + _CSV_ROWS]
+            rows = block[:len(values)]
+            np.add(low_w[10**4 if start else 0:][:len(values)],
+                   groups[1, start // 10**4], out=rows["w"])
+            np.less(values, 0, out=rows["sign"])
+            a = np.abs(values).view(np.uint32)  # |-2^31| wraps to 2^31
+            # every index is in range; mode="wrap" skips take's out buffer
+            table = groups[0]
+            for k in range(width - 1, 0, -1):
+                q = a // 10**4
+                r = a - q * 10**4 + 10**4
+                np.take(table, np.minimum(r, a, out=r), mode="wrap",
+                        out=rows["value"][:, k])
+                a, table = q, groups[1]
+            np.take(table, a, mode="wrap", out=rows["value"][:, 0])
+            text = rows.tobytes().translate(_CSV_MINUS, b"\0")
+            fileobj.write(str(text, "ascii"))
 
     def __repr__(self) -> str:
         return f"WalshSpectrum(n={self.n}, max_abs={self.max_abs()})"

@@ -960,9 +960,10 @@ def test_spectrum_csv():
 
 
 def test_spectrum_csv_matches_line_by_line_writer():
-    # real spectra, n = 1..13; the values test below crosses block boundaries
+    # real spectra, n = 1..14 and 17: the indices cross 10^4 at n = 14 and
+    # 10^5 at n = 17, over several _CSV_ROWS blocks
     rng = random.Random(59)
-    for n in range(1, 14):
+    for n in (*range(1, 15), 17):
         spec = walsh_transform(random_table(rng, n))
         buf = io.StringIO()
         spec.write_csv(buf)
@@ -970,16 +971,18 @@ def test_spectrum_csv_matches_line_by_line_writer():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 17), st.integers(0, 26), st.integers(0, 2**32 - 1),
+@given(st.integers(1, 17), st.integers(0, 31), st.integers(0, 2**32 - 1),
        st.data())
 def test_spectrum_csv_matches_line_by_line_writer_on_any_values(n, bits, seed,
                                                                  data):
-    # n = 15..17 spans several _CSV_ROWS blocks; +-2^26 are the widest values
+    # any int32: n = 15..17 spans several _CSV_ROWS blocks, and the planted
+    # values are the int32 ends (10 digits, three 4-digit groups) and the
+    # edges of one and two groups
     size = 1 << n
     values = np.random.default_rng(seed).integers(
-        -(1 << bits), 1 << bits, size, endpoint=True, dtype=np.int32)
-    values[data.draw(st.integers(0, size - 1))] = -(1 << 26)
-    values[data.draw(st.integers(0, size - 1))] = 1 << 26
+        -(1 << bits), (1 << bits) - 1, size, endpoint=True, dtype=np.int32)
+    for value in (-2**31, 2**31 - 1, 9999, 10**4, 10**8 - 1, 10**8):
+        values[data.draw(st.integers(0, size - 1))] = value
     buf = io.StringIO()
     WalshSpectrum(n, values).write_csv(buf)
     assert buf.getvalue() == line_by_line_csv(values)
@@ -998,10 +1001,11 @@ def test_spectrum_csv_memory_is_a_few_blocks():
     assert peak <= 4 << 20
 
 
-def test_spectrum_csv_to_a_file_builds_no_index_of_the_kept_bytes(tmp_path):
-    # a block of _CSV_ROWS rows, its keep mask, its digit scratch and its
-    # text: ~1.2 MiB at n = 20; an int64 index of the kept bytes, 8 bytes
-    # each, would add ~1.2 MiB more
+def test_spectrum_csv_to_a_file_holds_a_few_copies_of_one_block(tmp_path):
+    # the digit-group table, a block of _CSV_ROWS packed records, its bytes,
+    # its NUL-free text and the file's encoded copy of that: ~0.9 MiB traced
+    # at n = 20 with the table's build, so no 8-byte index of the block's
+    # bytes and no copy of the whole text fits under the bound
     spec = walsh_transform(build_f2(20))
     path = tmp_path / "spectrum.csv"
     with open(path, "w", encoding="utf-8") as fh:

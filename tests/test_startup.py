@@ -1,7 +1,7 @@
 """Start-up: `import rotsym` is lazy, the CLI loads numpy with one
-OpenBLAS thread unless the user chose a count and does not load fractions,
-no module of the package imports a name it never uses, and every exported
-name has a caller.
+OpenBLAS thread unless the user chose a count, does not load fractions and
+builds no CSV digit table, no module of the package imports a name it never
+uses, and every exported name has a caller.
 
 Each start-up check runs in a fresh interpreter, because numpy reads
 OPENBLAS_NUM_THREADS once, when it is first imported.
@@ -101,6 +101,22 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
     state = _fresh("import json, sys, rotsym.cli; print(json.dumps("
                    "{m: m in sys.modules for m in ('fractions', 'decimal')}))")
     assert state == {"fractions": False, "decimal": False}
+
+
+def test_cli_start_up_builds_no_csv_digit_table():
+    # write_csv builds its digit-group table on first use: neither the
+    # import nor the benchmark's no-op `gf f2 --upto 0` pays for it
+    state = _fresh("""
+import contextlib, io, json
+import rotsym.cli
+from rotsym.core import _csv_groups
+built = {"import": _csv_groups.cache_info().currsize}
+with contextlib.redirect_stdout(io.StringIO()):
+    built["exit"] = rotsym.cli.main(["gf", "f2", "--upto", "0"])
+built["no-op"] = _csv_groups.cache_info().currsize
+print(json.dumps(built))
+""")
+    assert state == {"import": 0, "exit": 0, "no-op": 0}
 
 
 def test_old_exports_resolve_lazily_to_the_submodule_objects():
