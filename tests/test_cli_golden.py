@@ -106,6 +106,11 @@ CASES: dict[str, dict] = {
                                       "--max-n", "22", "--format", "csv"]},
     "analyze_f2_csv_15_22": {"argv": ["analyze", "f2", "--n", "15..22",
                                       "--max-n", "22", "--format", "csv"]},
+    # the transfer rows above 22; f2 at odd n is the semi-bent case
+    "analyze_f3_csv_23_26": {"argv": ["analyze", "f3", "--n", "23..26",
+                                      "--max-n", "26", "--format", "csv"]},
+    "analyze_f2_csv_23_26": {"argv": ["analyze", "f2", "--n", "23..26",
+                                      "--max-n", "26", "--format", "csv"]},
     "analyze_no_selector": {"argv": ["analyze", "--n", "5"]},
     "analyze_no_n": {"argv": ["analyze", "f2"]},
     "analyze_orbit_no_generator": {"argv": ["analyze", "orbit", "--n", "5..7"]},
@@ -142,6 +147,8 @@ CASES: dict[str, dict] = {
                                  "--format", "json"]},
     "conjecture_csv_15_22": {"argv": ["conjecture", "--n", "15..22",
                                       "--max-n", "22", "--format", "csv"]},
+    "conjecture_csv_23_26": {"argv": ["conjecture", "--n", "23..26",
+                                      "--max-n", "26", "--format", "csv"]},
     "conjecture_above_cap": {"argv": ["conjecture", "--n", "3..25"]},
     "conjecture_below_range": {"argv": ["conjecture", "--n", "2..5"]},
     "conjecture_reversed_range": {"argv": ["conjecture", "--n", "5..3"]},
