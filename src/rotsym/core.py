@@ -284,19 +284,16 @@ class WalshSummary(NamedTuple):
                    int(sum(zeros)), int(sum(at_amp)))
 
     def weight(self) -> int:
-        """The table's weight, from W(0) = 2^n - 2 wt."""
-        return ((1 << self.n) - self.w0) // 2
+        return _weight(self.n, self.w0)
 
     def max_abs(self) -> int:
         return max(self.max, -self.min)
 
     def nonlinearity(self) -> int:
-        """Minimum distance to the 2^(n+1) affine functions."""
-        return (1 << (self.n - 1)) - self.max_abs() // 2
+        return _nonlinearity(self.n, self.max_abs())
 
     def is_bent(self) -> bool:
-        """Flat spectrum |W| = 2^(n/2); always false for odd n."""
-        return self.n % 2 == 0 and self.at_amp == 1 << self.n
+        return _bent(self.n, self.max_abs())
 
     def is_semi_bent(self) -> bool:
         """Spectral semi-bent test for n = 2k+1; always false for even n.
@@ -306,6 +303,23 @@ class WalshSummary(NamedTuple):
         """
         return (self.n % 2 == 1 and self.w0 == 0
                 and self.zeros + self.at_amp == 1 << self.n)
+
+
+def _weight(n: int, w0: int) -> int:
+    """A table's weight, from W(0) = 2^n - 2 wt."""
+    return ((1 << n) - w0) // 2
+
+
+def _nonlinearity(n: int, max_abs: int) -> int:
+    """Minimum distance to the 2^(n+1) affine functions, 2^(n-1) - max|W|/2."""
+    return (1 << (n - 1)) - max_abs // 2
+
+
+def _bent(n: int, max_abs: int) -> bool:
+    """Flat spectrum |W| = 2^(n/2); always false for odd n.  By Parseval
+    (the 2^n values of W^2 sum to 4^n, so their mean is 2^n) the spectrum
+    is flat exactly when max|W| = 2^(n/2)."""
+    return n % 2 == 0 and max_abs == 1 << (n // 2)
 
 
 def _tally(n: int, block: np.ndarray) -> tuple:

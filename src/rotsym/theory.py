@@ -30,6 +30,7 @@ from .core import (
     MAX_VARS,
     TruthTable,
     WalshSummary,
+    _nonlinearity,
     _tally,
     anf_to_truth_table,
 )
@@ -131,10 +132,12 @@ def _mirrored(generator: frozenset[int], n: int) -> bool:
     return any({(g + d) % n for g in generator} == mirror for d in range(n))
 
 
-def _walks(generator: frozenset[int],
-           n: int) -> tuple[np.ndarray, np.ndarray, type, int]:
-    """orbit_summary's prefix and suffix products P and S, in the float
-    dtype whose GEMM of them is exact, and the bound B it is chosen by.
+def _walks(generator: frozenset[int], n: int
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, type, int]:
+    """The prefix and suffix products P and S of orbit_summary and
+    orbit_extremes, and S_max[t, s] = max over a_lo of |S(a_lo)[t, s]|, in
+    the float dtype whose GEMM of P and S is exact, and the bound B it is
+    chosen by.
 
     The products are taken in float32, which is exact: an entry of a
     product of j transfer matrices, and every partial sum forming it, is a
@@ -150,21 +153,71 @@ def _walks(generator: frozenset[int],
     m = _transfer(generator, n).astype(np.float32)
     d = m.shape[1]
     k = n // 2
-    pre = suf = np.eye(d, dtype=np.float32)[None]
+    # each step is one GEMM for both b: against [M_0 M_1], or by [M_0; M_1]
+    right = m.transpose(1, 0, 2).reshape(d, 2 * d)
+    pre = np.eye(d, dtype=np.float32)  # [a_hi D + s, t] = P(a_hi)[s, t]
     for _ in range(k):  # [2 a_hi + b] = P(a_hi) M_b: one more low bit
-        pre = np.matmul(pre[:, None], m).reshape(-1, d, d)
-    pre = pre.reshape(-1, d * d)  # [a_hi, s D + t] = P[s, t]
+        pre = (pre @ right).reshape(-1, d, 2, d).transpose(0, 2, 1, 3).reshape(-1, d)
+    suf = np.eye(d, dtype=np.float32)[:, None]  # [r, a_lo, c] = S(a_lo)[r, c]
     for _ in range(n - k):  # [b 2^j + a_lo] = M_b S(a_lo): one more high bit
-        suf = np.matmul(m[:, None], suf).reshape(-1, d, d)
-    # [s D + t, a_lo] = S(a_lo)[t, s]
-    suf = suf.transpose(2, 1, 0).reshape(d * d, -1)
-    # the largest |entry| of each column of P and row of S, as exact ints
-    pre_max = np.maximum(pre.max(axis=0), -pre.min(axis=0)).astype(np.int64)
-    suf_max = np.maximum(suf.max(axis=1), -suf.min(axis=1)).astype(np.int64)
-    bound = int(pre_max @ suf_max)
-    if bound <= 1 << _FLOAT_BITS:
-        return pre, suf, np.float32, bound
-    return pre.astype(np.float64), suf.astype(np.float64), np.float64, bound
+        suf = (m.reshape(2 * d, d) @ suf.reshape(d, -1)).reshape(
+            2, d, -1, d).transpose(1, 0, 2, 3).reshape(d, -1, d)
+    pre = pre.reshape(-1, d * d)  # [a_hi, s D + t] = P(a_hi)[s, t]
+    suf = suf.transpose(2, 0, 1).reshape(d * d, -1)  # [s D + t, a_lo] = S(a_lo)[t, s]
+    # the largest |entry| of each column of P and row of S (S_max), exact
+    suf_max = _max_abs(suf, axis=1)
+    bound = int(_max_abs(pre, axis=0).astype(np.int64) @ suf_max.astype(np.int64))
+    dtype = np.float32 if bound <= 1 << _FLOAT_BITS else np.float64
+    return (pre.astype(dtype, copy=False), suf.astype(dtype, copy=False),
+            suf_max.astype(dtype, copy=False), dtype, bound)
+
+
+def _max_abs(a: np.ndarray, axis=None):
+    """max |a| along axis, without an |a| temporary."""
+    return np.maximum(a.max(axis=axis), -a.min(axis=axis))
+
+
+def _row_bounds(pre: np.ndarray, suf_max: np.ndarray) -> np.ndarray:
+    """U(a_hi) = sum over s, t of |P(a_hi)[s, t]| S_max[t, s] for every row
+    of P, which bounds |W(a_hi, a_lo)| for every a_lo.
+
+    |P| is taken a slice of rows at a time, so no second P-sized array is
+    formed; each partial sum is at most _walks's bound B, so this is exact
+    in P's dtype.
+    """
+    rows = max(1, (_PANEL // 8) // pre.shape[1])
+    return np.concatenate([np.abs(pre[r:r + rows]) @ suf_max
+                           for r in range(0, len(pre), rows)])
+
+
+def _orbit(generator: Iterable[int], n: int) -> frozenset[int]:
+    """The generator of a rotation orbit of n variables, checked."""
+    if not 1 <= n <= MAX_VARS:
+        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
+    return _generator(generator, n)
+
+
+def _panels(pre: np.ndarray, suf: np.ndarray):
+    """The GEMM of rows of P against S, a panel at a time.
+
+    Returns (height, gemm): gemm(rows), for at most height indices a_hi,
+    is the panel of W(a_hi, a_lo), one row per index, written into one
+    reused buffer of about _PANEL values.  Each matmul call is tiled to at
+    most _GEMM_MACS multiply-adds.
+    """
+    dd, cols = suf.shape  # cols = 2^(n-k) <= 2^13: a panel is whole rows
+    height = min(len(pre), _PANEL // cols)
+    tile = min(cols, max(1, _GEMM_MACS // (height * dd)))
+    tiles = suf.reshape(dd, -1, tile).transpose(1, 0, 2)
+    panel = np.empty((height, cols), dtype=suf.dtype)
+
+    def gemm(rows: np.ndarray) -> np.ndarray:
+        block = panel[:len(rows)]
+        np.matmul(pre[rows], tiles,
+                  out=block.reshape(len(rows), -1, tile).transpose(1, 0, 2))
+        return block
+
+    return height, gemm
 
 
 def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
@@ -200,32 +253,58 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     no 2^n buffer.  The cost grows as 4^(L-1), so this suits short windows
     such as those of f2 and f3.
     """
-    if not 1 <= n <= MAX_VARS:
-        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
-    gen = _generator(generator, n)
-    pre, suf, dtype, _ = _walks(gen, n)
+    gen = _orbit(generator, n)
+    pre, suf, _, _, _ = _walks(gen, n)
     k = n // 2
     rows = np.arange(1 << k)
     groups = [(rows, 1)]
     if _mirrored(gen, n):
         rev = sum(((rows >> j) & 1) << (k - 1 - j) for j in range(k))
         groups = [(rows[rows == rev], 1), (rows[rows < rev], 2)]
-    dd, cols = suf.shape  # cols = 2^(n-k) <= 2^13: a panel is whole rows
-    height = min(len(rows), _PANEL // cols)
-    tile = min(cols, max(1, _GEMM_MACS // (height * dd)))
-    tiles = suf.reshape(dd, -1, tile).transpose(1, 0, 2)
-    panel = np.empty((height, cols), dtype=dtype)
+    height, gemm = _panels(pre, suf)
     tallies = []
     for group, weight in groups:
-        lhs = pre[group]
-        for row in range(0, len(lhs), height):
-            part = lhs[row:row + height]
-            block = panel[:len(part)]
-            np.matmul(part, tiles,
-                      out=block.reshape(len(part), -1, tile).transpose(1, 0, 2))
-            w0, high, low, zeros, at_amp = _tally(n, block)
+        for row in range(0, len(group), height):
+            w0, high, low, zeros, at_amp = _tally(n, gemm(group[row:row + height]))
             tallies.append((w0, high, low, weight * zeros, weight * at_amp))
     return WalshSummary._of(n, tallies)
+
+
+def orbit_extremes(generator: Iterable[int], n: int) -> tuple[int, int]:
+    """(W(0), max |W|) of the rotation orbit of one monomial: exactly
+    orbit_summary's w0 and max_abs(), from only the GEMM rows that could
+    still hold a larger |W|.
+
+    With P, S and S_max from _walks, the bound of row a_hi,
+    U(a_hi) = sum over s, t of |P(a_hi)[s, t]| S_max[t, s], is at least
+    |W(a_hi, a_lo)| for every a_lo (the triangle inequality on
+    W = sum of P[s, t] S[t, s]).  Row 0 gives W(0) and a first maximum;
+    the other rows then run in descending U, a panel at a time, until the
+    next U is at most the maximum found so far.  For f3 at n = 24..26 only
+    4 rows of 4096..8192 pass; for f2 at n = 25 and 26 none does.
+
+    This is exact.  U is formed in the GEMM's dtype, and each of its
+    partial sums is at most B = sum over s, t of max_a |P[s, t]|
+    S_max[t, s], the bound by which _walks chose that dtype; so U <= B and
+    is an exact integer there, as is every W.  U costs 2^(n//2) 4^(L-1)
+    multiply-adds and no mirror rows; when no row can be skipped, the rest
+    costs at most orbit_summary's GEMM panels, each with one max-abs
+    reduction in place of _tally.  Memory is P and S and one panel, as in
+    orbit_summary.
+    """
+    pre, suf, suf_max, _, _ = _walks(_orbit(generator, n), n)
+    height, gemm = _panels(pre, suf)
+    first = gemm(np.zeros(1, dtype=np.intp))
+    w0, top = int(first[0, 0]), int(_max_abs(first))
+    bound = _row_bounds(pre, suf_max)
+    order = np.argsort(-bound[1:]) + 1
+    for row in range(0, len(order), height):
+        part = order[row:row + height]
+        part = part[bound[part] > top]  # order is descending: a prefix
+        if not len(part):
+            break
+        top = max(top, int(_max_abs(gemm(part))))
+    return w0, top
 
 
 def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
@@ -263,9 +342,10 @@ def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:
 
     Each row is {"n", "weight", "nonlinearity", "equal", "source"}, with
     source "reference-table" within the published range, else "computed".
-    The weight is counted in the built table and the nonlinearity comes
-    from the transfer matrices (orbit_summary), so the two sides of each
-    comparison come from independent engines.
+    The weight is counted in the built table and the nonlinearity,
+    2^(n-1) - max|W|/2, comes from the transfer matrices (max|W| from
+    orbit_extremes), so the two sides of each comparison come from
+    independent engines.
     Equality is reported, never asserted: it is only confirmed through n = 9,
     everything beyond is informational.
     """
@@ -275,7 +355,7 @@ def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:
     lo, hi = F3_REFERENCE_NL_RANGE
     for n in range(n_lo, n_hi + 1):
         w = family_table("f3", n).weight()
-        nl = orbit_summary(FAMILY_GENERATORS["f3"], n).nonlinearity()
+        nl = _nonlinearity(n, orbit_extremes(FAMILY_GENERATORS["f3"], n)[1])
         rows.append({"n": n, "weight": w, "nonlinearity": nl, "equal": w == nl,
                      "source": "reference-table" if lo <= n <= hi else "computed"})
     return rows

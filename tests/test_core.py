@@ -24,7 +24,13 @@ from rotsym import (
     walsh_transform,
 )
 from rotsym.core import MAX_VARS, WalshSpectrum, _gemm_bits
-from rotsym.theory import FAMILY_GENERATORS, _mirrored, _walks
+from rotsym.theory import (
+    FAMILY_GENERATORS,
+    _mirrored,
+    _row_bounds,
+    _walks,
+    orbit_extremes,
+)
 
 from oracles import (
     AffineTransform,
@@ -451,7 +457,9 @@ def test_orbit_summary_matches_the_family_table(selector, n):
     # every n runs the float32 GEMM on the mirror rows; 25 and 26 are the
     # largest bounds B (see test_orbit_gemm_bound_of_the_families)
     generator = FAMILY_GENERATORS[selector]
-    assert orbit_summary(generator, n) == walsh_summary(family_table(selector, n))
+    s = orbit_summary(generator, n)
+    assert s == walsh_summary(family_table(selector, n))
+    assert orbit_extremes(generator, n) == (s.w0, s.max_abs())
 
 
 @st.composite
@@ -478,7 +486,24 @@ def _orbits(draw, max_n=14):
 @example(((1, 2, 4, 5), 11))  # its own mirror at odd n: the mirror rows
 def test_orbit_summary_matches_the_anf_table(orbit):
     generator, n = orbit
-    assert orbit_summary(generator, n) == walsh_summary(orbit_table(generator, n))
+    s = orbit_summary(generator, n)
+    assert s == walsh_summary(orbit_table(generator, n))
+    assert orbit_extremes(generator, n) == (s.w0, s.max_abs())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_orbits())
+@example(((1, 2, 3, 4, 5), 5))  # one row, a window as long as the cycle
+@example(((1, 2, 4), 13))
+def test_orbit_row_bound_holds_every_value_of_its_row(orbit):
+    # U(a_hi) >= |W(a_hi, a_lo)| for every a_lo, and U <= B, the bound
+    # that makes the GEMM's dtype exact
+    generator, n = orbit
+    pre, _, suf_max, _, bound = _walks(frozenset(generator), n)
+    rows = _row_bounds(pre, suf_max)
+    values = walsh_transform(orbit_table(generator, n)).values
+    assert np.all(rows >= np.abs(values.reshape(len(rows), -1)).max(axis=1))
+    assert rows.max() <= bound
 
 
 @pytest.mark.parametrize("n", [20, 21])
@@ -500,7 +525,7 @@ def test_mirror_test_of_the_generators():
 def test_orbit_gemm_bound_is_at_most_the_closed_walks(orbit):
     # B <= 2^n, so the bound chooses float32 wherever n <= 24 would have
     generator, n = orbit
-    dtype, bound = _walks(frozenset(generator), n)[2:]
+    dtype, bound = _walks(frozenset(generator), n)[3:]
     assert bound <= 1 << n
     assert dtype == (np.float32 if bound <= 1 << 24 else np.float64)
 
@@ -511,7 +536,7 @@ def test_orbit_gemm_bound_is_at_most_the_closed_walks(orbit):
     ids=["f2-25", "f2-26", "f3-25", "f3-26"])
 def test_orbit_gemm_bound_of_the_families(generator, n, bound):
     # f3 at n = 26: B = 2^21.86, under 2^24, so its GEMM runs in float32
-    assert _walks(frozenset(generator), n)[2:] == (np.float32, bound)
+    assert _walks(frozenset(generator), n)[3:] == (np.float32, bound)
 
 
 def test_orbit_summary_rejects_bad_input():
@@ -534,6 +559,18 @@ def test_orbit_summary_memory_has_no_spectrum_sized_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 4 << 20
+
+
+def test_orbit_extremes_memory_is_the_walks_and_one_panel():
+    # P and S, 16 * 2^13 float32 values each at n = 26, S's transposed
+    # copy as _walks forms it, then one panel: no 2^n-value buffer
+    tracemalloc.start()
+    try:
+        orbit_extremes((1, 2, 3), 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20
 
 
 def test_t4_is_flat():
