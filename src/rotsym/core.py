@@ -21,14 +21,15 @@ MAX_VARS = 26          # 2^26-bit tables; the spectrum still fits int32
 # The GEMM kernel (see _two_pass).  float32 holds every integer of magnitude
 # <= 2^24 exactly, so walsh_transform does the low 24 index bits in float32
 # and any higher bits in float64 (exact to 2^53); pc_profile does all its
-# bits in float64; theory.orbit_summary's GEMM runs in float32 while its
-# bound on every partial sum is <= 2^24.
+# bits in float64; the transfer-matrix GEMM of theory (orbit_summary,
+# orbit_extremes) runs in float32 while its bound on every partial sum is
+# <= 2^24.
 _FLOAT_BITS = 24
 _GROUP_BITS = 5        # index bits per GEMM stage, against one 32x32 matrix
 _GEMM_MACS = 1 << 18   # multiply-adds per GEMM call (see _gemm_bits)
 _CHUNK = 1 << 16       # float32 values per chunk of walsh_transform's pass 1
 _INT16_CHUNK = 1 << 14  # values per int16 chunk of walsh_summary's pass 1
-_PANEL = 1 << 17       # values per panel of _two_pass's pass 2 (and orbit_summary)
+_PANEL = 1 << 17       # values per panel of _two_pass's pass 2 (and theory._panels)
 _PC_SCRATCH_BYTES = 1 << 17  # each float64 scratch buffer of pc_profile
 # index bits pc_profile transforms as it loads W^2 (see pc_profile): two
 # halve its buffer against one bit's; a three-bit fold was measured 35%

@@ -3,10 +3,10 @@
 The closed form of the degree-2 weight, the recurrence of the degree-3
 weight, rational generating functions for both families, the transfer
 matrices of a rotation orbit and the Walsh criteria taken from them
-(orbit_summary), the one dispatch from a selector to a table (family_table;
-builders makes the open chain t), and the weight-equals-nonlinearity scan for
-the degree-3 family.  All arithmetic is exact: in integers, or in floats
-within a stated bound.
+(orbit_summary; W(0) and max|W| alone from orbit_extremes), the one
+dispatch from a selector to a table (family_table; builders makes the open
+chain t), and the weight-equals-nonlinearity scan for the degree-3 family.
+All arithmetic is exact: in integers, or in floats within a stated bound.
 """
 
 from __future__ import annotations
@@ -157,16 +157,19 @@ def _walks(generator: frozenset[int], n: int
     right = m.transpose(1, 0, 2).reshape(d, 2 * d)
     pre = np.eye(d, dtype=np.float32)  # [a_hi D + s, t] = P(a_hi)[s, t]
     for _ in range(k):  # [2 a_hi + b] = P(a_hi) M_b: one more low bit
-        pre = (pre @ right).reshape(-1, d, 2, d).transpose(0, 2, 1, 3).reshape(-1, d)
+        pre = (pre @ right).reshape(-1, d, 2, d).transpose(0, 2, 1, 3).reshape(
+            -1, d)
     suf = np.eye(d, dtype=np.float32)[:, None]  # [r, a_lo, c] = S(a_lo)[r, c]
     for _ in range(n - k):  # [b 2^j + a_lo] = M_b S(a_lo): one more high bit
         suf = (m.reshape(2 * d, d) @ suf.reshape(d, -1)).reshape(
             2, d, -1, d).transpose(1, 0, 2, 3).reshape(d, -1, d)
     pre = pre.reshape(-1, d * d)  # [a_hi, s D + t] = P(a_hi)[s, t]
-    suf = suf.transpose(2, 0, 1).reshape(d * d, -1)  # [s D + t, a_lo] = S(a_lo)[t, s]
+    # [s D + t, a_lo] = S(a_lo)[t, s]
+    suf = suf.transpose(2, 0, 1).reshape(d * d, -1)
     # the largest |entry| of each column of P and row of S (S_max), exact
     suf_max = _max_abs(suf, axis=1)
-    bound = int(_max_abs(pre, axis=0).astype(np.int64) @ suf_max.astype(np.int64))
+    bound = int(_max_abs(pre, axis=0).astype(np.int64)
+                @ suf_max.astype(np.int64))
     dtype = np.float32 if bound <= 1 << _FLOAT_BITS else np.float64
     return (pre.astype(dtype, copy=False), suf.astype(dtype, copy=False),
             suf_max.astype(dtype, copy=False), dtype, bound)
@@ -181,9 +184,9 @@ def _row_bounds(pre: np.ndarray, suf_max: np.ndarray) -> np.ndarray:
     """U(a_hi) = sum over s, t of |P(a_hi)[s, t]| S_max[t, s] for every row
     of P, which bounds |W(a_hi, a_lo)| for every a_lo.
 
-    |P| is taken a slice of rows at a time, so no second P-sized array is
-    formed; each partial sum is at most _walks's bound B, so this is exact
-    in P's dtype.
+    |P| is taken a slice of rows (about _PANEL / 8 values) at a time, so no
+    second P-sized array is formed.  Each partial sum is at most _walks's
+    bound B, so this is exact in P's dtype.
     """
     rows = max(1, (_PANEL // 8) // pre.shape[1])
     return np.concatenate([np.abs(pre[r:r + rows]) @ suf_max
@@ -224,6 +227,12 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     """The WalshSummary of the rotation orbit of one monomial, from its
     transfer matrices instead of its table.
 
+    Every value is formed and tallied.  analyze reads an f2/f3 row from
+    it only where the semi-bent test needs the counts (W(0) = 0 and
+    max|W| = 2^((n+1)/2) at odd n: f2 at odd n); its other rows, conjecture
+    and tables read orbit_extremes.  The tests take it as the oracle of
+    orbit_extremes.
+
     With M_b = _transfer(generator, n), every x is one closed walk of n
     steps, so W(a) = tr(M_(a_1) ... M_(a_n)), x_1 and a_1 being the top
     index bits as in the table.  Split a into its top k = n // 2 bits a_hi
@@ -248,8 +257,8 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     This is exact: the GEMM runs in float32 when the bound B of _walks is
     at most 2^24, which f2 and f3 meet at every n <= 26 (f3: B = 2^21.86
     at n = 26), and in float64 otherwise (B <= 2^n <= 2^26).  Memory is P
-    and S, D^2 (2^k + 2^(n-k)) values of the GEMM dtype, the computed rows
-    of P, and one panel: about 2 MiB at n = 26 for degree 3 (D = 4), and
+    and S, D^2 (2^k + 2^(n-k)) values of the GEMM dtype, and one panel
+    with its rows of P: under 2 MiB at n = 26 for degree 3 (D = 4), and
     no 2^n buffer.  The cost grows as 4^(L-1), so this suits short windows
     such as those of f2 and f3.
     """
@@ -265,7 +274,8 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     tallies = []
     for group, weight in groups:
         for row in range(0, len(group), height):
-            w0, high, low, zeros, at_amp = _tally(n, gemm(group[row:row + height]))
+            block = gemm(group[row:row + height])
+            w0, high, low, zeros, at_amp = _tally(n, block)
             tallies.append((w0, high, low, weight * zeros, weight * at_amp))
     return WalshSummary._of(n, tallies)
 
