@@ -153,19 +153,9 @@ def _walks(generator: frozenset[int], n: int
     m = _transfer(generator, n).astype(np.float32)
     d = m.shape[1]
     k = n // 2
-    # each step is one GEMM for both b: against [M_0 M_1], or by [M_0; M_1]
-    right = m.transpose(1, 0, 2).reshape(d, 2 * d)
-    pre = np.eye(d, dtype=np.float32)  # [a_hi D + s, t] = P(a_hi)[s, t]
-    for _ in range(k):  # [2 a_hi + b] = P(a_hi) M_b: one more low bit
-        pre = (pre @ right).reshape(-1, d, 2, d).transpose(0, 2, 1, 3).reshape(
-            -1, d)
-    suf = np.eye(d, dtype=np.float32)[:, None]  # [r, a_lo, c] = S(a_lo)[r, c]
-    for _ in range(n - k):  # [b 2^j + a_lo] = M_b S(a_lo): one more high bit
-        suf = (m.reshape(2 * d, d) @ suf.reshape(d, -1)).reshape(
-            2, d, -1, d).transpose(1, 0, 2, 3).reshape(d, -1, d)
-    pre = pre.reshape(-1, d * d)  # [a_hi, s D + t] = P(a_hi)[s, t]
-    # [s D + t, a_lo] = S(a_lo)[t, s]
-    suf = suf.transpose(2, 0, 1).reshape(d * d, -1)
+    # [a_hi, s D + t] = P(a_hi)[s, t] and [s D + t, a_lo] = S(a_lo)[t, s]
+    pre = _products(m, k).transpose(1, 0, 2).reshape(-1, d * d)
+    suf = _products(m, n - k).transpose(2, 0, 1).reshape(d * d, -1)
     # the largest |entry| of each column of P and row of S (S_max), exact
     suf_max = _max_abs(suf, axis=1)
     bound = int(_max_abs(pre, axis=0).astype(np.int64)
@@ -173,6 +163,22 @@ def _walks(generator: frozenset[int], n: int
     dtype = np.float32 if bound <= 1 << _FLOAT_BITS else np.float64
     return (pre.astype(dtype, copy=False), suf.astype(dtype, copy=False),
             suf_max.astype(dtype, copy=False), dtype, bound)
+
+
+def _products(m: np.ndarray, j: int) -> np.ndarray:
+    """[s, a, t] = (M_(a_1) ... M_(a_j))[s, t] for the 2^j indices a of j
+    bits, a_1 the top one, from the 2 x D x D transfer matrices m.
+
+    Each step is one GEMM against [M_0 M_1], which appends a low bit b to
+    every a: the rows (s, a) times the columns (b, t) are the rows
+    (s, 2a + b) of the next step, so no step moves its result.
+    """
+    d = m.shape[1]
+    right = m.transpose(1, 0, 2).reshape(d, 2 * d)  # [r, b D + t] = M_b[r, t]
+    prod = np.eye(d, dtype=m.dtype)
+    for _ in range(j):
+        prod = prod.reshape(-1, d) @ right
+    return prod.reshape(d, -1, d)
 
 
 def _max_abs(a: np.ndarray, axis=None):
@@ -307,10 +313,11 @@ def orbit_extremes(generator: Iterable[int], n: int) -> tuple[int, int]:
     first = gemm(np.zeros(1, dtype=np.intp))
     w0, top = int(first[0, 0]), int(_max_abs(first))
     bound = _row_bounds(pre, suf_max)
-    order = np.argsort(-bound[1:]) + 1
-    for row in range(0, len(order), height):
-        part = order[row:row + height]
-        part = part[bound[part] > top]  # order is descending: a prefix
+    rows = np.flatnonzero(bound[1:] > top) + 1
+    rows = rows[np.argsort(-bound[rows])]
+    for row in range(0, len(rows), height):
+        part = rows[row:row + height]
+        part = part[bound[part] > top]  # rows run in descending U: a prefix
         if not len(part):
             break
         top = max(top, int(_max_abs(gemm(part))))
