@@ -493,7 +493,8 @@ def test_orbit_summary_matches_the_anf_table(orbit):
 
 @settings(max_examples=80, deadline=None)
 @given(_orbits())
-@example(((1, 2, 3, 4, 5), 5))  # one row, a window as long as the cycle
+@example(((1,), 1))              # one row of one value
+@example(((1, 2, 3, 4, 5), 5))  # a window as long as the cycle: D^2 = 256
 @example(((1, 2, 4), 13))
 def test_orbit_row_bound_holds_every_value_of_its_row(orbit):
     # U(a_hi) >= |W(a_hi, a_lo)| for every a_lo, and U <= B, the bound
