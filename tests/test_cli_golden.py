@@ -82,7 +82,11 @@ CASES: dict[str, dict] = {
     "analyze_orbit_csv_5_16": {"argv": ["analyze", "orbit", "--n", "5..16",
                                         "--generator", "1,3,5",
                                         "--format", "csv"]},
-    "analyze_f2_pc": {"argv": ["analyze", "f2", "--n", "3..12", "--pc"]},
+    # semi-bent rows from walsh_summary (odd n; several int16 chunks at 15, 17)
+    "analyze_orbit_semibent_csv": {"argv": ["analyze", "orbit", "--generator",
+                                            "1,2", "--n", "3..17",
+                                            "--format", "csv"]},
+    "analyze_f2_pc":{"argv": ["analyze", "f2", "--n", "3..12", "--pc"]},
     "analyze_f3_pc": {"argv": ["analyze", "f3", "--n", "5..11", "--pc"]},
     "analyze_t_pc_json": {"argv": ["analyze", "t", "--n", "4..8", "--pc",
                                    "--format", "json"]},
