@@ -187,7 +187,7 @@ def _analyze_one(n: int, w0: int, max_abs: int, semi_bent: bool) -> dict:
 
 
 def _summary_row(summary: WalshSummary) -> dict:
-    return _analyze_one(summary.n, summary.w0, summary.max_abs(),
+    return _analyze_one(summary.n, summary.w0, summary.max_abs,
                         summary.is_semi_bent())
 
 
@@ -195,7 +195,7 @@ def _transfer_row(generator: tuple[int, ...], n: int) -> dict:
     """The row of an f2/f3 orbit from its transfer matrices.  Its extremes
     decide every column but semi-bent; a spectrum can be semi-bent only at
     odd n with W(0) = 0 and max|W| = 2^((n+1)/2) (f2 at odd n), and only
-    then is the row read from the full orbit_summary, whose counts decide."""
+    then is the row read from the full orbit_summary, whose at_amp decides."""
     w0, max_abs = orbit_extremes(generator, n)
     if n % 2 and w0 == 0 and max_abs == 1 << ((n + 1) // 2):
         return _summary_row(orbit_summary(generator, n))

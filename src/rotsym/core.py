@@ -262,48 +262,44 @@ def _popcount_classes(count: int) -> np.ndarray:
 class WalshSummary(NamedTuple):
     """What the criteria read from a Walsh spectrum W of n variables.
 
-    w0 = W(0), the extremes max and min, and how many values are 0
-    (zeros) and +-amp (at_amp), where amp = 2^ceil(n/2) is the bent
-    amplitude 2^(n/2) for even n and the semi-bent 2^((n+1)/2) for odd n.
+    w0 = W(0), max_abs = max |W|, and at_amp, how many values are +-amp,
+    where amp = 2^ceil(n/2) is the bent amplitude 2^(n/2) for even n and
+    the semi-bent 2^((n+1)/2) for odd n.
     """
 
     n: int
     w0: int
-    max: int
-    min: int
-    zeros: int
+    max_abs: int
     at_amp: int
 
     @classmethod
     def _of(cls, n: int, tallies) -> "WalshSummary":
         """Combine the _tally of blocks that cover every value once, the first
-        block starting at W(0).  A tally's counts may be weighted: a block
-        that stands for several blocks of the same values (the mirror rows
-        of theory.orbit_summary) carries its counts times their number."""
-        w0, high, low, zeros, at_amp = zip(*tallies)
-        return cls(n, int(w0[0]), int(max(high)), int(min(low)),
-                   int(sum(zeros)), int(sum(at_amp)))
+        block starting at W(0).  Max and min fold into max_abs as Python
+        ints: negated in an int32 block, -2^31 would wrap to itself."""
+        w0, high, low, at_amp = zip(*tallies)
+        return cls(n, int(w0[0]), max(int(max(high)), -int(min(low))),
+                   int(sum(at_amp)))
 
     def weight(self) -> int:
         return _weight(self.n, self.w0)
 
-    def max_abs(self) -> int:
-        return max(self.max, -self.min)
-
     def nonlinearity(self) -> int:
-        return _nonlinearity(self.n, self.max_abs())
+        return _nonlinearity(self.n, self.max_abs)
 
     def is_bent(self) -> bool:
-        return _bent(self.n, self.max_abs())
+        return _bent(self.n, self.max_abs)
 
     def is_semi_bent(self) -> bool:
         """Spectral semi-bent test for n = 2k+1; always false for even n.
 
         Requires values in {0, +-2^(k+1)} and a balanced function, W(0) = 0.
-        By Parseval such a spectrum has exactly 2^(2k) zeros.
+        By Parseval (the 2^n values of W^2 sum to 4^n) the values lie in
+        that set exactly when 2^(2k) of them are +-2^(k+1): their squares
+        alone sum to 4^n, so every other value is 0.
         """
         return (self.n % 2 == 1 and self.w0 == 0
-                and self.zeros + self.at_amp == 1 << self.n)
+                and self.at_amp == 1 << (self.n - 1))
 
 
 def _weight(n: int, w0: int) -> int:
@@ -324,10 +320,10 @@ def _bent(n: int, max_abs: int) -> bool:
 
 
 def _tally(n: int, block: np.ndarray) -> tuple:
-    """A block's first value, max and min, and its counts of 0 and of
-    +-2^ceil(n/2), for WalshSummary._of."""
+    """A block's first value, max and min, and its count of +-2^ceil(n/2),
+    for WalshSummary._of."""
     amp = 1 << ((n + 1) // 2)
-    return (block.flat[0], block.max(), block.min(), np.count_nonzero(block == 0),
+    return (block.flat[0], block.max(), block.min(),
             np.count_nonzero(block == amp) + np.count_nonzero(block == -amp))
 
 
@@ -378,7 +374,7 @@ class WalshSpectrum:
         return self._summary
 
     def max_abs(self) -> int:
-        return self.summary().max_abs()
+        return self.summary().max_abs
 
     def pc_profile(self) -> dict[int, tuple[int, int]]:
         """Per-weight-class tallies of balanced derivatives over all directions.

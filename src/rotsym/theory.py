@@ -125,13 +125,6 @@ def _transfer(generator: Iterable[int], n: int) -> np.ndarray:
     return m
 
 
-def _mirrored(generator: frozenset[int], n: int) -> bool:
-    """Whether the reflection of generator, g -> -g mod n, is a rotation of
-    it, so that the orbit is its own mirror image."""
-    mirror = {-g % n for g in generator}
-    return any({(g + d) % n for g in generator} == mirror for d in range(n))
-
-
 def _walks(generator: frozenset[int], n: int
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, type, int]:
     """The prefix and suffix products P and S of orbit_summary and
@@ -234,7 +227,7 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     transfer matrices instead of its table.
 
     Every value is formed and tallied.  analyze reads an f2/f3 row from
-    it only where the semi-bent test needs the counts (W(0) = 0 and
+    it only where the semi-bent test needs the count at_amp (W(0) = 0 and
     max|W| = 2^((n+1)/2) at odd n: f2 at odd n); its other rows, conjecture
     and tables read orbit_extremes.  The tests take it as the oracle of
     orbit_extremes.
@@ -246,19 +239,9 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     P(a_hi) = M_(a_1) ... M_(a_k) and suffix products
     S(a_lo) = M_(a_(k+1)) ... M_(a_n), W(a) = sum over s, t of
     P[s, t] S[t, s].  So the spectrum is one GEMM, rows a_hi of
-    (2^k x D^2) @ (D^2 x 2^(n-k)), run in panels of whole rows of about
-    _PANEL values; each call is tiled to at most _GEMM_MACS multiply-adds,
-    and each panel is reduced by _tally.
-
-    Mirror rows: the reflection i -> k + 1 - i (mod n) of the variables
-    reverses the k bits of a_hi and the n - k bits of a_lo separately.
-    When the generator's reflection is a rotation of it (f2's (1, 2), f3's
-    (1, 2, 3), not (1, 2, 4)), the function is invariant under it, so
-    W(a_hi, a_lo) = W(rev(a_hi), rev(a_lo)): row rev(a_hi) holds the values
-    of row a_hi, permuted.  Then only the rows a_hi <= rev(a_hi) are
-    computed: the palindromes first (row 0, which holds W(0), leads), each
-    tallied once, and then the others, whose counts of 0 and of +-amp are
-    doubled; max and min need no weight.  Otherwise every row runs once.
+    (2^k x D^2) @ (D^2 x 2^(n-k)), run by _panels in panels of whole rows
+    of about _PANEL values, row 0 (which holds W(0)) first; each panel is
+    reduced by _tally.
 
     This is exact: the GEMM runs in float32 when the bound B of _walks is
     at most 2^24, which f2 and f3 meet at every n <= 26 (f3: B = 2^21.86
@@ -268,27 +251,16 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     no 2^n buffer.  The cost grows as 4^(L-1), so this suits short windows
     such as those of f2 and f3.
     """
-    gen = _orbit(generator, n)
-    pre, suf, _, _, _ = _walks(gen, n)
-    k = n // 2
-    rows = np.arange(1 << k)
-    groups = [(rows, 1)]
-    if _mirrored(gen, n):
-        rev = sum(((rows >> j) & 1) << (k - 1 - j) for j in range(k))
-        groups = [(rows[rows == rev], 1), (rows[rows < rev], 2)]
+    pre, suf, _, _, _ = _walks(_orbit(generator, n), n)
     height, gemm = _panels(pre, suf)
-    tallies = []
-    for group, weight in groups:
-        for row in range(0, len(group), height):
-            block = gemm(group[row:row + height])
-            w0, high, low, zeros, at_amp = _tally(n, block)
-            tallies.append((w0, high, low, weight * zeros, weight * at_amp))
-    return WalshSummary._of(n, tallies)
+    rows = np.arange(len(pre))
+    return WalshSummary._of(n, [_tally(n, gemm(rows[r:r + height]))
+                                for r in range(0, len(rows), height)])
 
 
 def orbit_extremes(generator: Iterable[int], n: int) -> tuple[int, int]:
     """(W(0), max |W|) of the rotation orbit of one monomial: exactly
-    orbit_summary's w0 and max_abs(), from only the GEMM rows that could
+    orbit_summary's w0 and max_abs, from only the GEMM rows that could
     still hold a larger |W|.
 
     With P, S and S_max from _walks, the bound of row a_hi,
@@ -303,10 +275,9 @@ def orbit_extremes(generator: Iterable[int], n: int) -> tuple[int, int]:
     partial sums is at most B = sum over s, t of max_a |P[s, t]|
     S_max[t, s], the bound by which _walks chose that dtype; so U <= B and
     is an exact integer there, as is every W.  U costs 2^(n//2) 4^(L-1)
-    multiply-adds and no mirror rows; when no row can be skipped, the rest
-    costs at most orbit_summary's GEMM panels, each with one max-abs
-    reduction in place of _tally.  Memory is P and S and one panel, as in
-    orbit_summary.
+    multiply-adds; when no row can be skipped, the rest costs at most
+    orbit_summary's GEMM panels, each with one max-abs reduction in place
+    of _tally.  Memory is P and S and one panel, as in orbit_summary.
     """
     pre, suf, suf_max, _, _ = _walks(_orbit(generator, n), n)
     height, gemm = _panels(pre, suf)

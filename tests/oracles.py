@@ -143,14 +143,13 @@ def parseval_sum(values) -> int:
     return int(np.sum(np.asarray(values, dtype=np.int64) ** 2))
 
 
-def spectrum_reductions(values) -> tuple[int, int, int, int, int]:
-    """W(0), max, min, the zero count and the count of |W| = amp of a whole
-    spectrum, where amp is 2^(n/2) for even n and 2^((n+1)/2) for odd n."""
-    v = np.asarray(values)
+def spectrum_reductions(values) -> tuple[int, int, int]:
+    """W(0), max |W| and the count of |W| = amp of a whole spectrum, in
+    int64, where amp is 2^(n/2) for even n and 2^((n+1)/2) for odd n."""
+    v = np.asarray(values, dtype=np.int64)
     n = v.size.bit_length() - 1
     amp = 1 << (n // 2 if n % 2 == 0 else (n + 1) // 2)
-    return (int(v[0]), int(v.max()), int(v.min()), zero_count(v),
-            int(np.count_nonzero(v == amp) + np.count_nonzero(v == -amp)))
+    return int(v[0]), int(np.abs(v).max()), int(np.count_nonzero(np.abs(v) == amp))
 
 
 def autocorrelation_pc_profile(values) -> dict[int, tuple[int, int]]:

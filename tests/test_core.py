@@ -26,7 +26,6 @@ from rotsym import (
 from rotsym.core import MAX_VARS, WalshSpectrum, _gemm_bits
 from rotsym.theory import (
     FAMILY_GENERATORS,
-    _mirrored,
     _row_bounds,
     _walks,
     orbit_extremes,
@@ -61,6 +60,7 @@ from oracles import (
     table_from_list,
     table_to_list,
     xor_tables,
+    zero_count,
     zeros_table,
 )
 
@@ -390,9 +390,9 @@ def test_walsh_transform_memory_is_one_buffer(n):
     assert peak <= 4 * (1 << n) + extra
 
 
-def _summary_fields(t: TruthTable) -> tuple[int, int, int, int, int]:
+def _summary_fields(t: TruthTable) -> tuple[int, int, int]:
     s = walsh_summary(t)
-    return s.w0, s.max, s.min, s.zeros, s.at_amp
+    return s.w0, s.max_abs, s.at_amp
 
 
 @settings(max_examples=60, deadline=None)
@@ -416,9 +416,7 @@ def test_walsh_summary_matches_transform_at_large_n(build, n):
 def test_walsh_summary_of_constant_tables(n):
     # pass 1 stores +-2^14, the largest magnitude int16 must hold
     for t, sign in ((zeros_table(n), 1), (ones_table(n), -1)):
-        w0 = sign << n
-        assert _summary_fields(t) == (w0, max(w0, 0), min(w0, 0),
-                                      (1 << n) - 1, 0)
+        assert _summary_fields(t) == (sign << n, 1 << n, 0)
 
 
 def test_walsh_summary_one_constant_chunk():
@@ -437,14 +435,33 @@ def test_walsh_summary_semi_bent_odd_f2(n):
     t = build_f2(n)
     s = walsh_summary(t)
     assert s.is_semi_bent() and not s.is_bent()
-    assert s.w0 == 0 and s.zeros == 1 << (n - 1) == s.at_amp
-    assert _summary_fields(t) == spectrum_reductions(butterfly_walsh(t))
+    values = butterfly_walsh(t)
+    assert zero_count(values) == 1 << (n - 1)
+    assert _summary_fields(t) == spectrum_reductions(values) == (
+        0, 1 << ((n + 1) // 2), 1 << (n - 1))
 
 
 def test_walsh_summary_bent_even_t():
     s = walsh_summary(t_chain(20))
     assert s.is_bent() and not s.is_semi_bent()
-    assert (s.max, s.min, s.zeros, s.at_amp) == (1 << 10, -(1 << 10), 0, 1 << 20)
+    assert (s.max_abs, s.at_amp) == (1 << 10, 1 << 20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables(9))
+@example(table_from_int(5, 0x32a4fb16))  # balanced, |W| in {0, 4, 8}: max|W|
+                                         # = 8 alone would pass it
+@example(build_f2(15))                   # semi-bent
+@example(t_chain(15))                    # |W| in {0, 2^8}, but W(0) != 0
+def test_is_semi_bent_is_its_definition(t):
+    # odd n, W(0) = 0 and every value in {0, +-2^((n+1)/2)}, read from the
+    # butterfly, against the count of +-2^((n+1)/2) that the summary keeps
+    values = butterfly_walsh(t)
+    amp = 1 << ((t.n + 1) // 2)
+    want = (t.n % 2 == 1 and values[0] == 0
+            and set(np.abs(values).tolist()) <= {0, amp})
+    assert walsh_summary(t).is_semi_bent() == want
+    assert walsh_transform(t).summary().is_semi_bent() == want
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +471,12 @@ def test_walsh_summary_bent_even_t():
 @pytest.mark.parametrize("n", [*range(3, 21), 24, 25, 26])
 @pytest.mark.parametrize("selector", ["f2", "f3"])
 def test_orbit_summary_matches_the_family_table(selector, n):
-    # every n runs the float32 GEMM on the mirror rows; 25 and 26 are the
+    # every n runs the float32 GEMM over every row; 25 and 26 are the
     # largest bounds B (see test_orbit_gemm_bound_of_the_families)
     generator = FAMILY_GENERATORS[selector]
     s = orbit_summary(generator, n)
     assert s == walsh_summary(family_table(selector, n))
-    assert orbit_extremes(generator, n) == (s.w0, s.max_abs())
+    assert orbit_extremes(generator, n) == (s.w0, s.max_abs)
 
 
 @st.composite
@@ -483,12 +500,12 @@ def _orbits(draw, max_n=14):
 @example(((1, 4, 7), 9))     # three equal rotations: one term left of each
 @example(((1, 2, 4), 13))
 @example(((1, 3, 5), 12))
-@example(((1, 2, 4, 5), 11))  # its own mirror at odd n: the mirror rows
+@example(((1, 2, 4, 5), 11))  # its own mirror image, at odd n
 def test_orbit_summary_matches_the_anf_table(orbit):
     generator, n = orbit
     s = orbit_summary(generator, n)
     assert s == walsh_summary(orbit_table(generator, n))
-    assert orbit_extremes(generator, n) == (s.w0, s.max_abs())
+    assert orbit_extremes(generator, n) == (s.w0, s.max_abs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -509,16 +526,10 @@ def test_orbit_row_bound_holds_every_value_of_its_row(orbit):
 
 @pytest.mark.parametrize("n", [20, 21])
 def test_orbit_summary_of_an_unmirrored_orbit_runs_every_row(n):
-    # (1, 2, 4) is not its own mirror, so every GEMM row runs once
+    # (1, 2, 4) is not its own mirror image; a degree-3 orbit other than
+    # f3's, at sizes with several panels of GEMM rows
     table = family_table("orbit", n, (1, 2, 4))
     assert orbit_summary((1, 2, 4), n) == walsh_summary(table)
-
-
-def test_mirror_test_of_the_generators():
-    for n in (11, 12):
-        for generator in ((1, 2), (1, 2, 3), (1, 3, 5)):
-            assert _mirrored(frozenset(generator), n)
-        assert not _mirrored(frozenset((1, 2, 4)), n)
 
 
 @settings(max_examples=80, deadline=None)
@@ -550,9 +561,9 @@ def test_orbit_summary_rejects_bad_input():
 
 
 def test_orbit_summary_memory_has_no_spectrum_sized_buffer():
-    # P and S, 16 * 2^13 values each at n = 26, as int64, the mirror rows
-    # of P and all of S as float32, and one panel of 2^17 float32 values:
-    # no 2^n-value buffer
+    # P and S, 16 * 2^13 float32 values each at n = 26, S's transposed
+    # copy as _walks forms it, and one panel of 2^17 float32 values with
+    # its rows of P: no 2^n-value buffer
     tracemalloc.start()
     try:
         orbit_summary((1, 2, 3), 26)
@@ -734,6 +745,15 @@ def test_max_abs_int32_bound():
                   linear_table(n, 1),
                   linear_table(n, (1 << n) - 1)):
             assert walsh_transform(t).max_abs() == 1 << n
+    # an int32 spectrum whose one extreme is -2^31: negated in int32 it
+    # wraps to itself, and write_csv would size |value| by the next largest
+    values = np.full(8, 6, dtype=np.int32)
+    values[5] = -2**31
+    spec = WalshSpectrum(3, values)
+    assert spec.max_abs() == 1 << 31
+    buf = io.StringIO()
+    spec.write_csv(buf)
+    assert buf.getvalue() == line_by_line_csv(values)
 
 
 def test_max_abs_is_taken_once_per_spectrum():
