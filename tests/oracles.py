@@ -149,7 +149,8 @@ def spectrum_reductions(values) -> tuple[int, int, int]:
     v = np.asarray(values, dtype=np.int64)
     n = v.size.bit_length() - 1
     amp = 1 << (n // 2 if n % 2 == 0 else (n + 1) // 2)
-    return int(v[0]), int(np.abs(v).max()), int(np.count_nonzero(np.abs(v) == amp))
+    a = np.abs(v)
+    return int(v[0]), int(a.max()), int(np.count_nonzero(a == amp))
 
 
 def autocorrelation_pc_profile(values) -> dict[int, tuple[int, int]]:
