@@ -29,9 +29,6 @@ from .core import (  # noqa: E402
     MAX_VARS,
     TruthTable,
     WalshSummary,
-    _bent,
-    _nonlinearity,
-    _weight,
     pc_profile,
     walsh_summary,
     walsh_transform,
@@ -44,7 +41,6 @@ from .theory import (  # noqa: E402
     conjecture_check,
     family_table,
     gf_series,
-    orbit_extremes,
     orbit_summary,
     wt_f2_closed,
     wt_f3_recurrence,
@@ -171,35 +167,16 @@ def cmd_build(args: argparse.Namespace) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _analyze_one(n: int, w0: int, max_abs: int, semi_bent: bool) -> dict:
-    """The report row of every route, read from W(0) and max|W|: the weight
-    from W(0) = 2^n - 2 wt, the balance as W(0) = 0, the nonlinearity as
-    2^(n-1) - max|W|/2 and bentness as max|W| = 2^(n/2).  Only the
-    semi-bent test needs the spectrum's counts, so the caller passes it."""
+def _analyze_one(summary: WalshSummary) -> dict:
+    """The report row of every route, read from one WalshSummary."""
     return {
-        "n": n,
-        "weight": _weight(n, w0),
-        "nonlinearity": _nonlinearity(n, max_abs),
-        "balanced": w0 == 0,
-        "bent": _bent(n, max_abs),
-        "semibent": semi_bent,
+        "n": summary.n,
+        "weight": summary.weight(),
+        "nonlinearity": summary.nonlinearity(),
+        "balanced": summary.w0 == 0,
+        "bent": summary.is_bent(),
+        "semibent": summary.semi_bent,
     }
-
-
-def _summary_row(summary: WalshSummary) -> dict:
-    return _analyze_one(summary.n, summary.w0, summary.max_abs,
-                        summary.is_semi_bent())
-
-
-def _transfer_row(generator: tuple[int, ...], n: int) -> dict:
-    """The row of an f2/f3 orbit from its transfer matrices.  Its extremes
-    decide every column but semi-bent; a spectrum can be semi-bent only at
-    odd n with W(0) = 0 and max|W| = 2^((n+1)/2) (f2 at odd n), and only
-    then is the row read from the full orbit_summary, whose at_amp decides."""
-    w0, max_abs = orbit_extremes(generator, n)
-    if n % 2 and w0 == 0 and max_abs == 1 << ((n + 1) // 2):
-        return _summary_row(orbit_summary(generator, n))
-    return _analyze_one(n, w0, max_abs, False)
 
 
 _ANALYZE_COLS = ("n", "weight", "nonlinearity", "balanced", "bent", "semibent")
@@ -250,13 +227,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.selector in FAMILY_GENERATORS and not spectrum:
         # the transfer matrices give the whole row: no table is built
         gen = FAMILY_GENERATORS[args.selector]
-        items = ((_transfer_row(gen, n), None) for n in ns)
+        items = ((orbit_summary(gen, n), None) for n in ns)
     else:  # a stored spectrum only when --pc or --spectrum-csv reads one
-        items = ((_summary_row(walsh_transform(t).summary() if spectrum
-                               else walsh_summary(t)), t)
-                 for t in tables)
+        items = ((walsh_transform(t).summary() if spectrum
+                  else walsh_summary(t), t) for t in tables)
 
-    for row, table in items:
+    for summary, table in items:
+        row = _analyze_one(summary)
         rows.append(row)
         lines.append(_kv_line(row))
         if args.pc:

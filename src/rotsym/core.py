@@ -21,9 +21,8 @@ MAX_VARS = 26          # 2^26-bit tables; the spectrum still fits int32
 # The GEMM kernel (see _two_pass).  float32 holds every integer of magnitude
 # <= 2^24 exactly, so walsh_transform does the low 24 index bits in float32
 # and any higher bits in float64 (exact to 2^53); pc_profile does all its
-# bits in float64; the transfer-matrix GEMM of theory (orbit_summary,
-# orbit_extremes) runs in float32 while its bound on every partial sum is
-# <= 2^24.
+# bits in float64; the transfer-matrix GEMM of theory.orbit_summary runs
+# in float32 while its bound on every partial sum is <= 2^24.
 _FLOAT_BITS = 24
 _GROUP_BITS = 5        # index bits per GEMM stage, against one 32x32 matrix
 _GEMM_MACS = 1 << 18   # multiply-adds per GEMM call (see _gemm_bits)
@@ -262,69 +261,54 @@ def _popcount_classes(count: int) -> np.ndarray:
 class WalshSummary(NamedTuple):
     """What the criteria read from a Walsh spectrum W of n variables.
 
-    w0 = W(0), max_abs = max |W|, and at_amp, how many values are +-amp,
-    where amp = 2^ceil(n/2) is the bent amplitude 2^(n/2) for even n and
-    the semi-bent 2^((n+1)/2) for odd n.
+    w0 = W(0), max_abs = max |W|, and semi_bent: n = 2k+1, W(0) = 0 and
+    every value in {0, +-2^(k+1)}.
     """
 
     n: int
     w0: int
     max_abs: int
-    at_amp: int
+    semi_bent: bool
 
     @classmethod
     def _of(cls, n: int, tallies) -> "WalshSummary":
-        """Combine the _tally of blocks that cover every value once, the first
-        block starting at W(0).  Max and min fold into max_abs as Python
-        ints: negated in an int32 block, -2^31 would wrap to itself."""
+        """Combine the _tally of blocks, the first starting at W(0).  Max and
+        min fold into max_abs as Python ints: negated in an int32 block,
+        -2^31 would wrap to itself.
+
+        Semi-bent is read from the count of +-2^(k+1): by Parseval (the 2^n
+        values of W^2 sum to 4^n) at most 2^(2k) values are +-2^(k+1), and
+        exactly 2^(2k) only when every other value is 0.  So the test is
+        exact when the blocks hold every value that can be +-2^(k+1), and
+        blocks that leave some out can never reach the count by mistake.
+        """
         w0, high, low, at_amp = zip(*tallies)
-        return cls(n, int(w0[0]), max(int(max(high)), -int(min(low))),
-                   int(sum(at_amp)))
+        w0 = int(w0[0])
+        return cls(n, w0, max(int(max(high)), -int(min(low))),
+                   n % 2 == 1 and w0 == 0 and int(sum(at_amp)) == 1 << (n - 1))
 
     def weight(self) -> int:
-        return _weight(self.n, self.w0)
+        """A table's weight, from W(0) = 2^n - 2 wt."""
+        return ((1 << self.n) - self.w0) // 2
 
     def nonlinearity(self) -> int:
-        return _nonlinearity(self.n, self.max_abs)
+        """Minimum distance to the 2^(n+1) affine functions, 2^(n-1) - max|W|/2."""
+        return (1 << (self.n - 1)) - self.max_abs // 2
 
     def is_bent(self) -> bool:
-        return _bent(self.n, self.max_abs)
-
-    def is_semi_bent(self) -> bool:
-        """Spectral semi-bent test for n = 2k+1; always false for even n.
-
-        Requires values in {0, +-2^(k+1)} and a balanced function, W(0) = 0.
-        By Parseval (the 2^n values of W^2 sum to 4^n) the values lie in
-        that set exactly when 2^(2k) of them are +-2^(k+1): their squares
-        alone sum to 4^n, so every other value is 0.
-        """
-        return (self.n % 2 == 1 and self.w0 == 0
-                and self.at_amp == 1 << (self.n - 1))
-
-
-def _weight(n: int, w0: int) -> int:
-    """A table's weight, from W(0) = 2^n - 2 wt."""
-    return ((1 << n) - w0) // 2
-
-
-def _nonlinearity(n: int, max_abs: int) -> int:
-    """Minimum distance to the 2^(n+1) affine functions, 2^(n-1) - max|W|/2."""
-    return (1 << (n - 1)) - max_abs // 2
-
-
-def _bent(n: int, max_abs: int) -> bool:
-    """Flat spectrum |W| = 2^(n/2); always false for odd n.  By Parseval
-    (the 2^n values of W^2 sum to 4^n, so their mean is 2^n) the spectrum
-    is flat exactly when max|W| = 2^(n/2)."""
-    return n % 2 == 0 and max_abs == 1 << (n // 2)
+        """Flat spectrum |W| = 2^(n/2); always false for odd n.  By Parseval
+        (the mean of W^2 is 2^n) the spectrum is flat exactly when
+        max|W| = 2^(n/2)."""
+        return self.n % 2 == 0 and self.max_abs == 1 << (self.n // 2)
 
 
 def _tally(n: int, block: np.ndarray) -> tuple:
-    """A block's first value, max and min, and its count of +-2^ceil(n/2),
-    for WalshSummary._of."""
+    """A block's first value, max and min, and at odd n its count of
+    +-2^((n+1)/2), semi-bent's amplitude (0 at even n), for
+    WalshSummary._of."""
     amp = 1 << ((n + 1) // 2)
-    return (block.flat[0], block.max(), block.min(),
-            np.count_nonzero(block == amp) + np.count_nonzero(block == -amp))
+    return (block.flat[0], block.max(), block.min(), n % 2 and (
+        np.count_nonzero(block == amp) + np.count_nonzero(block == -amp)))
 
 
 class WalshSpectrum:
@@ -689,4 +673,4 @@ def is_bent(f: TruthTable) -> bool:
 
 def is_semi_bent_spectral(f: TruthTable) -> bool:
     """Spectral semi-bent test for n = 2k+1; always false for even n."""
-    return walsh_summary(f).is_semi_bent()
+    return walsh_summary(f).semi_bent

@@ -3,7 +3,7 @@
 The closed form of the degree-2 weight, the recurrence of the degree-3
 weight, rational generating functions for both families, the transfer
 matrices of a rotation orbit and the Walsh criteria taken from them
-(orbit_summary; W(0) and max|W| alone from orbit_extremes), the one
+(orbit_summary, from only the GEMM rows that can change them), the one
 dispatch from a selector to a table (family_table; builders makes the open
 chain t), and the weight-equals-nonlinearity scan for the degree-3 family.
 All arithmetic is exact: in integers, or in floats within a stated bound.
@@ -30,7 +30,6 @@ from .core import (
     MAX_VARS,
     TruthTable,
     WalshSummary,
-    _nonlinearity,
     _tally,
     anf_to_truth_table,
 )
@@ -127,10 +126,9 @@ def _transfer(generator: Iterable[int], n: int) -> np.ndarray:
 
 def _walks(generator: frozenset[int], n: int
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, type, int]:
-    """The prefix and suffix products P and S of orbit_summary and
-    orbit_extremes, and S_max[t, s] = max over a_lo of |S(a_lo)[t, s]|, in
-    the float dtype whose GEMM of P and S is exact, and the bound B it is
-    chosen by.
+    """The prefix and suffix products P and S of orbit_summary, and
+    S_max[t, s] = max over a_lo of |S(a_lo)[t, s]|, in the float dtype
+    whose GEMM of P and S is exact, and the bound B it is chosen by.
 
     The products are taken in float32, which is exact: an entry of a
     product of j transfer matrices, and every partial sum forming it, is a
@@ -224,13 +222,8 @@ def _panels(pre: np.ndarray, suf: np.ndarray):
 
 def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     """The WalshSummary of the rotation orbit of one monomial, from its
-    transfer matrices instead of its table.
-
-    Every value is formed and tallied.  analyze reads an f2/f3 row from
-    it only where the semi-bent test needs the count at_amp (W(0) = 0 and
-    max|W| = 2^((n+1)/2) at odd n: f2 at odd n); its other rows, conjecture
-    and tables read orbit_extremes.  The tests take it as the oracle of
-    orbit_extremes.
+    transfer matrices instead of its table, and from only the GEMM rows
+    that could change it.
 
     With M_b = _transfer(generator, n), every x is one closed walk of n
     steps, so W(a) = tr(M_(a_1) ... M_(a_n)), x_1 and a_1 being the top
@@ -240,59 +233,47 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     S(a_lo) = M_(a_(k+1)) ... M_(a_n), W(a) = sum over s, t of
     P[s, t] S[t, s].  So the spectrum is one GEMM, rows a_hi of
     (2^k x D^2) @ (D^2 x 2^(n-k)), run by _panels in panels of whole rows
-    of about _PANEL values, row 0 (which holds W(0)) first; each panel is
-    reduced by _tally.
+    of about _PANEL values, each reduced by _tally.
+
+    The bound of row a_hi, U(a_hi) = sum over s, t of |P(a_hi)[s, t]|
+    S_max[t, s], is at least |W(a_hi, a_lo)| for every a_lo (the triangle
+    inequality).  Row 0 gives W(0) and a first maximum top; the other rows
+    run in descending U while U > top, so max|W| is exact.  Where the
+    function can be semi-bent (odd n and W(0) = 0), they run while
+    U >= top: a row left out then has U < top <= max|W|, so if max|W| is
+    the semi-bent 2^((n+1)/2) it holds no value of that magnitude, and the
+    count WalshSummary._of reads is whole.  For f3 at n = 24..26 only 4
+    rows of 4096..8192 run, row 0 among them; f2 at even n runs row 0
+    alone, and f2 at odd n every row.
 
     This is exact: the GEMM runs in float32 when the bound B of _walks is
     at most 2^24, which f2 and f3 meet at every n <= 26 (f3: B = 2^21.86
-    at n = 26), and in float64 otherwise (B <= 2^n <= 2^26).  Memory is P
-    and S, D^2 (2^k + 2^(n-k)) values of the GEMM dtype, and one panel
-    with its rows of P: under 2 MiB at n = 26 for degree 3 (D = 4), and
-    no 2^n buffer.  The cost grows as 4^(L-1), so this suits short windows
-    such as those of f2 and f3.
-    """
-    pre, suf, _, _, _ = _walks(_orbit(generator, n), n)
-    height, gemm = _panels(pre, suf)
-    rows = np.arange(len(pre))
-    return WalshSummary._of(n, [_tally(n, gemm(rows[r:r + height]))
-                                for r in range(0, len(rows), height)])
-
-
-def orbit_extremes(generator: Iterable[int], n: int) -> tuple[int, int]:
-    """(W(0), max |W|) of the rotation orbit of one monomial: exactly
-    orbit_summary's w0 and max_abs, from only the GEMM rows that could
-    still hold a larger |W|.
-
-    With P, S and S_max from _walks, the bound of row a_hi,
-    U(a_hi) = sum over s, t of |P(a_hi)[s, t]| S_max[t, s], is at least
-    |W(a_hi, a_lo)| for every a_lo (the triangle inequality on
-    W = sum of P[s, t] S[t, s]).  Row 0 gives W(0) and a first maximum;
-    the other rows then run in descending U, a panel at a time, until the
-    next U is at most the maximum found so far.  For f3 at n = 24..26 only
-    4 rows of 4096..8192 pass; for f2 at n = 25 and 26 none does.
-
-    This is exact.  U is formed in the GEMM's dtype, and each of its
-    partial sums is at most B = sum over s, t of max_a |P[s, t]|
-    S_max[t, s], the bound by which _walks chose that dtype; so U <= B and
-    is an exact integer there, as is every W.  U costs 2^(n//2) 4^(L-1)
-    multiply-adds; when no row can be skipped, the rest costs at most
-    orbit_summary's GEMM panels, each with one max-abs reduction in place
-    of _tally.  Memory is P and S and one panel, as in orbit_summary.
+    at n = 26), and in float64 otherwise (B <= 2^n <= 2^26).  U is formed
+    in the GEMM's dtype, and each of its partial sums is at most B, so it
+    too is an exact integer.  Memory is P and S, D^2 (2^k + 2^(n-k))
+    values of the GEMM dtype, and one panel with its rows of P: under
+    2 MiB at n = 26 for degree 3 (D = 4), and no 2^n buffer.  The cost
+    grows as 4^(L-1), so this suits short windows such as those of f2
+    and f3.
     """
     pre, suf, suf_max, _, _ = _walks(_orbit(generator, n), n)
     height, gemm = _panels(pre, suf)
-    first = gemm(np.zeros(1, dtype=np.intp))
-    w0, top = int(first[0, 0]), int(_max_abs(first))
+    tallies = [_tally(n, gemm(np.zeros(1, dtype=np.intp)))]
+    w0, high, low, _ = tallies[0]
+    top = max(int(high), -int(low))
+    runs = np.greater_equal if n % 2 and w0 == 0 else np.greater
     bound = _row_bounds(pre, suf_max)
-    rows = np.flatnonzero(bound[1:] > top) + 1
+    rows = np.flatnonzero(runs(bound[1:], top)) + 1
     rows = rows[np.argsort(-bound[rows])]
     for row in range(0, len(rows), height):
         part = rows[row:row + height]
-        part = part[bound[part] > top]  # rows run in descending U: a prefix
+        part = part[runs(bound[part], top)]  # rows run in descending U: a prefix
         if not len(part):
             break
-        top = max(top, int(_max_abs(gemm(part))))
-    return w0, top
+        tallies.append(_tally(n, gemm(part)))
+        _, high, low, _ = tallies[-1]
+        top = max(top, int(high), -int(low))
+    return WalshSummary._of(n, tallies)
 
 
 def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
@@ -331,9 +312,8 @@ def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:
     Each row is {"n", "weight", "nonlinearity", "equal", "source"}, with
     source "reference-table" within the published range, else "computed".
     The weight is counted in the built table and the nonlinearity,
-    2^(n-1) - max|W|/2, comes from the transfer matrices (max|W| from
-    orbit_extremes), so the two sides of each comparison come from
-    independent engines.
+    2^(n-1) - max|W|/2, comes from the transfer matrices (orbit_summary),
+    so the two sides of each comparison come from independent engines.
     Equality is reported, never asserted: it is only confirmed through n = 9,
     everything beyond is informational.
     """
@@ -343,7 +323,7 @@ def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:
     lo, hi = F3_REFERENCE_NL_RANGE
     for n in range(n_lo, n_hi + 1):
         w = family_table("f3", n).weight()
-        nl = _nonlinearity(n, orbit_extremes(FAMILY_GENERATORS["f3"], n)[1])
+        nl = orbit_summary(FAMILY_GENERATORS["f3"], n).nonlinearity()
         rows.append({"n": n, "weight": w, "nonlinearity": nl, "equal": w == nl,
                      "source": "reference-table" if lo <= n <= hi else "computed"})
     return rows

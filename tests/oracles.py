@@ -143,14 +143,16 @@ def parseval_sum(values) -> int:
     return int(np.sum(np.asarray(values, dtype=np.int64) ** 2))
 
 
-def spectrum_reductions(values) -> tuple[int, int, int]:
-    """W(0), max |W| and the count of |W| = amp of a whole spectrum, in
-    int64, where amp is 2^(n/2) for even n and 2^((n+1)/2) for odd n."""
+def spectrum_reductions(values) -> tuple[int, int, bool]:
+    """W(0), max |W| and semi-bentness of a whole spectrum, in int64:
+    semi-bent by its definition, odd n, W(0) = 0 and every |W| in
+    {0, 2^((n+1)/2)}."""
     v = np.asarray(values, dtype=np.int64)
     n = v.size.bit_length() - 1
-    amp = 1 << (n // 2 if n % 2 == 0 else (n + 1) // 2)
     a = np.abs(v)
-    return int(v[0]), int(a.max()), int(np.count_nonzero(a == amp))
+    semi_bent = (n % 2 == 1 and v[0] == 0
+                 and set(np.unique(a).tolist()) <= {0, 1 << ((n + 1) // 2)})
+    return int(v[0]), int(a.max()), bool(semi_bent)
 
 
 def autocorrelation_pc_profile(values) -> dict[int, tuple[int, int]]:

@@ -283,8 +283,8 @@ def test_analyze_pc_from_file_at_n21(tmp_path, capsys):
     (MemoryError(), "error: out of memory\n"),
 ])
 @pytest.mark.parametrize("selector, patched", [
-    ("f2", "orbit_summary"),  # the transfer-matrix path
-    ("f3", "orbit_extremes"),  # its bounded rows
+    ("f2", "orbit_summary"),  # the transfer matrices, every row
+    ("f3", "orbit_summary"),  # the transfer matrices, the bounded rows
     ("t", "walsh_summary"),   # the table's own spectrum
 ])
 def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch, exc, message,

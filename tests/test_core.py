@@ -24,11 +24,11 @@ from rotsym import (
     walsh_transform,
 )
 from rotsym.core import MAX_VARS, WalshSpectrum, _gemm_bits
+from rotsym import theory
 from rotsym.theory import (
     FAMILY_GENERATORS,
     _row_bounds,
     _walks,
-    orbit_extremes,
 )
 
 from oracles import (
@@ -390,9 +390,9 @@ def test_walsh_transform_memory_is_one_buffer(n):
     assert peak <= 4 * (1 << n) + extra
 
 
-def _summary_fields(t: TruthTable) -> tuple[int, int, int]:
+def _summary_fields(t: TruthTable) -> tuple[int, int, bool]:
     s = walsh_summary(t)
-    return s.w0, s.max_abs, s.at_amp
+    return s.w0, s.max_abs, s.semi_bent
 
 
 @settings(max_examples=60, deadline=None)
@@ -416,7 +416,7 @@ def test_walsh_summary_matches_transform_at_large_n(build, n):
 def test_walsh_summary_of_constant_tables(n):
     # pass 1 stores +-2^14, the largest magnitude int16 must hold
     for t, sign in ((zeros_table(n), 1), (ones_table(n), -1)):
-        assert _summary_fields(t) == (sign << n, 1 << n, 0)
+        assert _summary_fields(t) == (sign << n, 1 << n, False)
 
 
 def test_walsh_summary_one_constant_chunk():
@@ -434,17 +434,17 @@ def test_walsh_summary_semi_bent_odd_f2(n):
     # W in {0, +-2^((n+1)/2)}: by Parseval half the values are 0
     t = build_f2(n)
     s = walsh_summary(t)
-    assert s.is_semi_bent() and not s.is_bent()
+    assert s.semi_bent and not s.is_bent()
     values = butterfly_walsh(t)
     assert zero_count(values) == 1 << (n - 1)
     assert _summary_fields(t) == spectrum_reductions(values) == (
-        0, 1 << ((n + 1) // 2), 1 << (n - 1))
+        0, 1 << ((n + 1) // 2), True)
 
 
 def test_walsh_summary_bent_even_t():
     s = walsh_summary(t_chain(20))
-    assert s.is_bent() and not s.is_semi_bent()
-    assert (s.max_abs, s.at_amp) == (1 << 10, 1 << 20)
+    assert s.is_bent() and not s.semi_bent
+    assert s.max_abs == 1 << 10
 
 
 @settings(max_examples=60, deadline=None)
@@ -455,13 +455,13 @@ def test_walsh_summary_bent_even_t():
 @example(t_chain(15))                    # |W| in {0, 2^8}, but W(0) != 0
 def test_is_semi_bent_is_its_definition(t):
     # odd n, W(0) = 0 and every value in {0, +-2^((n+1)/2)}, read from the
-    # butterfly, against the count of +-2^((n+1)/2) that the summary keeps
+    # butterfly, against the summary's test by the count of +-2^((n+1)/2)
     values = butterfly_walsh(t)
     amp = 1 << ((t.n + 1) // 2)
     want = (t.n % 2 == 1 and values[0] == 0
             and set(np.abs(values).tolist()) <= {0, amp})
-    assert walsh_summary(t).is_semi_bent() == want
-    assert walsh_transform(t).summary().is_semi_bent() == want
+    assert walsh_summary(t).semi_bent == want
+    assert walsh_transform(t).summary().semi_bent == want
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +476,6 @@ def test_orbit_summary_matches_the_family_table(selector, n):
     generator = FAMILY_GENERATORS[selector]
     s = orbit_summary(generator, n)
     assert s == walsh_summary(family_table(selector, n))
-    assert orbit_extremes(generator, n) == (s.w0, s.max_abs)
 
 
 @st.composite
@@ -505,7 +504,6 @@ def test_orbit_summary_matches_the_anf_table(orbit):
     generator, n = orbit
     s = orbit_summary(generator, n)
     assert s == walsh_summary(orbit_table(generator, n))
-    assert orbit_extremes(generator, n) == (s.w0, s.max_abs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -525,9 +523,9 @@ def test_orbit_row_bound_holds_every_value_of_its_row(orbit):
 
 
 @pytest.mark.parametrize("n", [20, 21])
-def test_orbit_summary_of_an_unmirrored_orbit_runs_every_row(n):
+def test_orbit_summary_of_an_unmirrored_orbit(n):
     # (1, 2, 4) is not its own mirror image; a degree-3 orbit other than
-    # f3's, at sizes with several panels of GEMM rows
+    # f3's, whose row bounds pass 7 rows beyond row 0
     table = family_table("orbit", n, (1, 2, 4))
     assert orbit_summary((1, 2, 4), n) == walsh_summary(table)
 
@@ -562,27 +560,49 @@ def test_orbit_summary_rejects_bad_input():
 
 def test_orbit_summary_memory_has_no_spectrum_sized_buffer():
     # P and S, 16 * 2^13 float32 values each at n = 26, S's transposed
-    # copy as _walks forms it, and one panel of 2^17 float32 values with
-    # its rows of P: no 2^n-value buffer
+    # copy as _walks forms it, then one panel: no 2^n-value buffer
     tracemalloc.start()
     try:
         orbit_summary((1, 2, 3), 26)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 << 20
-
-
-def test_orbit_extremes_memory_is_the_walks_and_one_panel():
-    # P and S, 16 * 2^13 float32 values each at n = 26, S's transposed
-    # copy as _walks forms it, then one panel: no 2^n-value buffer
-    tracemalloc.start()
-    try:
-        orbit_extremes((1, 2, 3), 26)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert peak <= 2 << 20
+
+
+def _gemm_rows(monkeypatch) -> list[int]:
+    """The rows orbit_summary passes to its GEMM, one count per call."""
+    calls = []
+    panels = theory._panels
+
+    def counted(pre, suf):
+        height, gemm = panels(pre, suf)
+
+        def count(rows):
+            calls.append(len(rows))
+            return gemm(rows)
+
+        return height, count
+
+    monkeypatch.setattr(theory, "_panels", counted)
+    return calls
+
+
+@pytest.mark.parametrize("generator, ns, most", [
+    ((1, 2, 3), (24, 25, 26), 8),      # f3: row 0 and the few that pass
+    ((1, 2), (26,), 1),                # f2 at even n: row 0 alone
+    ((1, 2), range(3, 27, 2), None),   # f2 at odd n can be semi-bent: every row
+], ids=("f3-24..26", "f2-26", "f2-odd"))
+def test_orbit_summary_runs_only_the_rows_its_bounds_pass(
+        monkeypatch, generator, ns, most):
+    calls = _gemm_rows(monkeypatch)
+    for n in ns:
+        calls.clear()
+        orbit_summary(generator, n)
+        if most is None:
+            assert sum(calls) == 1 << (n // 2), n
+        else:
+            assert sum(calls) <= most, n
 
 
 def test_t4_is_flat():
@@ -728,7 +748,7 @@ def test_is_bent():
 
 def test_is_semi_bent():
     for semi_bent in (is_semi_bent_spectral,
-                      lambda f: walsh_transform(f).summary().is_semi_bent()):
+                      lambda f: walsh_transform(f).summary().semi_bent):
         for n in (5, 7, 9):
             assert semi_bent(build_f2(n)) is True
         assert semi_bent(linear_table(5, 3)) is False

@@ -1,7 +1,7 @@
 """Start-up: `import rotsym` is lazy, the CLI loads numpy with one
 OpenBLAS thread unless the user chose a count, does not load fractions and
 builds no CSV digit table, no module of the package imports a name it never
-uses, and every exported name has a caller.
+uses, every exported name has a caller, and README's library example runs.
 
 Each start-up check runs in a fresh interpreter, because numpy reads
 OPENBLAS_NUM_THREADS once, when it is first imported.
@@ -193,3 +193,11 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         rotsym.no_such_name
     assert not hasattr(rotsym, "no_such_name")
+
+
+def test_readme_library_example_runs():
+    # the python block under README's "## Library" heading, as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n"):]
+    start = library.index("```python\n") + len("```python\n")
+    exec(library[start:library.index("```", start)], {})
