@@ -570,8 +570,14 @@ def test_orbit_summary_memory_has_no_spectrum_sized_buffer():
     assert peak <= 2 << 20
 
 
-def _gemm_rows(monkeypatch) -> list[int]:
-    """The rows orbit_summary passes to its GEMM, one count per call."""
+@pytest.mark.parametrize("generator, ns, most", [
+    ((1, 2, 3), (24, 25, 26), 8),      # f3: row 0 and the few that pass
+    ((1, 2), (26,), 1),                # f2 at even n: row 0 alone
+    ((1, 2), range(3, 27, 2), None),   # f2 at odd n can be semi-bent: every row
+], ids=("f3-24..26", "f2-26", "f2-odd"))
+def test_orbit_summary_runs_only_the_rows_its_bounds_pass(
+        monkeypatch, generator, ns, most):
+    # counts the rows passed to the GEMM of theory._panels
     calls = []
     panels = theory._panels
 
@@ -585,17 +591,6 @@ def _gemm_rows(monkeypatch) -> list[int]:
         return height, count
 
     monkeypatch.setattr(theory, "_panels", counted)
-    return calls
-
-
-@pytest.mark.parametrize("generator, ns, most", [
-    ((1, 2, 3), (24, 25, 26), 8),      # f3: row 0 and the few that pass
-    ((1, 2), (26,), 1),                # f2 at even n: row 0 alone
-    ((1, 2), range(3, 27, 2), None),   # f2 at odd n can be semi-bent: every row
-], ids=("f3-24..26", "f2-26", "f2-odd"))
-def test_orbit_summary_runs_only_the_rows_its_bounds_pass(
-        monkeypatch, generator, ns, most):
-    calls = _gemm_rows(monkeypatch)
     for n in ns:
         calls.clear()
         orbit_summary(generator, n)
