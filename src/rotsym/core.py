@@ -282,10 +282,10 @@ class WalshSummary(NamedTuple):
         exact when the blocks hold every value that can be +-2^(k+1), and
         blocks that leave some out can never reach the count by mistake.
         """
-        w0, high, low, at_amp = zip(*tallies)
+        w0, high, low, amps = zip(*tallies)
         w0 = int(w0[0])
         return cls(n, w0, max(int(max(high)), -int(min(low))),
-                   n % 2 == 1 and w0 == 0 and int(sum(at_amp)) == 1 << (n - 1))
+                   n % 2 == 1 and w0 == 0 and int(sum(amps)) == 1 << (n - 1))
 
     def weight(self) -> int:
         """A table's weight, from W(0) = 2^n - 2 wt."""
