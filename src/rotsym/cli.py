@@ -16,7 +16,8 @@ import sys
 import time
 from collections.abc import Sequence
 
-# core._GEMM_MACS keeps each GEMM on the calling thread: OpenBLAS's pool would idle.
+# Each GEMM but theory._products' last step (2^19 multiply-adds for f3 at n = 25,
+# 26) stays within core._GEMM_MACS, on the calling thread: OpenBLAS's pool would idle.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .builders import (  # noqa: E402
@@ -228,7 +229,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # the transfer matrices give the whole row: no table is built
         gen = FAMILY_GENERATORS[args.selector]
         items = ((orbit_summary(gen, n), None) for n in ns)
-    else:  # a stored spectrum only when --pc or --spectrum-csv reads one
+    else:  # --pc/--spectrum-csv take three transforms, as perfbench's
+        # test_traced_invocation_counts pins (CHANGES.md FOUND; ROADMAP item 3)
         items = ((walsh_transform(t).summary() if spectrum
                   else walsh_summary(t), t) for t in tables)
 

@@ -374,19 +374,22 @@ class WalshSpectrum:
         float64 run of _two_pass over sum_t (-1)^popcount(s & t) W_t^2,
         through one 8*2^(n-f)-byte buffer, two scratch buffers of
         _PC_SCRATCH_BYTES and one more for the loaded squares.
-        Each finished panel's zeros are tallied by weight class there,
+        Each panel _two_pass yields has its zeros tallied by weight class,
         since the weight of index s * 2^(n-f) + r * chunk + col + j is
         the sum of the popcounts of s, r, col and j: the zeros of a panel
-        are counted per row and column popcount class by two float32 GEMMs,
-        summed per popcount(s) + popcount(col), and folded into weights at
-        the end.
+        are counted per row and column popcount class by two float32 GEMMs
+        and added straight into one float32 tally zeros[k, b] of the
+        directions whose bits above the panel's column bits have weight k
+        and whose column bits have weight b, so weight w is the sum of the
+        tally's antidiagonal k + b = w.
         This is exact for every n <= MAX_VARS: every partial sum of the
         transform is bounded by sum W^2 = 2^(2n) <= 2^52 < 2^53 (Parseval),
         an integer float64 holds exactly in any summation order; and every
-        zero count, per panel and summed over panels, counts directions of
-        one weight w, so it is at most C(n, w) <= C(26, 13) = 10400600 < 2^24,
-        an integer float32 holds exactly.  At n = 26 the buffer is 128 MiB
-        beside the 256 MiB spectrum.
+        zero count, per panel, in the tally and summed over its antidiagonal,
+        counts directions of one weight w, so it is at most
+        C(n, w) <= C(26, 13) = 10400600 < 2^24, an integer float32 holds
+        exactly.  At n = 26 the buffer is 128 MiB beside the 256 MiB
+        spectrum.
         """
         n = self.n
         fold = min(_PC_FOLD_BITS, n - 1)
@@ -404,25 +407,21 @@ class WalshSpectrum:
                 combine = np.subtract if (s & t).bit_count() & 1 else np.add
                 combine(acc, sq, out=acc)
 
-        def finish(col, done):
-            # done[r, j] = 2^n * sum_x (-1)^(f(x)+f(x+c)) for the direction c
-            # of weight popcount(s) + popcount(col) + popcount(r) +
-            # popcount(j); it is zero iff that derivative is balanced
-            rows, width = done.shape
-            zeros = (_popcount_classes(rows).T @ (done == 0)
-                     @ _popcount_classes(width))  # [row class, column class]
-            key = s.bit_count() + col.bit_count()
-            counts[key] = counts.get(key, 0) + zeros
-
-        counts = {}
+        zeros = np.zeros((n + 1, n + 1), dtype=np.float32)
         buf = np.empty(part, dtype=np.float64)
-        for s in range(len(parts)):  # read by load and finish
-            _two_pass(buf, np.float64, n - fold, scratch, scratch, load, finish)
-        tallies = np.zeros(n + 1, dtype=np.int64)
-        for key, zeros in counts.items():  # weight key + row class + column class
-            a, b = np.indices(zeros.shape)
-            np.add.at(tallies, key + a + b, zeros.astype(np.int64))
-        return {w: (int(tallies[w]), comb(n, w)) for w in range(1, n + 1)}
+        for s in range(len(parts)):  # read by load
+            for col, done in _two_pass(buf, np.float64, n - fold, scratch,
+                                       scratch, load):
+                # done[r, j] = 2^n * sum_x (-1)^(f(x)+f(x+c)), zero iff the
+                # derivative in direction c is balanced; c's weight is
+                # popcount(s) + popcount(col) + popcount(r) + popcount(j)
+                rows, width = done.shape
+                high = s.bit_count() + col.bit_count()
+                zeros[high:high + rows.bit_length(), :width.bit_length()] += (
+                    _popcount_classes(rows).T @ (done == 0)
+                    @ _popcount_classes(width))  # [row class, column class]
+        mirror = np.fliplr(zeros)  # its diagonal n - w: zeros's k + b = w
+        return {w: (int(mirror.trace(n - w)), comb(n, w)) for w in range(1, n + 1)}
 
     def write_csv(self, fileobj) -> None:
         """CSV export with columns w, value, written to a text file.
@@ -509,8 +508,9 @@ def _gemm_bits(src: np.ndarray, spare: np.ndarray, lo: int, hi: int) -> np.ndarr
 
 
 def _two_pass(buf: np.ndarray, dtype, float_bits: int, chunk: int,
-              panel: int, load, finish) -> None:
-    """Transform the low float_bits index bits of 2^n values through buf.
+              panel: int, load) -> Iterator[tuple[int, np.ndarray]]:
+    """Transform the low float_bits index bits of 2^n values through buf,
+    yielding each finished panel as (col, done).
 
     H_(2^n) is the Kronecker product of one H_2 per index bit, so the bits
     can be transformed in groups and in any order.  buf is an array of the
@@ -533,13 +533,15 @@ def _two_pass(buf: np.ndarray, dtype, float_bits: int, chunk: int,
     inputs of magnitude <= M, so |v| <= 2^k M (int16 holds the +-1 values
     after log2(chunk) <= 14 bits, since 2^14 < 2^15).
 
-    Each finished panel goes to finish(col, done): done[r, j] is output
-    value r * chunk + col + j.  When one chunk holds all 2^n values, it is
-    the one panel (col 0, one row) and is never stored in buf.  So every
-    GEMM runs on contiguous data in cache, and the grid's rows are read
-    once per panel only.  Beyond buf, the pass allocates only the two
-    scratch buffers; a finish that transforms further bits brings its own
-    (_walsh_two_pass's 2 * 8 * _PANEL bytes of float64 when n > 24).
+    done[r, j] is output value r * chunk + col + j.  It lives in the
+    scratch, so it stays valid until the next panel is requested; the
+    consumer may write it back over buf's columns col..col+width-1, which
+    no later panel reads.  When one chunk holds all 2^n values, it is the
+    one panel (col 0, one row) and is never stored in buf.  So every GEMM
+    runs on contiguous data in cache, and the grid's rows are read once
+    per panel only.  Beyond buf, the pass allocates only the two scratch
+    buffers; a consumer that transforms further bits brings its own
+    (_walsh_panels's 2 * 8 * _PANEL bytes of float64 when n > 24).
     """
     size = buf.size
     chunk = min(size, chunk)
@@ -553,7 +555,7 @@ def _two_pass(buf: np.ndarray, dtype, float_bits: int, chunk: int,
         load(start, block, a)
         done = _gemm_bits(x, y, 0, min(float_bits, cbits))
         if rows == 1:
-            finish(0, done.reshape(1, chunk))
+            yield 0, done.reshape(1, chunk)
         else:
             np.copyto(buf[start:start + block], done, casting="unsafe")
     if rows > 1:  # a and b hold exactly one panel
@@ -569,17 +571,19 @@ def _two_pass(buf: np.ndarray, dtype, float_bits: int, chunk: int,
             if staged is not a:
                 np.copyto(a, staged, casting="unsafe")
             done = _gemm_bits(a, b, wbits, wbits + float_bits - cbits)
-            finish(k * width, done.reshape(rows, width))
+            yield k * width, done.reshape(rows, width)
 
 
-def _walsh_two_pass(tt: TruthTable, buf: np.ndarray, chunk: int, finish) -> None:
-    """Take the transform of (-1)^tt through buf by _two_pass, finishing
-    each panel to finish(col, done).
+def _walsh_panels(tt: TruthTable, buf: np.ndarray,
+                  chunk: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The finished panels (col, done) of the transform of (-1)^tt, taken
+    through buf by _two_pass.
 
     The chunks' +-1 values are read from the packed bytes through _SIGNS;
     the low min(n, 24) index bits are transformed as float32 GEMMs.  For
     n = 25, 26 each finished panel is copied into a float64 panel scratch,
-    and bits 24 and 25 follow there as float64 GEMMs.
+    and bits 24 and 25 follow there as float64 GEMMs; that float64 panel
+    is the one yielded, valid until the next is requested.
 
     This is exact: after the bits below b are done every value, and every
     partial sum a GEMM forms, is a signed sum of at most 2^b of the +-1
@@ -598,62 +602,54 @@ def _walsh_two_pass(tt: TruthTable, buf: np.ndarray, chunk: int, finish) -> None
 
     if n > _FLOAT_BITS:
         wide = np.empty((2, _PANEL), dtype=np.float64)
-
-    def finish_high(col, done):
-        rows, width = done.shape
+    for col, done in _two_pass(buf, np.float32, min(n, _FLOAT_BITS), chunk,
+                               _PANEL, load):
         if n > _FLOAT_BITS:
             # the panel's row bits sit above its log2(width) column bits and
             # start at global bit log2(chunk), so global bits 24..n-1 are
             # panel bits lo..lo+n-25
+            rows, width = done.shape
             lo = width.bit_length() + _FLOAT_BITS - chunk.bit_length()
             x, y = wide[:, :done.size]
             np.copyto(x, done.reshape(-1))
             done = _gemm_bits(x, y, lo, lo + n - _FLOAT_BITS).reshape(rows, width)
-        finish(col, done)
-
-    _two_pass(buf, np.float32, min(n, _FLOAT_BITS), chunk, _PANEL, load,
-              finish_high)
+        yield col, done
 
 
 def walsh_transform(tt: TruthTable) -> WalshSpectrum:
     """Spectrum values[w] = sum over x of (-1)^(f(x) + w.x), as int32.
 
     The spectrum is built in one 4*2^n-byte float32 buffer by
-    _walsh_two_pass, with chunks of _CHUNK values (256 KiB) and panels of
-    _PANEL values (512 KiB).  Each finished panel, float32 or float64, is
+    _walsh_panels, with chunks of _CHUNK values (256 KiB) and panels of
+    _PANEL values (512 KiB).  Each panel it yields, float32 or float64, is
     cast straight into the int32 view of the bytes it came from, and that
-    view becomes the spectrum, without a copy.  Exact, as _walsh_two_pass
+    view becomes the spectrum, without a copy.  Exact, as _walsh_panels
     says; the result |W| <= 2^26 < 2^31 fits int32.  Beyond the table,
-    peak memory is the one buffer and _walsh_two_pass's scratch.
+    peak memory is the one buffer and _walsh_panels's scratch.
     """
     buf = np.empty(tt.size, dtype=np.float32)
     ints = buf.view(np.int32)
-
-    def finish(col, done):
+    for col, done in _walsh_panels(tt, buf, _CHUNK):
         rows, width = done.shape
         np.copyto(ints.reshape(rows, -1)[:, col:col + width], done,
                   casting="unsafe")
-
-    _walsh_two_pass(tt, buf, _CHUNK, finish)
     return WalshSpectrum._adopt(tt.n, ints)
 
 
 def walsh_summary(tt: TruthTable) -> WalshSummary:
     """The WalshSummary of tt's spectrum, without a stored spectrum.
 
-    _walsh_two_pass runs with an int16 buf and chunks of _INT16_CHUNK
+    _walsh_panels runs with an int16 buf and chunks of _INT16_CHUNK
     values: pass 1 stores each chunk's 14 transformed bits as int16, exact
     since then |v| <= 2^14 < 2^15, and pass 2 gathers int16 panels into
     float32 scratch and finishes bits 14..n-1 there (24..n-1 in float64).
-    Each finished panel is reduced by _tally and never written back.  So
+    Each panel it yields is reduced by _tally and never written back.  So
     beside the table the peak is the 2*2^n-byte int16 buffer and
-    _walsh_two_pass's scratch: 131 MiB at n = 26, where the int32
+    _walsh_panels's scratch: 131 MiB at n = 26, where the int32
     spectrum alone is 256 MiB.
     """
-    tallies = []
-    _walsh_two_pass(tt, np.empty(tt.size, dtype=np.int16), _INT16_CHUNK,
-                    lambda col, done: tallies.append(_tally(tt.n, done)))
-    return WalshSummary._of(tt.n, tallies)
+    panels = _walsh_panels(tt, np.empty(tt.size, dtype=np.int16), _INT16_CHUNK)
+    return WalshSummary._of(tt.n, (_tally(tt.n, done) for _, done in panels))
 
 
 def nonlinearity(tt: TruthTable) -> int:

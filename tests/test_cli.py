@@ -317,6 +317,32 @@ def test_failed_transform_leaves_no_spectrum_csv(tmp_path, capsys, monkeypatch):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("n, csv", [(16, False), (17, True)],
+                         ids=("int16-summary", "int32-transform"))
+def test_fault_inside_the_kernel_is_one_line_exit_1(tmp_path, capsys,
+                                                    monkeypatch, n, csv):
+    # the first pass-2 GEMM (lo > 0) raises in the middle of the panel
+    # stream; at n = 16 walsh_transform's one chunk holds every value and
+    # has no pass 2, so the spectrum's case runs at n = 17
+    raised = []
+    real = rotsym.core._gemm_bits
+
+    def pass_2_fails(src, spare, lo, hi):
+        if lo > 0 and not raised:
+            raised.append(lo)
+            raise MemoryError("Unable to allocate 2.00 KiB")
+        return real(src, spare, lo, hi)
+
+    monkeypatch.setattr(rotsym.core, "_gemm_bits", pass_2_fails)
+    path = tmp_path / "spec.csv"
+    args = ["analyze", "t", "--n", str(n), "--max-n", str(n)]
+    args += ["--spectrum-csv", str(path)] if csv else []
+    assert run(capsys, *args) == (1, "", "error: out of memory"
+                                  " (Unable to allocate 2.00 KiB)\n")
+    assert raised == [14 if n == 16 else 16]  # the chunk's bits are done
+    assert not path.exists()
+
+
 def test_pc_export_20_spectrum_csv_matches_benchmark_digest(tmp_path, capsys):
     # the benchmark's pc-export-20 CSV, checked here so that a formatting
     # slip fails in the unit tests first

@@ -522,6 +522,24 @@ def test_orbit_row_bound_holds_every_value_of_its_row(orbit):
     assert rows.max() <= bound
 
 
+@settings(max_examples=150, deadline=None)
+@given(_orbits(max_n=12),
+       st.lists(st.integers(0, (1 << 12) - 1), min_size=1, max_size=8))
+@example(((1, 2, 4), 8), [0b1011])  # not its own mirror: W(a) != W(a reversed)
+def test_walsh_values_are_traces_of_transfer_products(orbit, indices):
+    # W(a) = tr(M_(a_1) ... M_(a_n)), a_1 the top index bit: single values
+    # of the table's spectrum against the int64 transfer matrices
+    generator, n = orbit
+    values = walsh_transform(orbit_table(generator, n)).values
+    m = theory._transfer(generator, n)
+    for a in indices:
+        a &= (1 << n) - 1
+        product = np.eye(m.shape[1], dtype=np.int64)
+        for bit in range(n - 1, -1, -1):
+            product = product @ m[(a >> bit) & 1]
+        assert values[a] == np.trace(product), a
+
+
 @pytest.mark.parametrize("n", [20, 21])
 def test_orbit_summary_of_an_unmirrored_orbit(n):
     # (1, 2, 4) is not its own mirror image; a degree-3 orbit other than
