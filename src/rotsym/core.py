@@ -420,6 +420,7 @@ class WalshSpectrum:
                 zeros[high:high + rows.bit_length(), :width.bit_length()] += (
                     _popcount_classes(rows).T @ (done == 0)
                     @ _popcount_classes(width))  # [row class, column class]
+            del done  # a view of this run's scratch: free it before the next's
         mirror = np.fliplr(zeros)  # its diagonal n - w: zeros's k + b = w
         return {w: (int(mirror.trace(n - w)), comb(n, w)) for w in range(1, n + 1)}
 
