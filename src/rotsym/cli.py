@@ -229,7 +229,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # the transfer matrices give the whole row: no table is built
         gen = FAMILY_GENERATORS[args.selector]
         items = ((orbit_summary(gen, n), None) for n in ns)
-    else:  # --pc/--spectrum-csv take three transforms, as perfbench's
+    else:  # the row, pc_profile and the CSV take one transform each, the three
         # test_traced_invocation_counts pins (CHANGES.md FOUND; ROADMAP item 3)
         items = ((walsh_transform(t).summary() if spectrum
                   else walsh_summary(t), t) for t in tables)
