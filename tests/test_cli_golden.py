@@ -105,6 +105,13 @@ CASES: dict[str, dict] = {
                                             "--spectrum-csv", "{tmp}/s.csv"]},
     "analyze_f2_pc_19_21": {"argv": ["analyze", "f2", "--n", "19..21",
                                      "--pc", "--max-n", "21"]},
+    # the autocorrelation on both sides of its float32 bound (every W a
+    # multiple of 2^(n-12)): f3 at 20 meets it, at 21..22 it does not;
+    # t at 24..25 meets it
+    "analyze_f3_pc_20_22": {"argv": ["analyze", "f3", "--n", "20..22",
+                                     "--pc", "--max-n", "22"]},
+    "analyze_t_pc_24_25": {"argv": ["analyze", "t", "--n", "24..25",
+                                    "--pc", "--max-n", "25"]},
     # sizes with many panels per spectrum
     "analyze_f3_csv_15_22": {"argv": ["analyze", "f3", "--n", "15..22",
                                       "--max-n", "22", "--format", "csv"]},
