@@ -21,15 +21,16 @@ MAX_VARS = 26          # 2^26-bit tables; the spectrum still fits int32
 # The GEMM kernel (see _two_pass).  float32 holds every integer of magnitude
 # <= 2^24 exactly, so walsh_transform does the low 24 index bits in float32
 # and any higher bits in float64 (exact to 2^53); pc_profile does all its
-# bits in float64; the transfer-matrix GEMM of theory.orbit_summary runs
-# in float32 while its bound on every partial sum is <= 2^24.
+# bits in float32 when every W is a multiple of 2^(n - 12), else in
+# float64; the transfer-matrix GEMM of theory.orbit_summary runs in
+# float32 while its bound on every partial sum is <= 2^24.
 _FLOAT_BITS = 24
 _GROUP_BITS = 5        # index bits per GEMM stage, against one 32x32 matrix
 _GEMM_MACS = 1 << 18   # multiply-adds per GEMM call (see _gemm_bits)
 _CHUNK = 1 << 16       # float32 values per chunk of walsh_transform's pass 1
 _INT16_CHUNK = 1 << 14  # values per int16 chunk of walsh_summary's pass 1
 _PANEL = 1 << 17       # values per panel of _two_pass's pass 2 (and theory._panels)
-_PC_SCRATCH_BYTES = 1 << 17  # each float64 scratch buffer of pc_profile
+_PC_SCRATCH = 1 << 14  # values per scratch buffer of pc_profile
 # index bits pc_profile transforms as it loads W^2 (see pc_profile): two
 # halve its buffer against one bit's; a three-bit fold was measured 35%
 # slower at n = 24 (each of its eight runs squares every value)
@@ -371,9 +372,12 @@ class WalshSpectrum:
         The top f = min(_PC_FOLD_BITS, n - 1) index bits are transformed as
         the values are loaded: with W^2 read in its 2^f parts W_t^2 (top
         bits t), the part of the autocorrelation whose top bits are s is a
-        float64 run of _two_pass over sum_t (-1)^popcount(s & t) W_t^2,
-        through one 8*2^(n-f)-byte buffer, two scratch buffers of
-        _PC_SCRATCH_BYTES and one more for the loaded squares.
+        run of _two_pass over sum_t (-1)^popcount(s & t) W_t^2, through one
+        2^(n-f)-value buffer, two scratch buffers of _PC_SCRATCH values and
+        one more for the loaded squares, all of one float dtype: float32
+        when every W is a multiple of 2^(n - 12), else float64.  A scan of
+        _PANEL-value blocks decides it and stops at the first block with a
+        value off that grid.
         Each panel _two_pass yields has its zeros tallied by weight class,
         since the weight of index s * 2^(n-f) + r * chunk + col + j is
         the sum of the popcounts of s, r, col and j: the zeros of a panel
@@ -382,36 +386,44 @@ class WalshSpectrum:
         directions whose bits above the panel's column bits have weight k
         and whose column bits have weight b, so weight w is the sum of the
         tally's antidiagonal k + b = w.
-        This is exact for every n <= MAX_VARS: every partial sum of the
-        transform is bounded by sum W^2 = 2^(2n) <= 2^52 < 2^53 (Parseval),
-        an integer float64 holds exactly in any summation order; and every
-        zero count, per panel, in the tally and summed over its antidiagonal,
-        counts directions of one weight w, so it is at most
+        This is exact for every n <= MAX_VARS.  Write every W as 2^g k, for
+        the largest g with 2^g dividing them all.  Every square, every folded
+        load and every partial sum of the transform is then 4^g times an
+        integer, and its magnitude is at most sum W^2 = 4^n (Parseval), so
+        that integer is at most 4^(n-g).  When n - g <= 12 it is at most
+        2^24, and float32 holds every such multiple of 4^g exactly; else
+        float64 holds every integer up to 4^n <= 2^52 < 2^53.  Both hold in
+        any summation order, with or without FMA.  Every zero count, per
+        panel, in the tally and summed over its antidiagonal, counts
+        directions of one weight w, so it is at most
         C(n, w) <= C(26, 13) = 10400600 < 2^24, an integer float32 holds
-        exactly.  At n = 26 the buffer is 128 MiB beside the 256 MiB
-        spectrum.
+        exactly.  At n = 26 the buffer is 64 MiB in float32 (f2) or 128 MiB
+        in float64 (f3, t), beside the 256 MiB spectrum.
         """
         n = self.n
         fold = min(_PC_FOLD_BITS, n - 1)
         part = len(self) >> fold
         parts = [self.values[t * part:(t + 1) * part] for t in range(1 << fold)]
-        scratch = _PC_SCRATCH_BYTES // 8
-        squares = np.empty(scratch, dtype=np.float64)
+        off_grid = (1 << max(0, n - _FLOAT_BITS // 2)) - 1  # bits below 2^(n-12)
+        dtype = np.float64 if any(
+            np.bitwise_or.reduce(self.values[start:start + _PANEL]) & off_grid
+            for start in range(0, len(self), _PANEL)) else np.float32
+        squares = np.empty(_PC_SCRATCH, dtype=dtype)
 
         def load(start, count, out):
             # sum_t (-1)^popcount(s & t) W_t^2, the top bits s transformed
             acc, sq = out[:count], squares[:count]
-            np.square(parts[0][start:start + count], out=acc, dtype=np.float64)
+            np.square(parts[0][start:start + count], out=acc, dtype=dtype)
             for t in range(1, len(parts)):
-                np.square(parts[t][start:start + count], out=sq, dtype=np.float64)
+                np.square(parts[t][start:start + count], out=sq, dtype=dtype)
                 combine = np.subtract if (s & t).bit_count() & 1 else np.add
                 combine(acc, sq, out=acc)
 
         zeros = np.zeros((n + 1, n + 1), dtype=np.float32)
-        buf = np.empty(part, dtype=np.float64)
+        buf = np.empty(part, dtype=dtype)
         for s in range(len(parts)):  # read by load
-            for col, done in _two_pass(buf, np.float64, n - fold, scratch,
-                                       scratch, load):
+            for col, done in _two_pass(buf, dtype, n - fold, _PC_SCRATCH,
+                                       _PC_SCRATCH, load):
                 # done[r, j] = 2^n * sum_x (-1)^(f(x)+f(x+c)), zero iff the
                 # derivative in direction c is balanced; c's weight is
                 # popcount(s) + popcount(col) + popcount(r) + popcount(j)

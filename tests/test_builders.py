@@ -86,8 +86,6 @@ def test_bitstring_blocks_round_trip():
         assert to_blocks_str(s) == spec
     # precomposed overbar characters normalize to the same string
     assert BitString.from_blocks("XŪ") == BitString.from_blocks("XU" + MACRON)
-    with pytest.raises(ValueError):
-        BitString.from_blocks("Q")
 
 
 def test_seed_bytes_match_the_reference_parse():
@@ -96,15 +94,6 @@ def test_seed_bytes_match_the_reference_parse():
         ref = BitString.from_blocks(spec)
         assert _seed_bytes(spec) == ref.bits.to_bytes(len(ref) // 8, "little") \
             == bytes.fromhex(hexed), spec
-
-
-def test_bitstring_validation():
-    with pytest.raises(ValueError):
-        BitString(0, 0)
-    with pytest.raises(ValueError):
-        BitString(2, 0b100)
-    s = BitString.from_bits([1, 0, 1])
-    assert len(s) == 3 and s[0] == 1 and s[1] == 0 and s[2] == 1
 
 
 def test_complement_tilde_hat_shapes():

@@ -138,17 +138,18 @@ def test_analyze_t_26_peak_rss_over_startup_is_an_int16_spectrum(selector):
     assert analyze - noop <= 2 * (1 << n) + (1 << n) // 8 + (16 << 20)
 
 
-def test_analyze_pc_csv_22_peak_rss_over_startup_is_the_spectrum_and_a_quarter(
+def test_analyze_pc_csv_22_peak_rss_over_startup_is_the_spectrum_and_an_eighth(
         tmp_path):
-    # --pc and --spectrum-csv store the int32 spectrum, 4*2^n bytes;
-    # pc_profile adds its float64 buffer of a quarter of the values,
-    # 2*2^n bytes, and the CSV writer a few blocks; a half-size buffer
-    # would add 2*2^n bytes more
+    # --pc and --spectrum-csv store the int32 spectrum, 4*2^n bytes; every
+    # W of f2 is a multiple of 2^(n-12), so pc_profile adds its float32
+    # buffer of a quarter of the values, 2^n bytes (an eighth of a
+    # full-size float64 buffer), and the CSV writer a few blocks; the
+    # float64 buffer would add 2^n bytes more
     n = 22
     analyze = _peak_rss("analyze", "f2", "--n", str(n), "--max-n", str(n),
                         "--pc", "--spectrum-csv", str(tmp_path / "F"))
     noop = _peak_rss("gf", "f2", "--upto", "0")
-    assert analyze - noop <= 6 * (1 << n) + (1 << n) // 8 + (4 << 20)
+    assert analyze - noop <= 5 * (1 << n) + (1 << n) // 8 + (4 << 20)
 
 
 def test_analyze_f3_n9(capsys):
