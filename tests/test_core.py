@@ -713,11 +713,12 @@ def test_pc_profile_linear_function():
 @example(1, "random", 0)   # no folded bit: one run over both values
 @example(2, "random", 0)   # one folded bit
 @example(3, "random", 0)   # two folded bits, one transformed
-@example(13, "random", 0)  # every W even: float32 with n - g = 12
-@example(14, "random", 0)  # some W = 2 mod 4: float64
+@example(13, "random", 0)  # every W is even: float32 for any table
+@example(14, "random", 0)  # even weight, so every W = 0 mod 4: float32
+@example(14, "random", 1)  # odd weight, so every W = 2 mod 4: float64
 @example(20, "f3", 0)      # every W a multiple of 2^8: float32 at its bound
 @example(21, "f2", 0)
-@example(21, "f3", 0)      # some W = 2^9 mod 2^10: float64
+@example(21, "f3", 0)      # some W = 2^7 mod 2^8: float64
 @example(22, "f2", 0)
 @example(22, "f3", 0)
 def test_pc_profile_matches_int64_autocorrelation(n, kind, seed):
