@@ -5,11 +5,15 @@ step complements the second half (tilde) or the last quarter (hat) of the
 copy.  Copies are free; an OpCounter charges only complemented bits, reported
 as 4-bit blocks.  The doubling constructions reach a 2^n-bit table in
 O(2^n) work with roughly 2^(n-3) block complements, versus the (3n-1)/2 * 2^n
-operations of direct pointwise evaluation.  Every table built here (build_f2,
-build_f3, their components, the open chain t_chain and
-monomial_table_general) is grown by those doublings in place, as byte copies
-and byte complements or zeroings in one 2^n/8-byte buffer that the table then
-holds.  Any other rotation orbit is no doubling: theory.family_table
+operations of direct pointwise evaluation.  build_f2, build_f3, their
+components and the open chain t_chain grow the base of each segment, at most
+two (tilde) or four (hat) pieces of 64 KiB, by those doublings in place; past
+the base a doubling copies and complements whole pieces, so the segment is
+its base pieces, some complemented.  The builds fill one 2^n/8-byte buffer
+from those pieces, which the table then holds; doubled_pieces hands the same
+pieces to core.write_text, so `build` writes these tables without one.
+monomial_table_general doubles in place in one buffer of the table's size.
+Any other rotation orbit is no doubling: theory.family_table
 tabulates its ANF with core.anf_to_truth_table, in a buffer of the same
 size.  The seeds are written in the paper's block notation and parsed
 straight into bytes; the published string operators, stated on bit strings in
@@ -19,11 +23,11 @@ tests/oracles.py, are the tests' reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import MAX_VARS, TruthTable
+from .core import _TEXT_BYTES, MAX_VARS, TruthTable
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -60,12 +64,12 @@ class OpCounter:
         return Fraction(self.bits_complemented, 4)
 
 
-def _table_bytes(n: int) -> np.ndarray:
-    """An unfilled buffer for the packed bytes of a 2^n-bit table; n is
-    checked against MAX_VARS first, so an oversized n allocates nothing."""
+def _table_size(n: int) -> int:
+    """The packed bytes of a 2^n-bit table; n is checked against MAX_VARS,
+    so an oversized n allocates nothing."""
     if n > MAX_VARS:
         raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
-    return np.empty(max(1, (1 << n) >> 3), dtype=np.uint8)
+    return max(1, (1 << n) >> 3)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +94,7 @@ def monomial_table_general(indices: Sequence[int], n: int) -> TruthTable:
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError(f"indices must be strictly increasing: {idx}")
 
-    buf = _table_bytes(n)
+    buf = np.empty(_table_size(n), dtype=np.uint8)
     seed = 0xFF if n >= 3 else 0x0F
     # the byte of positions 0..7 where x_n, x_(n-1) or x_(n-2) is 1
     for v, pattern in ((n, 0xAA), (n - 1, 0xCC), (n - 2, 0xF0)):
@@ -181,48 +185,115 @@ def _derive(seg: np.ndarray, shift: int, counter: OpCounter | None) -> None:
     _flip(seg, 0, bits // 2, counter)
 
 
-def _layout(n: int, seeds: Sequence[bytes], shift: int,
-            counter: OpCounter | None) -> np.ndarray:
-    """The 2^n-bit table as one byte buffer of its segments.
+def _on_flags(step, flags: np.ndarray, *args, counter: OpCounter | None) -> None:
+    """Run a doubling step on the flags of pieces, a byte each, and charge
+    counter for the pieces' bits: _TEXT_BYTES times the flags'."""
+    tally = OpCounter()
+    step(flags, *args, tally)
+    if counter is not None:
+        counter.charge_bits(tally.bits_complemented * _TEXT_BYTES)
 
-    Segment i = 1..len(seeds) holds seed i doubled to 2^(n-i) bits; the last
-    segment, as long as the one before it, is a copy of that one, derived.
+
+_Segment = tuple[list[np.ndarray], np.ndarray]  # distinct pieces, flags
+
+
+def _segment(seed: bytes, shift: int, nbytes: int,
+             counter: OpCounter | None) -> _Segment:
+    """seed doubled to nbytes, as its distinct pieces and a flag per piece.
+
+    _grow makes the base: the whole segment, one piece, when it is shorter
+    than 2^shift pieces of _TEXT_BYTES, else its first 2^shift pieces.
+    Each later doubling complements whole pieces of its copy, so piece i is
+    base piece i mod 2^shift, complemented where flag i is set, and the
+    flags double by the same _grow: flag i is the parity of i & i>>1
+    (tilde) or i & i>>1 & i>>2 (hat).  The charges are one whole _grow's.
     """
-    buf = _table_bytes(n)
-    ends = [buf.size - (buf.size >> i) for i in range(1, len(seeds) + 1)]
-    segs = np.split(buf, ends)
-    for seg, seed in zip(segs, seeds):
-        _grow(seg, seed, shift, counter)
-    segs[-1][:] = segs[-2]
-    _derive(segs[-1], shift, counter)
-    return buf
+    base = np.empty(min(nbytes, _TEXT_BYTES << shift), dtype=np.uint8)
+    _grow(base, seed, shift, counter)
+    if base.size < _TEXT_BYTES << shift:
+        return [base], np.zeros(1, dtype=np.uint8)
+    flags = np.empty(nbytes // _TEXT_BYTES, dtype=np.uint8)
+    _on_flags(_grow, flags, bytes(1 << shift), shift, counter=counter)
+    return np.split(base, 1 << shift), flags
+
+
+def _derived(segment: _Segment, shift: int, counter: OpCounter | None) -> _Segment:
+    """A _segment's derived copy (see _derive): in its one piece or its flags."""
+    parts, flags = segment
+    if flags.size == 1:
+        parts = [parts[0].copy()]
+        _derive(parts[0], shift, counter)
+    else:
+        flags = flags.copy()
+        _on_flags(_derive, flags, shift, counter=counter)
+    return parts, flags
+
+
+def _pieces(segments: list[_Segment]) -> Iterator[tuple[np.ndarray, bool]]:
+    """The (piece, complemented) pairs of segments, in order."""
+    for parts, flags in segments:
+        for i, flag in enumerate(flags.tolist()):
+            yield parts[i % len(parts)], flag != 0
+
+
+def _table(n: int, segments: list[_Segment]) -> TruthTable:
+    """The table of segments, filled from their pieces in one buffer, which
+    becomes the table's bytes without a copy."""
+    buf = np.empty(_table_size(n), dtype=np.uint8)
+    at = 0
+    for piece, flipped in _pieces(segments):
+        np.bitwise_xor(piece, 0xFF * flipped, out=buf[at:at + piece.size])
+        at += piece.size
+    return TruthTable(n, buf)
+
+
+def _layout(n: int, seeds: Sequence[bytes], shift: int,
+            counter: OpCounter | None) -> list[_Segment]:
+    """The segments of a 2^n-bit build.
+
+    Segment i = 1..len(seeds) is seed i doubled to 2^(n-i) bits; the last
+    segment, as long as the one before it, is that one derived.
+    """
+    size = _table_size(n)
+    segs = [_segment(seed, shift, size >> i, counter)
+            for i, seed in enumerate(seeds, 1)]
+    return segs + [_derived(segs[-1], shift, counter)]
 
 
 def _component(seeds: Sequence[bytes], shift: int, i: int, level: int,
-               counter: OpCounter | None) -> np.ndarray:
-    """Segment i of a build at its level as bytes: a seed doubled, or the
-    derived last one.  The least level is the seed's own, log2 of its bits."""
+               counter: OpCounter | None) -> list[_Segment]:
+    """Segment i of a build at its level, alone in a list: a seed doubled,
+    or the derived last one.  The least level is the seed's own, log2 of
+    its bits."""
     if not 1 <= i <= len(seeds) + 1:
         raise ValueError(f"component index must be 1..{len(seeds) + 1}, got {i}")
     seed = seeds[min(i, len(seeds)) - 1]
     least = (8 * len(seed)).bit_length() - 1
     if level < least:
         raise ValueError(f"components start at level {least}, got {level}")
-    seg = _table_bytes(level)
-    _grow(seg, seed, shift, counter)
-    if i > len(seeds):
-        _derive(seg, shift, counter)
-    return seg
+    seg = _segment(seed, shift, _table_size(level), counter)
+    return [_derived(seg, shift, counter) if i > len(seeds) else seg]
+
+
+def doubled_pieces(selector: str, n: int, counter: OpCounter | None = None
+                   ) -> Iterator[tuple[np.ndarray, bool]]:
+    """The bytes of t_chain(n), build_f2(n) or build_f3(n) (selector "t",
+    "f2" or "f3"; n at least the build's least) as core.write_text's pairs,
+    charged as those builds charge, from the segments' bases alone."""
+    if selector == "t":
+        return _pieces(_component(_F2_SEEDS, _TILDE, 1, n, None))
+    seeds, shift = (_F2_SEEDS, _TILDE) if selector == "f2" else (_F3_SEEDS, _HAT)
+    return _pieces(_layout(n, seeds, shift, counter))
 
 
 def f2_component(i: int, level: int, counter: OpCounter | None = None) -> TruthTable:
     """g_i^level of the degree-2 build (i = 1, 2, or the derived 3; level >= 3)."""
-    return TruthTable(level, _component(_F2_SEEDS, _TILDE, i, level, counter))
+    return _table(level, _component(_F2_SEEDS, _TILDE, i, level, counter))
 
 
 def f3_component(i: int, level: int, counter: OpCounter | None = None) -> TruthTable:
     """h_i^level of the degree-3 build (i = 1..3, or the derived 4; level >= 4)."""
-    return TruthTable(level, _component(_F3_SEEDS, _HAT, i, level, counter))
+    return _table(level, _component(_F3_SEEDS, _HAT, i, level, counter))
 
 
 def t_chain(n: int) -> TruthTable:
@@ -248,7 +319,7 @@ def build_f2(n: int, counter: OpCounter | None = None) -> TruthTable:
     """
     if n < 5:
         raise ValueError("fast degree-2 build needs n >= 5")
-    return TruthTable(n, _layout(n, _F2_SEEDS, _TILDE, counter))
+    return _table(n, _layout(n, _F2_SEEDS, _TILDE, counter))
 
 
 def build_f3(n: int, counter: OpCounter | None = None) -> TruthTable:
@@ -260,7 +331,7 @@ def build_f3(n: int, counter: OpCounter | None = None) -> TruthTable:
     """
     if n < 7:
         raise ValueError("fast degree-3 build needs n >= 7")
-    return TruthTable(n, _layout(n, _F3_SEEDS, _HAT, counter))
+    return _table(n, _layout(n, _F3_SEEDS, _HAT, counter))
 
 
 def f2_block_complements(n: int) -> int:

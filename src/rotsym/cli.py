@@ -33,6 +33,7 @@ from .core import (  # noqa: E402
     pc_profile,
     walsh_summary,
     walsh_transform,
+    write_text,
 )
 from .refdata import load_reference_tables, weight_table_columns  # noqa: E402
 from .theory import (  # noqa: E402
@@ -40,6 +41,7 @@ from .theory import (  # noqa: E402
     FAST_MIN_N,
     builtin_gfs,
     conjecture_check,
+    family_pieces,
     family_table,
     gf_series,
     orbit_summary,
@@ -156,9 +158,9 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise UsageError("build takes a single n, not a range")
     _check_range(args, MAX_VARS)
     counter = OpCounter()
-    table = family_table(args.selector, args.n_lo, args.generator, counter)
+    pieces = family_pieces(args.selector, args.n_lo, args.generator, counter)
     with _opened(args.out) as fh:
-        table.to_text(fh)  # streamed: the whole hex text is never one str
+        write_text(fh, args.n_lo, pieces)  # the whole hex text is never one str
     if counter.bits_complemented:  # only the fast builders charge
         print(f"block-complements: {counter.block_complements}", file=sys.stderr)
     return 0

@@ -40,7 +40,7 @@ _PC_FOLD_BITS = 2
 _CSV_ROWS = 10**4
 # write_csv's translation: byte 1 of its sign column is "-"
 _CSV_MINUS = bytes.maketrans(b"\1", b"-")
-_TEXT_BYTES = 1 << 16  # packed bytes per hex slice of TruthTable.to_text
+_TEXT_BYTES = 1 << 16  # packed bytes per hex slice of write_text and per builders piece
 
 # Sylvester-Hadamard H[j, k] = (-1)^(j.k), one copy per GEMM dtype; its
 # leading 2^g block is H_(2^g)
@@ -51,6 +51,7 @@ _HADAMARD = {np.dtype(t): 1 - 2 * (np.bitwise_count(np.bitwise_and.outer(
 _SIGNS = (1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)).astype(np.float32)
 # _BIT_REVERSED[b] is the byte b with its 8 bits in reverse order
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_BIT_REVERSED_FLIPPED = bytes(b ^ 0xFF for b in _BIT_REVERSED)  # and complemented
 # _SUPERSETS[y] has bit x set for the x in 0..7 with y & x == y
 _SUPERSETS = bytes(sum(1 << x for x in range(8) if y & x == y) for y in range(8))
 
@@ -123,32 +124,25 @@ class TruthTable:
     # -- text format: "n=<k>" header, then the 2^n bits as hex, index-0 bit
     #    as the most significant bit of the string --
 
-    def _hex_slices(self, step: int) -> Iterator[str]:
+    def to_hex(self) -> str:
+        if self.size < 8:  # n = 1, 2: one right-aligned hex digit
+            return f"{_BIT_REVERSED[self.data[0]] >> (8 - self.size):x}"
         # reversing the bits of each byte puts index 0 first, as the
         # string's top bit
-        if self.size < 8:  # n = 1, 2: one right-aligned hex digit
-            yield f"{_BIT_REVERSED[self.data[0]] >> (8 - self.size):x}"
-            return
-        for start in range(0, self.data.size, step):
-            yield self.data[start:start + step].tobytes().translate(_BIT_REVERSED).hex()
-
-    def to_hex(self) -> str:
-        return "".join(self._hex_slices(self.size))  # one slice
+        return self.data.tobytes().translate(_BIT_REVERSED).hex()
 
     def to_text(self, fileobj=None) -> str | None:
         """The "n=<k>" header line and the to_hex line.
 
-        Returned as a str; or, given a text file, written to it in hex
-        slices of _TEXT_BYTES packed bytes each, and None returned.  Then
-        the whole hex text, and the file's encoded copy of it, are never
-        held at once: the writer holds one slice beside the table.
+        Returned as a str; or, given a text file, written to it by
+        write_text, and None returned.
         """
         if fileobj is None:
             return f"n={self.n}\n{self.to_hex()}\n"
-        fileobj.write(f"n={self.n}\n")
-        for piece in self._hex_slices(_TEXT_BYTES):
-            fileobj.write(piece)
-        fileobj.write("\n")
+        if self.size < 8:
+            fileobj.write(self.to_text())
+        else:
+            write_text(fileobj, self.n, [(self.data, False)])
         return None
 
     @classmethod
@@ -189,6 +183,24 @@ class TruthTable:
         if self.size <= 64:
             return f"TruthTable(n={self.n}, hex={self.to_hex()!r})"
         return f"TruthTable(n={self.n}, weight={self.weight()})"
+
+
+def write_text(fileobj, n: int,
+               pieces: Iterable[tuple[np.ndarray, bool]]) -> None:
+    """Write the text form of a 2^n-bit table, n >= 3, to a text file.
+
+    The table comes as its packed bytes in order, in (piece, complemented)
+    pairs, so a builder can hand over one piece many times.  Each piece is
+    written in hex slices of _TEXT_BYTES packed bytes: the whole hex text,
+    and the file's encoded copy of it, are never held at once.
+    """
+    fileobj.write(f"n={n}\n")
+    for piece, flipped in pieces:
+        table = _BIT_REVERSED_FLIPPED if flipped else _BIT_REVERSED
+        for start in range(0, piece.size, _TEXT_BYTES):
+            part = piece[start:start + _TEXT_BYTES]
+            fileobj.write(part.tobytes().translate(table).hex())
+    fileobj.write("\n")
 
 
 def anf_to_truth_table(n: int, terms: Iterable[Iterable[int]]) -> TruthTable:

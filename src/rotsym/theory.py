@@ -20,6 +20,7 @@ from .builders import (
     _generator,
     build_f2,
     build_f3,
+    doubled_pieces,
     monomial_table_general,
     t_chain,
 )
@@ -304,6 +305,20 @@ def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
     gen = _generator(generator, n)
     return anf_to_truth_table(n, [[(k - 1 + d) % n + 1 for k in gen]
                                   for d in range(n)])
+
+
+def family_pieces(selector: str, n: int, generator: tuple[int, ...] = (),
+                  counter: OpCounter | None = None
+                  ) -> Iterable[tuple[np.ndarray, bool]]:
+    """family_table's bytes as core.write_text's (piece, complemented) pairs.
+
+    t, and f2/f3 from FAST_MIN_N on, come straight from their doublings,
+    with no 2^n/8-byte table; any other table is built by family_table.
+    Bad arguments raise here, before any pair is read.
+    """
+    if selector == "t" or n >= FAST_MIN_N.get(selector, n + 1):
+        return doubled_pieces(selector, n, counter)
+    return [(family_table(selector, n, generator, counter).data, False)]
 
 
 def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:

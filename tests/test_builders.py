@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 import tracemalloc
@@ -20,8 +21,10 @@ from rotsym import (
     t_chain,
     walsh_transform,
 )
+from rotsym import builders
 from rotsym.builders import MACRON, _seed_bytes
-from rotsym.theory import FAST_MIN_N, family_table
+from rotsym.core import write_text
+from rotsym.theory import FAST_MIN_N, family_pieces, family_table
 
 from oracles import (
     BLOCKS,
@@ -438,6 +441,48 @@ FAMILY_ANF = {
 @given(st.sampled_from(sorted(FAMILY_ANF)), st.integers(3, 14))
 def test_family_table_matches_anf_property(selector, n):
     assert family_table(selector, n) == FAMILY_ANF[selector](n)
+
+
+# the least n each selector streams from: the fast builds', and t's
+STREAMED = {"f2": FAST_MIN_N["f2"], "f3": FAST_MIN_N["f3"], "t": 3}
+
+
+def streamed(selector, n):
+    """build's text of a streamed selector, and what its stream charged."""
+    counter, out = OpCounter(), io.StringIO()
+    write_text(out, n, family_pieces(selector, n, counter=counter))
+    return out.getvalue(), counter
+
+
+def table_text(selector, n):
+    """family_table's text and charges, for the streams to match."""
+    counter = OpCounter()
+    return family_table(selector, n, counter=counter).to_text(), counter
+
+
+@pytest.mark.parametrize("piece", [1, 2, 4])
+def test_streamed_text_is_the_table_text_with_small_pieces(monkeypatch, piece):
+    # with 64 KiB pieces a segment is first a full base of 2^shift pieces
+    # at n = 20 (t), 21 (f2) and 22 (f3), and first doubles past it one n
+    # later; pieces of a few bytes take those branches, and the derived
+    # segment's flags, from the least n on.  The tables built from them
+    # are the tables built without.
+    cases = [(s, n) for s, least in STREAMED.items() for n in range(least, 17)]
+    expected = {case: table_text(*case) for case in cases}
+    monkeypatch.setattr(builders, "_TEXT_BYTES", piece)
+    for case in cases:
+        assert streamed(*case) == expected[case], case
+        assert table_text(*case) == expected[case], case
+
+
+@pytest.mark.parametrize("n", [20, 21, 22, 23])
+def test_streamed_text_is_the_table_text_past_the_base(n):
+    # 64 KiB pieces: each selector's first full base and first doubling
+    # past it, and the ANF table besides
+    for selector in STREAMED:
+        text, counter = streamed(selector, n)
+        assert (text, counter) == table_text(selector, n), selector
+        assert text == FAMILY_ANF[selector](n).to_text(), selector
 
 
 def rotation_symmetric_tables():

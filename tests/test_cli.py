@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import rotsym.builders
 import rotsym.cli
 import rotsym.core
 import rotsym.theory
@@ -65,18 +66,61 @@ def _peak_rss(*argv) -> int:
     return kib << 10
 
 
-@pytest.mark.parametrize("selector", [
-    ("f3",), ("t",), ("monomial", "--generator", "1,13,26"),
-    ("orbit", "--generator", "1,2,4")],
+@pytest.mark.parametrize("selector, table", [
+    (("f3",), False), (("t",), False),
+    (("monomial", "--generator", "1,13,26"), True),
+    (("orbit", "--generator", "1,2,4"), True)],
     ids=("f3", "t", "monomial", "orbit"))
-def test_build_26_peak_rss_over_startup_is_a_few_tables(tmp_path, selector):
-    # the build's byte buffer is the table (an orbit's ANF is transformed
-    # in it); the text writer holds it and one hex slice
+def test_build_26_peak_rss_over_startup_is_a_few_tables(tmp_path, selector,
+                                                         table):
+    # f3 and t are written from their doublings' pieces: a few 64 KiB base
+    # pieces and one piece's hex, no table; a monomial's or an orbit's byte
+    # buffer is the table (an orbit's ANF is transformed in it), and the
+    # text writer holds it and one hex slice
     n = 26
     build = _peak_rss("build", *selector, "--n", str(n), "--max-n", str(n),
                       "--out", str(tmp_path / "F"))
     noop = _peak_rss("gf", "f2", "--upto", "0")
-    assert build - noop <= (1 << n) // 8 + (4 << 20)
+    assert build - noop <= ((1 << n) // 8 + (4 << 20) if table else 2 << 20)
+
+
+def test_build_26_table_matches_benchmark_digest(tmp_path, capsys):
+    # the benchmark's build-26 table, checked here so that a slip in the
+    # streamed pieces fails in the unit tests first
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    digest = json.loads(golden.read_text())["build-26"]["table.tt"]
+    path = tmp_path / "table.tt"
+    assert run(capsys, "build", "f3", "--n", "26", "--max-n", "26", "--out",
+               str(path)) == (0, "", "block-complements: 5242877\n")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 64.0 KiB"),
+     "error: out of memory (Unable to allocate 64.0 KiB)\n"),
+    (OSError(28, "No space left on device"),
+     "error: [Errno 28] No space left on device\n"),
+], ids=("memory", "disk"))
+def test_fault_inside_the_build_stream_leaves_no_file(tmp_path, capsys,
+                                                      monkeypatch, exc, message):
+    # n = 23 streams f3's first segment as pieces past its base; the fault
+    # comes after some of them are written
+    written = []
+    real = rotsym.builders._pieces
+
+    def fails_midway(segments):
+        for pair in real(segments):
+            if len(written) == 5:
+                raise exc
+            written.append(pair)
+            yield pair
+
+    monkeypatch.setattr(rotsym.builders, "_pieces", fails_midway)
+    path = tmp_path / "F"
+    assert run(capsys, "build", "f3", "--n", "23", "--max-n", "23", "--out",
+               str(path)) == (1, "", message)
+    assert len(written) == 5
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_build_t_n4(capsys):
