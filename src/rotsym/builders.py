@@ -282,7 +282,7 @@ def doubled_pieces(selector: str, n: int, counter: OpCounter | None = None
     charged as those builds charge, from the segments' bases alone."""
     if selector == "t":
         return _pieces(_component(_F2_SEEDS, _TILDE, 1, n, None))
-    seeds, shift = (_F2_SEEDS, _TILDE) if selector == "f2" else (_F3_SEEDS, _HAT)
+    seeds, shift = {"f2": (_F2_SEEDS, _TILDE), "f3": (_F3_SEEDS, _HAT)}[selector]
     return _pieces(_layout(n, seeds, shift, counter))
 
 

@@ -5,7 +5,8 @@ weight, rational generating functions for both families, the transfer
 matrices of a rotation orbit and the Walsh criteria taken from them
 (orbit_summary, from only the GEMM rows that can change them), the one
 dispatch from a selector to a table (family_table; builders makes the open
-chain t), and the weight-equals-nonlinearity scan for the degree-3 family.
+chain t) or to the pieces `build` writes (family_pieces), and the
+weight-equals-nonlinearity scan for the degree-3 family.
 All arithmetic is exact: in integers, or in floats within a stated bound.
 """
 

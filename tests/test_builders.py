@@ -465,8 +465,8 @@ def test_streamed_text_is_the_table_text_with_small_pieces(monkeypatch, piece):
     # with 64 KiB pieces a segment is first a full base of 2^shift pieces
     # at n = 20 (t), 21 (f2) and 22 (f3), and first doubles past it one n
     # later; pieces of a few bytes take those branches, and the derived
-    # segment's flags, from the least n on.  The tables built from them
-    # are the tables built without.
+    # segment's flags, at small n.  The tables built from them are the
+    # tables built without.
     cases = [(s, n) for s, least in STREAMED.items() for n in range(least, 17)]
     expected = {case: table_text(*case) for case in cases}
     monkeypatch.setattr(builders, "_TEXT_BYTES", piece)
