@@ -40,7 +40,7 @@ _PC_FOLD_BITS = 2
 _CSV_ROWS = 10**4
 # write_csv's translation: byte 1 of its sign column is "-"
 _CSV_MINUS = bytes.maketrans(b"\1", b"-")
-_TEXT_BYTES = 1 << 16  # packed bytes per hex slice of write_text and per builders piece
+_TEXT_BYTES = 1 << 16  # packed bytes per write_text hex slice and builders piece
 
 # Sylvester-Hadamard H[j, k] = (-1)^(j.k), one copy per GEMM dtype; its
 # leading 2^g block is H_(2^g)
