@@ -12,7 +12,9 @@ tests (tests/oracles.py).
 
 Each name listed below loads its submodule on first use (PEP 562), so
 ``import rotsym`` does not import numpy: ``rotsym.cli`` can still choose
-the BLAS thread count before numpy loads.
+the BLAS thread count before numpy loads.  Only ``core`` imports numpy;
+``builders`` and ``theory`` import ``core`` where they make a table or a
+spectrum, so their series and build pieces come without it.
 """
 
 import importlib
@@ -29,11 +31,12 @@ _NAMES = {
     "core": (
         "TruthTable", "WalshSpectrum", "WalshSummary",
         "anf_to_truth_table", "is_bent", "is_semi_bent_spectral",
-        "nonlinearity", "pc_profile", "walsh_summary", "walsh_transform",
+        "nonlinearity", "orbit_summary", "pc_profile", "walsh_summary",
+        "walsh_transform",
     ),
     "theory": (
         "builtin_gfs", "conjecture_check", "family_table", "gf_series",
-        "orbit_summary", "wt_f2_closed", "wt_f3_recurrence",
+        "wt_f2_closed", "wt_f3_recurrence",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

@@ -11,26 +11,36 @@ two (tilde) or four (hat) pieces of 64 KiB, by those doublings in place; past
 the base a doubling copies and complements whole pieces, so the segment is
 its base pieces, some complemented.  The builds fill one 2^n/8-byte buffer
 from those pieces, which the table then holds; doubled_pieces hands the same
-pieces to core.write_text, so `build` writes these tables without one.
+pieces to write_text, so `build` writes these tables without one.
 monomial_table_general doubles in place in one buffer of the table's size.
 Any other rotation orbit is no doubling: theory.family_table
 tabulates its ANF with core.anf_to_truth_table, in a buffer of the same
 size.  The seeds are written in the paper's block notation and parsed
 straight into bytes; the published string operators, stated on bit strings in
 tests/oracles.py, are the tests' reference.
+
+The doublings and the text writer work on bytes and bytearrays alone, so
+this module imports neither numpy nor core, and `build f2|f3|t` writes its
+table without loading them.  The functions that return a TruthTable import
+core when they make one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
-
-import numpy as np
-
-from .core import _TEXT_BYTES, MAX_VARS, TruthTable
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .core import TruthTable
+
+MAX_VARS = 26          # 2^26-bit tables; the spectrum still fits int32
+_TEXT_BYTES = 1 << 16  # packed bytes per write_text hex slice and builders piece
+
+# _BIT_REVERSED[b] is the byte b with its 8 bits in reverse order
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+_BIT_REVERSED_FLIPPED = bytes(b ^ 0xFF for b in _BIT_REVERSED)  # and complemented
+_COMPLEMENT = bytes(b ^ 0xFF for b in range(256))  # each byte's 8 bits flipped
 
 MACRON = "̄"  # combining overbar used in block names
 
@@ -41,11 +51,19 @@ _NIBBLES = {"A": 0xC, "B": 0xA, "C": 0x6, "D": 0x0,
             "U": 0x1, "V": 0x8, "X": 0x2, "Y": 0x4}
 
 
-@dataclass
 class OpCounter:
     """Counts complemented bits during a build; reported as 4-bit blocks."""
 
-    bits_complemented: int = 0
+    def __init__(self, bits_complemented: int = 0) -> None:
+        self.bits_complemented = bits_complemented
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OpCounter):
+            return NotImplemented
+        return self.bits_complemented == other.bits_complemented
+
+    def __repr__(self) -> str:
+        return f"OpCounter(bits_complemented={self.bits_complemented})"
 
     def charge_bits(self, nbits: int) -> None:
         if nbits < 0:
@@ -82,6 +100,8 @@ def monomial_table_general(indices: Sequence[int], n: int) -> TruthTable:
     The seed byte is the paper's block pair on the last three variables:
     D-bar D-bar, D D-bar, AA, BB, VV, DA, DB or DV.  Each earlier x_v then
     doubles it in place: pattern || pattern, or D^r || pattern if x_v is in.
+    The pattern grows at the end of one zeroed buffer, so D^r is the zeros
+    already before it and only pattern || pattern copies.
     """
     idx = tuple(indices)
     s = len(idx)
@@ -94,19 +114,21 @@ def monomial_table_general(indices: Sequence[int], n: int) -> TruthTable:
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError(f"indices must be strictly increasing: {idx}")
 
-    buf = np.empty(_table_size(n), dtype=np.uint8)
+    buf = bytearray(_table_size(n))
     seed = 0xFF if n >= 3 else 0x0F
     # the byte of positions 0..7 where x_n, x_(n-1) or x_(n-2) is 1
     for v, pattern in ((n, 0xAA), (n - 1, 0xCC), (n - 2, 0xF0)):
         if v in idx:
             seed &= pattern
-    buf[0] = seed
+    end = len(buf)
+    buf[end - 1] = seed
     k = 1
-    for v in range(n - 3, 0, -1):
-        buf[k:2 * k] = buf[:k]
-        if v in idx:
-            buf[:k] = 0
-        k *= 2
+    with memoryview(buf) as view:  # copies between its slices take no temporary
+        for v in range(n - 3, 0, -1):
+            if v not in idx:
+                view[end - 2 * k:end - k] = view[end - k:]
+            k *= 2
+    from .core import TruthTable
     return TruthTable(n, buf)
 
 
@@ -143,8 +165,8 @@ _F3_SEEDS = tuple(map(_seed_bytes, ("DVDY", "VDVA", "XBXC")))
 _TILDE, _HAT = 1, 2  # a doubling complements the last 2^-shift of the copy
 
 
-def _flip(seg: np.ndarray, lo: int, hi: int, counter: OpCounter | None) -> None:
-    """Complement bits lo..hi-1 of the byte array seg and charge them.
+def _flip(seg: bytearray, lo: int, hi: int, counter: OpCounter | None) -> None:
+    """Complement bits lo..hi-1 of seg and charge them.
 
     Every part complemented here is a power of two of at least 4 bits,
     aligned to its size: a part under a byte is one nibble of one byte.
@@ -152,12 +174,12 @@ def _flip(seg: np.ndarray, lo: int, hi: int, counter: OpCounter | None) -> None:
     if counter is not None:
         counter.charge_bits(hi - lo)
     if hi - lo >= 8:
-        np.invert(seg[lo // 8:hi // 8], out=seg[lo // 8:hi // 8])
+        seg[lo // 8:hi // 8] = seg[lo // 8:hi // 8].translate(_COMPLEMENT)
     else:
         seg[lo // 8] ^= ((1 << (hi - lo)) - 1) << (lo % 8)
 
 
-def _grow(seg: np.ndarray, seed: bytes, shift: int,
+def _grow(seg: bytearray, seed: bytes, shift: int,
           counter: OpCounter | None) -> None:
     """Fill seg with seed doubled in place up to seg's length.
 
@@ -166,26 +188,27 @@ def _grow(seg: np.ndarray, seed: bytes, shift: int,
     shift 1 and hat for shift 2, and charges what they charge.
     """
     k = len(seed)
-    seg[:k] = np.frombuffer(seed, dtype=np.uint8)
-    while k < seg.size:
-        seg[k:2 * k] = seg[:k]
-        _flip(seg, 16 * k - (8 * k >> shift), 16 * k, counter)
-        k *= 2
+    seg[:k] = seed
+    with memoryview(seg) as view:  # copies between its slices take no temporary
+        while k < len(seg):
+            view[k:2 * k] = view[:k]
+            _flip(seg, 16 * k - (8 * k >> shift), 16 * k, counter)
+            k *= 2
 
 
-def _derive(seg: np.ndarray, shift: int, counter: OpCounter | None) -> None:
+def _derive(seg: bytearray, shift: int, counter: OpCounter | None) -> None:
     """Turn a copy of the last doubled segment into the derived one in place.
 
     Degree 2 complements its first half; degree 3 (shift 2) first takes hat,
     its last quarter.
     """
-    bits = 8 * seg.size
+    bits = 8 * len(seg)
     if shift == _HAT:
         _flip(seg, bits - bits // 4, bits, counter)
     _flip(seg, 0, bits // 2, counter)
 
 
-def _on_flags(step, flags: np.ndarray, *args, counter: OpCounter | None) -> None:
+def _on_flags(step, flags: bytearray, *args, counter: OpCounter | None) -> None:
     """Run a doubling step on the flags of pieces, a byte each, and charge
     counter for the pieces' bits: _TEXT_BYTES times the flags'."""
     tally = OpCounter()
@@ -194,7 +217,7 @@ def _on_flags(step, flags: np.ndarray, *args, counter: OpCounter | None) -> None
         counter.charge_bits(tally.bits_complemented * _TEXT_BYTES)
 
 
-_Segment = tuple[list[np.ndarray], np.ndarray]  # distinct pieces, flags
+_Segment = tuple[list[bytearray], bytearray]  # distinct pieces, flags
 
 
 def _segment(seed: bytes, shift: int, nbytes: int,
@@ -208,42 +231,43 @@ def _segment(seed: bytes, shift: int, nbytes: int,
     flags double by the same _grow: flag i is the parity of i & i>>1
     (tilde) or i & i>>1 & i>>2 (hat).  The charges are one whole _grow's.
     """
-    base = np.empty(min(nbytes, _TEXT_BYTES << shift), dtype=np.uint8)
+    base = bytearray(min(nbytes, _TEXT_BYTES << shift))
     _grow(base, seed, shift, counter)
-    if base.size < _TEXT_BYTES << shift:
-        return [base], np.zeros(1, dtype=np.uint8)
-    flags = np.empty(nbytes // _TEXT_BYTES, dtype=np.uint8)
+    if len(base) < _TEXT_BYTES << shift:
+        return [base], bytearray(1)
+    flags = bytearray(nbytes // _TEXT_BYTES)
     _on_flags(_grow, flags, bytes(1 << shift), shift, counter=counter)
-    return np.split(base, 1 << shift), flags
+    return [base[i:i + _TEXT_BYTES] for i in range(0, len(base), _TEXT_BYTES)], flags
 
 
 def _derived(segment: _Segment, shift: int, counter: OpCounter | None) -> _Segment:
     """A _segment's derived copy (see _derive): in its one piece or its flags."""
     parts, flags = segment
-    if flags.size == 1:
-        parts = [parts[0].copy()]
+    if len(flags) == 1:
+        parts = [bytearray(parts[0])]
         _derive(parts[0], shift, counter)
     else:
-        flags = flags.copy()
+        flags = bytearray(flags)
         _on_flags(_derive, flags, shift, counter=counter)
     return parts, flags
 
 
-def _pieces(segments: list[_Segment]) -> Iterator[tuple[np.ndarray, bool]]:
+def _pieces(segments: list[_Segment]) -> Iterator[tuple[bytearray, bool]]:
     """The (piece, complemented) pairs of segments, in order."""
     for parts, flags in segments:
-        for i, flag in enumerate(flags.tolist()):
+        for i, flag in enumerate(flags):
             yield parts[i % len(parts)], flag != 0
 
 
 def _table(n: int, segments: list[_Segment]) -> TruthTable:
     """The table of segments, filled from their pieces in one buffer, which
     becomes the table's bytes without a copy."""
-    buf = np.empty(_table_size(n), dtype=np.uint8)
+    buf = bytearray(_table_size(n))
     at = 0
     for piece, flipped in _pieces(segments):
-        np.bitwise_xor(piece, 0xFF * flipped, out=buf[at:at + piece.size])
-        at += piece.size
+        buf[at:at + len(piece)] = piece.translate(_COMPLEMENT) if flipped else piece
+        at += len(piece)
+    from .core import TruthTable
     return TruthTable(n, buf)
 
 
@@ -276,14 +300,35 @@ def _component(seeds: Sequence[bytes], shift: int, i: int, level: int,
 
 
 def doubled_pieces(selector: str, n: int, counter: OpCounter | None = None
-                   ) -> Iterator[tuple[np.ndarray, bool]]:
+                   ) -> Iterator[tuple[bytearray, bool]]:
     """The bytes of t_chain(n), build_f2(n) or build_f3(n) (selector "t",
-    "f2" or "f3"; n at least the build's least) as core.write_text's pairs,
+    "f2" or "f3"; n at least the build's least) as write_text's pairs,
     charged as those builds charge, from the segments' bases alone."""
     if selector == "t":
         return _pieces(_component(_F2_SEEDS, _TILDE, 1, n, None))
     seeds, shift = {"f2": (_F2_SEEDS, _TILDE), "f3": (_F3_SEEDS, _HAT)}[selector]
     return _pieces(_layout(n, seeds, shift, counter))
+
+
+def write_text(fileobj, n: int,
+               pieces: Iterable[tuple[bytes | bytearray, bool]]) -> None:
+    """Write the text form of a 2^n-bit table, n >= 3, to a text file.
+
+    The table comes as its packed bytes in order, in (piece, complemented)
+    pairs, so a builder can hand over one piece many times.  A piece is any
+    buffer of bytes, such as a bytearray or a TruthTable's data, read
+    through a memoryview.  Each piece is written in hex slices of
+    _TEXT_BYTES packed bytes: the whole hex text, and the file's encoded
+    copy of it, are never held at once.
+    """
+    fileobj.write(f"n={n}\n")
+    for piece, flipped in pieces:
+        table = _BIT_REVERSED_FLIPPED if flipped else _BIT_REVERSED
+        view = memoryview(piece)
+        for start in range(0, view.nbytes, _TEXT_BYTES):
+            part = view[start:start + _TEXT_BYTES]
+            fileobj.write(part.tobytes().translate(table).hex())
+    fileobj.write("\n")
 
 
 def f2_component(i: int, level: int, counter: OpCounter | None = None) -> TruthTable:

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 verification mismatch.  All csv/json
 output is deterministic for a fixed invocation; wall-clock timings appear
 only in bench's text output.
+
+numpy loads with the first TruthTable or spectrum a command makes, never at
+import: `gf`, and `build` of f2, f3 (from theory.FAST_MIN_N) and t, write
+their output without it.
 """
 
 from __future__ import annotations
@@ -15,24 +19,19 @@ import stat
 import sys
 import time
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-# Each GEMM but theory._products' last step (2^19 multiply-adds for f3 at n = 25,
-# 26) stays within core._GEMM_MACS, on the calling thread: OpenBLAS's pool would idle.
+# Each GEMM but core._products' last step (2^19 multiply-adds for f3 at n = 25,
+# 26) stays within core._GEMM_MACS, on the calling thread: OpenBLAS's pool would
+# idle.  Set before any command can import core, and with it numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .builders import (  # noqa: E402
+    MAX_VARS,
     OpCounter,
     f2_block_complements,
     f3_block_complements_claimed,
     f3_component,
-)
-from .core import (  # noqa: E402
-    MAX_VARS,
-    TruthTable,
-    WalshSummary,
-    pc_profile,
-    walsh_summary,
-    walsh_transform,
     write_text,
 )
 from .refdata import load_reference_tables, weight_table_columns  # noqa: E402
@@ -44,10 +43,12 @@ from .theory import (  # noqa: E402
     family_pieces,
     family_table,
     gf_series,
-    orbit_summary,
     wt_f2_closed,
     wt_f3_recurrence,
 )
+
+if TYPE_CHECKING:
+    from .core import WalshSummary
 
 DEFAULT_MAX_N = 20
 BENCH_MAX_N = 24
@@ -205,6 +206,14 @@ def _rows_to_csv(cols, rows) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .core import (
+        TruthTable,
+        orbit_summary,
+        pc_profile,
+        walsh_summary,
+        walsh_transform,
+    )
+
     rows = []
     lines = []
     spectrum = args.pc or args.spectrum_csv is not None

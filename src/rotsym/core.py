@@ -5,6 +5,12 @@ little-endian byte buffer (bit i % 8 of byte i // 8) holds f(x) for the
 assignment obtained by reading i in binary with x_1 as the most significant
 bit.  Index 0 is the all-zeros point, index 2^n - 1 the all-ones point.
 Every type here is immutable and every operation is a pure function.
+
+This is the one module that imports numpy: the tables, the Walsh kernel,
+the criteria, and the transfer matrices of a rotation orbit
+(orbit_summary).  builders, theory and cli import it only where they call
+it, so `analyze`, `tables`, `conjecture` and `bench` load numpy and `gf`
+and `build f2|f3|t` do not.
 """
 
 from __future__ import annotations
@@ -16,20 +22,20 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-MAX_VARS = 26          # 2^26-bit tables; the spectrum still fits int32
+from .builders import _BIT_REVERSED, MAX_VARS, _generator, write_text
 
 # The GEMM kernel (see _two_pass).  float32 holds every integer of magnitude
 # <= 2^24 exactly, so walsh_transform does the low 24 index bits in float32
 # and any higher bits in float64 (exact to 2^53); pc_profile does all its
 # bits in float32 when every W is a multiple of 2^(n - 12), else in
-# float64; the transfer-matrix GEMM of theory.orbit_summary runs in
+# float64; the transfer-matrix GEMM of orbit_summary runs in
 # float32 while its bound on every partial sum is <= 2^24.
 _FLOAT_BITS = 24
 _GROUP_BITS = 5        # index bits per GEMM stage, against one 32x32 matrix
 _GEMM_MACS = 1 << 18   # multiply-adds per GEMM call (see _gemm_bits)
 _CHUNK = 1 << 16       # float32 values per chunk of walsh_transform's pass 1
 _INT16_CHUNK = 1 << 14  # values per int16 chunk of walsh_summary's pass 1
-_PANEL = 1 << 17       # values per panel of _two_pass's pass 2 (and theory._panels)
+_PANEL = 1 << 17       # values per panel of _two_pass's pass 2 (and _panels)
 _PC_SCRATCH = 1 << 14  # values per scratch buffer of pc_profile
 # index bits pc_profile transforms as it loads W^2 (see pc_profile): two
 # halve its buffer against one bit's; a three-bit fold was measured 35%
@@ -40,7 +46,6 @@ _PC_FOLD_BITS = 2
 _CSV_ROWS = 10**4
 # write_csv's translation: byte 1 of its sign column is "-"
 _CSV_MINUS = bytes.maketrans(b"\1", b"-")
-_TEXT_BYTES = 1 << 16  # packed bytes per write_text hex slice and builders piece
 
 # Sylvester-Hadamard H[j, k] = (-1)^(j.k), one copy per GEMM dtype; its
 # leading 2^g block is H_(2^g)
@@ -49,9 +54,6 @@ _HADAMARD = {np.dtype(t): 1 - 2 * (np.bitwise_count(np.bitwise_and.outer(
     _GROUP, _GROUP)) & 1).astype(t) for t in (np.float32, np.float64)}
 # _SIGNS[byte, j] = (-1)^(bit j of byte): the +-1 values of 8 table positions
 _SIGNS = (1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)).astype(np.float32)
-# _BIT_REVERSED[b] is the byte b with its 8 bits in reverse order
-_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-_BIT_REVERSED_FLIPPED = bytes(b ^ 0xFF for b in _BIT_REVERSED)  # and complemented
 # _SUPERSETS[y] has bit x set for the x in 0..7 with y & x == y
 _SUPERSETS = bytes(sum(1 << x for x in range(8) if y & x == y) for y in range(8))
 
@@ -183,24 +185,6 @@ class TruthTable:
         if self.size <= 64:
             return f"TruthTable(n={self.n}, hex={self.to_hex()!r})"
         return f"TruthTable(n={self.n}, weight={self.weight()})"
-
-
-def write_text(fileobj, n: int,
-               pieces: Iterable[tuple[np.ndarray, bool]]) -> None:
-    """Write the text form of a 2^n-bit table, n >= 3, to a text file.
-
-    The table comes as its packed bytes in order, in (piece, complemented)
-    pairs, so a builder can hand over one piece many times.  Each piece is
-    written in hex slices of _TEXT_BYTES packed bytes: the whole hex text,
-    and the file's encoded copy of it, are never held at once.
-    """
-    fileobj.write(f"n={n}\n")
-    for piece, flipped in pieces:
-        table = _BIT_REVERSED_FLIPPED if flipped else _BIT_REVERSED
-        for start in range(0, piece.size, _TEXT_BYTES):
-            part = piece[start:start + _TEXT_BYTES]
-            fileobj.write(part.tobytes().translate(table).hex())
-    fileobj.write("\n")
 
 
 def anf_to_truth_table(n: int, terms: Iterable[Iterable[int]]) -> TruthTable:
@@ -675,6 +659,188 @@ def walsh_summary(tt: TruthTable) -> WalshSummary:
     """
     panels = _walsh_panels(tt, np.empty(tt.size, dtype=np.int16), _INT16_CHUNK)
     return WalshSummary._of(tt.n, (_tally(tt.n, done) for _, done in panels))
+
+
+# ---------------------------------------------------------------------------
+# the transfer matrices of a rotation orbit
+# ---------------------------------------------------------------------------
+
+def _transfer(generator: Iterable[int], n: int) -> np.ndarray:
+    """The transfer matrices M_0, M_1 of a rotation orbit, as int64 2 x D x D.
+
+    The orbit of the monomial of generator is the cyclic sum over i of one
+    local term phi of the L bits x_i..x_(i+L-1), where the window starts
+    after the generator's largest cyclic gap, so L is least.  A state is
+    L-1 consecutive bits (D = 2^(L-1)), and the L-bit window w (x_i as its
+    top bit) steps from state w >> 1 to state w mod D with the sign
+    (-1)^(phi(w) + b x_i) in M_b.  For L = 1 both windows step from the one
+    state to itself, so its entry is their sum.
+    """
+    gen = sorted(_generator(generator, n))
+    gaps = [(b - a - 1) % n + 1 for a, b in zip(gen, gen[1:] + gen[:1])]
+    start = gen[(gaps.index(max(gaps)) + 1) % len(gen)]
+    offsets = [(k - start) % n for k in gen]
+    span = max(offsets) + 1
+    mask = sum(1 << (span - 1 - o) for o in offsets)
+    w = np.arange(1 << span)
+    d = 1 << (span - 1)
+    m = np.zeros((2, d, d), dtype=np.int64)
+    for b in (0, 1):
+        signs = 1 - 2 * (((w & mask) == mask) ^ (b & (w >> (span - 1))))
+        np.add.at(m[b], (w >> 1, w & (d - 1)), signs)
+    return m
+
+
+def _walks(generator: frozenset[int], n: int
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, type, int]:
+    """The prefix and suffix products P and S of orbit_summary, and
+    S_max[t, s] = max over a_lo of |S(a_lo)[t, s]|, in the float dtype
+    whose GEMM of P and S is exact, and the bound B it is chosen by.
+
+    The products are taken in float32, which is exact: an entry of a
+    product of j transfer matrices, and every partial sum forming it, is a
+    signed count of at most 2^j walks, and j <= n - n // 2 <= 13 for
+    n <= 26 (float32 holds integers to 2^24, so up to n = 48).
+    B = sum over s, t of max_a |P[s, t]| max_b |S[t, s]| bounds every
+    product and every partial sum of the GEMM, in any summation order, so
+    the GEMM runs in float32 when B <= 2^_FLOAT_BITS (2^24); else P and S
+    are cast to float64, which is exact to 2^53.  B <= 2^n, because
+    max_a |P[s, t]| is at most the number of k-step walks from s to t, and
+    the products of these counts sum to the 2^n closed walks of n steps.
+    """
+    m = _transfer(generator, n).astype(np.float32)
+    d = m.shape[1]
+    k = n // 2
+    # [a_hi, s D + t] = P(a_hi)[s, t] and [s D + t, a_lo] = S(a_lo)[t, s]
+    pre = _products(m, k).transpose(1, 0, 2).reshape(-1, d * d)
+    suf = _products(m, n - k).transpose(2, 0, 1).reshape(d * d, -1)
+    # the largest |entry| of each column of P and row of S (S_max), exact
+    suf_max = _max_abs(suf, axis=1)
+    bound = int(_max_abs(pre, axis=0).astype(np.int64)
+                @ suf_max.astype(np.int64))
+    dtype = np.float32 if bound <= 1 << _FLOAT_BITS else np.float64
+    return (pre.astype(dtype, copy=False), suf.astype(dtype, copy=False),
+            suf_max.astype(dtype, copy=False), dtype, bound)
+
+
+def _products(m: np.ndarray, j: int) -> np.ndarray:
+    """[s, a, t] = (M_(a_1) ... M_(a_j))[s, t] for the 2^j indices a of j
+    bits, a_1 the top one, from the 2 x D x D transfer matrices m.
+
+    Each step is one GEMM against [M_0 M_1], which appends a low bit b to
+    every a: the rows (s, a) times the columns (b, t) are the rows
+    (s, 2a + b) of the next step, so no step moves its result.
+    """
+    d = m.shape[1]
+    right = m.transpose(1, 0, 2).reshape(d, 2 * d)  # [r, b D + t] = M_b[r, t]
+    prod = np.eye(d, dtype=m.dtype)
+    for _ in range(j):
+        prod = prod.reshape(-1, d) @ right
+    return prod.reshape(d, -1, d)
+
+
+def _max_abs(a: np.ndarray, axis=None):
+    """max |a| along axis, without an |a| temporary."""
+    return np.maximum(a.max(axis=axis), -a.min(axis=axis))
+
+
+def _row_bounds(pre: np.ndarray, suf_max: np.ndarray) -> np.ndarray:
+    """U(a_hi) = sum over s, t of |P(a_hi)[s, t]| S_max[t, s] for every row
+    of P, which bounds |W(a_hi, a_lo)| for every a_lo.
+
+    |P| is taken a slice of rows (about _PANEL / 8 values) at a time, so no
+    second P-sized array is formed.  Each partial sum is at most _walks's
+    bound B, so this is exact in P's dtype.
+    """
+    rows = max(1, (_PANEL // 8) // pre.shape[1])
+    return np.concatenate([np.abs(pre[r:r + rows]) @ suf_max
+                           for r in range(0, len(pre), rows)])
+
+
+def _orbit(generator: Iterable[int], n: int) -> frozenset[int]:
+    """The generator of a rotation orbit of n variables, checked."""
+    if not 1 <= n <= MAX_VARS:
+        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
+    return _generator(generator, n)
+
+
+def _panels(pre: np.ndarray, suf: np.ndarray):
+    """The GEMM of rows of P against S, a panel at a time.
+
+    Returns (height, gemm): gemm(rows), for at most height indices a_hi,
+    is the panel of W(a_hi, a_lo), one row per index, written into one
+    reused buffer of about _PANEL values.  Each matmul call is tiled to at
+    most _GEMM_MACS multiply-adds.
+    """
+    dd, cols = suf.shape  # cols = 2^(n-k) <= 2^13: a panel is whole rows
+    height = min(len(pre), _PANEL // cols)
+    tile = min(cols, max(1, _GEMM_MACS // (height * dd)))
+    tiles = suf.reshape(dd, -1, tile).transpose(1, 0, 2)
+    panel = np.empty((height, cols), dtype=suf.dtype)
+
+    def gemm(rows: np.ndarray) -> np.ndarray:
+        block = panel[:len(rows)]
+        np.matmul(pre[rows], tiles,
+                  out=block.reshape(len(rows), -1, tile).transpose(1, 0, 2))
+        return block
+
+    return height, gemm
+
+
+def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
+    """The WalshSummary of the rotation orbit of one monomial, from its
+    transfer matrices instead of its table, and from only the GEMM rows
+    that could change it.
+
+    With M_b = _transfer(generator, n), every x is one closed walk of n
+    steps, so W(a) = tr(M_(a_1) ... M_(a_n)), x_1 and a_1 being the top
+    index bits as in the table.  Split a into its top k = n // 2 bits a_hi
+    and the n - k others a_lo: with the prefix products
+    P(a_hi) = M_(a_1) ... M_(a_k) and suffix products
+    S(a_lo) = M_(a_(k+1)) ... M_(a_n), W(a) = sum over s, t of
+    P[s, t] S[t, s].  So the spectrum is one GEMM, rows a_hi of
+    (2^k x D^2) @ (D^2 x 2^(n-k)), run by _panels in panels of whole rows
+    of about _PANEL values, each reduced by _tally.
+
+    The bound of row a_hi, U(a_hi) = sum over s, t of |P(a_hi)[s, t]|
+    S_max[t, s], is at least |W(a_hi, a_lo)| for every a_lo (the triangle
+    inequality).  Row 0 gives W(0) and a first maximum top; the other rows
+    run in descending U while U > top, so max|W| is exact.  Where the
+    function can be semi-bent (odd n and W(0) = 0), they run while
+    U >= top: a row left out then has U < top <= max|W|, so if max|W| is
+    the semi-bent 2^((n+1)/2) it holds no value of that magnitude, and the
+    count WalshSummary._of reads is whole.  For f3 at n = 24..26 only 4
+    rows of 4096..8192 run, row 0 among them; f2 at even n runs row 0
+    alone, and f2 at odd n every row.
+
+    This is exact: the GEMM runs in float32 when the bound B of _walks is
+    at most 2^24, which f2 and f3 meet at every n <= 26 (f3: B = 2^21.86
+    at n = 26), and in float64 otherwise (B <= 2^n <= 2^26).  U is formed
+    in the GEMM's dtype, and each of its partial sums is at most B, so it
+    too is an exact integer.  Memory is P and S, D^2 (2^k + 2^(n-k))
+    values of the GEMM dtype, and one panel with its rows of P: under
+    2 MiB at n = 26 for degree 3 (D = 4), and no 2^n buffer.  The cost
+    grows as 4^(L-1), so this suits short windows such as those of f2
+    and f3.
+    """
+    pre, suf, suf_max, _, _ = _walks(_orbit(generator, n), n)
+    height, gemm = _panels(pre, suf)
+    tallies = [_tally(n, gemm(np.zeros(1, dtype=np.intp)))]
+    w0, high, low, _ = tallies[0]
+    top = max(int(high), -int(low))
+    runs = np.greater_equal if n % 2 and w0 == 0 else np.greater
+    bound = _row_bounds(pre, suf_max)
+    rows = np.flatnonzero(runs(bound[1:], top)) + 1
+    rows = rows[np.argsort(-bound[rows])]
+    for row in range(0, len(rows), height):
+        part = rows[row:row + height]
+        part = part[runs(bound[part], top)]  # rows run in descending U: a prefix
+        if not len(part):
+            break
+        tallies.append(_tally(n, gemm(part)))
+        _, high, low, _ = tallies[-1]
+        top = max(top, int(high), -int(low))
+    return WalshSummary._of(n, tallies)
 
 
 def nonlinearity(tt: TruthTable) -> int:

@@ -66,6 +66,12 @@ def _peak_rss(*argv) -> int:
     return kib << 10
 
 
+# the no-ops the memory tests measure from: `gf` loads no numpy, and the
+# smallest analyze loads numpy and core, as every table or spectrum does
+NOOP = ("gf", "f2", "--upto", "0")
+NUMPY_NOOP = ("analyze", "f3", "--n", "3")
+
+
 @pytest.mark.parametrize("selector, table", [
     (("f3",), False), (("t",), False),
     (("monomial", "--generator", "1,13,26"), True),
@@ -73,14 +79,14 @@ def _peak_rss(*argv) -> int:
     ids=("f3", "t", "monomial", "orbit"))
 def test_build_26_peak_rss_over_startup_is_a_few_tables(tmp_path, selector,
                                                          table):
-    # f3 and t are written from their doublings' pieces: a few 64 KiB base
-    # pieces and one piece's hex, no table; a monomial's or an orbit's byte
-    # buffer is the table (an orbit's ANF is transformed in it), and the
-    # text writer holds it and one hex slice
+    # f3 and t are written from their doublings' pieces without numpy: a
+    # few 64 KiB base pieces and one piece's hex, no table; a monomial's or
+    # an orbit's byte buffer is the table (an orbit's ANF is transformed in
+    # it), and the text writer holds it and one hex slice
     n = 26
     build = _peak_rss("build", *selector, "--n", str(n), "--max-n", str(n),
                       "--out", str(tmp_path / "F"))
-    noop = _peak_rss("gf", "f2", "--upto", "0")
+    noop = _peak_rss(*(NUMPY_NOOP if table else NOOP))
     assert build - noop <= ((1 << n) // 8 + (4 << 20) if table else 2 << 20)
 
 
@@ -167,7 +173,7 @@ def test_analyze_f3_26_peak_rss_over_startup_is_a_few_mib():
     # products and one panel, and neither the 8 MiB table nor a 2^n buffer
     n = 26
     analyze = _peak_rss("analyze", "f3", "--n", str(n), "--max-n", str(n))
-    noop = _peak_rss("gf", "f2", "--upto", "0")
+    noop = _peak_rss(*NUMPY_NOOP)
     assert analyze - noop <= 8 << 20
 
 
@@ -178,7 +184,7 @@ def test_analyze_t_26_peak_rss_over_startup_is_an_int16_spectrum(selector):
     # store is the peak
     n = 26
     analyze = _peak_rss("analyze", *selector, "--n", str(n), "--max-n", str(n))
-    noop = _peak_rss("gf", "f2", "--upto", "0")
+    noop = _peak_rss(*NUMPY_NOOP)
     assert analyze - noop <= 2 * (1 << n) + (1 << n) // 8 + (16 << 20)
 
 
@@ -192,7 +198,7 @@ def test_analyze_pc_csv_22_peak_rss_over_startup_is_the_spectrum_and_an_eighth(
     n = 22
     analyze = _peak_rss("analyze", "f2", "--n", str(n), "--max-n", str(n),
                         "--pc", "--spectrum-csv", str(tmp_path / "F"))
-    noop = _peak_rss("gf", "f2", "--upto", "0")
+    noop = _peak_rss(*NUMPY_NOOP)
     assert analyze - noop <= 5 * (1 << n) + (1 << n) // 8 + (4 << 20)
 
 
@@ -337,7 +343,7 @@ def test_out_of_memory_is_one_line_exit_1(capsys, monkeypatch, exc, message,
     def no_memory(*args):
         raise exc
 
-    monkeypatch.setattr(rotsym.cli, patched, no_memory)
+    monkeypatch.setattr(rotsym.core, patched, no_memory)
     assert run(capsys, "analyze", selector, "--n", "9") == (1, "", message)
 
 
@@ -352,7 +358,6 @@ def test_failed_transform_leaves_no_spectrum_csv(tmp_path, capsys, monkeypatch):
             raise MemoryError("Unable to allocate 2.00 KiB")
         return real(table)
 
-    monkeypatch.setattr(rotsym.cli, "walsh_transform", third_call_fails)
     monkeypatch.setattr(rotsym.core, "walsh_transform", third_call_fails)
     path = tmp_path / "spec.csv"
     assert run(capsys, "analyze", "f2", "--n", "9", "--pc", "--spectrum-csv",

@@ -24,13 +24,9 @@ from rotsym import (
     walsh_summary,
     walsh_transform,
 )
-from rotsym.core import MAX_VARS, WalshSpectrum, _gemm_bits
-from rotsym import core, theory
-from rotsym.theory import (
-    FAMILY_GENERATORS,
-    _row_bounds,
-    _walks,
-)
+from rotsym.core import MAX_VARS, WalshSpectrum, _gemm_bits, _row_bounds, _walks
+from rotsym import core
+from rotsym.theory import FAMILY_GENERATORS
 
 from oracles import (
     AffineTransform,
@@ -527,7 +523,7 @@ def test_walsh_values_are_traces_of_transfer_products(orbit, indices):
     # of the table's spectrum against the int64 transfer matrices
     generator, n = orbit
     values = walsh_transform(orbit_table(generator, n)).values
-    m = theory._transfer(generator, n)
+    m = core._transfer(generator, n)
     for a in indices:
         a &= (1 << n) - 1
         product = np.eye(m.shape[1], dtype=np.int64)
@@ -563,6 +559,15 @@ def test_orbit_gemm_bound_of_the_families(generator, n, bound):
     assert _walks(frozenset(generator), n)[3:] == (np.float32, bound)
 
 
+def test_orbit_summary_in_float64_past_the_float32_bound():
+    # (1, 2, 3, 4, 5) at n = 25 has B > 2^24, so the GEMM runs in float64,
+    # a branch neither family takes within MAX_VARS
+    generator, n = (1, 2, 3, 4, 5), 25
+    dtype, bound = _walks(frozenset(generator), n)[3:]
+    assert dtype == np.float64 and bound > 1 << 24
+    assert orbit_summary(generator, n) == walsh_summary(orbit_table(generator, n))
+
+
 def test_orbit_summary_rejects_bad_input():
     for generator, n, message in (((1, 6), 5, "outside 1..5"),
                                   ((), 5, "empty generator"),
@@ -591,9 +596,9 @@ def test_orbit_summary_memory_has_no_spectrum_sized_buffer():
 ], ids=("f3-24..26", "f2-26", "f2-odd"))
 def test_orbit_summary_runs_only_the_rows_its_bounds_pass(
         monkeypatch, generator, ns, most):
-    # counts the rows passed to the GEMM of theory._panels
+    # counts the rows passed to the GEMM of core._panels
     calls = []
-    panels = theory._panels
+    panels = core._panels
 
     def counted(pre, suf):
         height, gemm = panels(pre, suf)
@@ -604,7 +609,7 @@ def test_orbit_summary_runs_only_the_rows_its_bounds_pass(
 
         return height, count
 
-    monkeypatch.setattr(theory, "_panels", counted)
+    monkeypatch.setattr(core, "_panels", counted)
     for n in ns:
         calls.clear()
         orbit_summary(generator, n)

@@ -1,5 +1,6 @@
-"""Start-up: `import rotsym` is lazy, the CLI loads numpy with one
-OpenBLAS thread unless the user chose a count, does not load fractions and
+"""Start-up: `import rotsym` is lazy, `gf` and the streamed builds never
+load numpy, a command that computes with arrays loads it with one OpenBLAS
+thread unless the user chose a count, the CLI does not load fractions and
 builds no CSV digit table, no module of the package imports a name it never
 uses, every exported name has a caller, and README's library example runs.
 
@@ -31,7 +32,8 @@ SRC = ROOT / "src"
 # coefficient tuples), and so is `family_summary` (`analyze` reads each row
 # from one WalshSummary); `AnfPolynomial` and `rots_orbit_anf` are deleted
 # (`anf_to_truth_table` takes n and a term list, and `family_table` spells
-# an orbit's rotations).  `t_chain` is listed where builders defines it.
+# an orbit's rotations).  `t_chain` and `orbit_summary` are listed where
+# builders and core define them.
 EXPORTED = {
     "builders": (
         "OpCounter", "build_f2", "build_f3",
@@ -42,11 +44,12 @@ EXPORTED = {
     "core": (
         "TruthTable", "WalshSpectrum", "WalshSummary",
         "anf_to_truth_table", "is_bent", "is_semi_bent_spectral",
-        "nonlinearity", "pc_profile", "walsh_summary", "walsh_transform",
+        "nonlinearity", "orbit_summary", "pc_profile", "walsh_summary",
+        "walsh_transform",
     ),
     "theory": (
         "builtin_gfs", "conjecture_check", "family_table", "gf_series",
-        "orbit_summary", "wt_f2_closed", "wt_f3_recurrence",
+        "wt_f2_closed", "wt_f3_recurrence",
     ),
 }
 
@@ -63,9 +66,12 @@ def _fresh(code: str, *args: str, **env: str) -> dict:
     return json.loads(out)
 
 
+# the state after a command that computes with arrays, and so loads numpy
 _CLI_STATE = """
-import json, os, sys
+import contextlib, io, json, os, sys
 import rotsym.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rotsym.cli.main(["analyze", "f3", "--n", "9"])
 threads = None
 if os.path.exists("/proc/self/status"):
     with open("/proc/self/status") as fh:
@@ -82,9 +88,35 @@ def test_import_rotsym_does_not_load_numpy():
     assert state == {"numpy": False}
 
 
+# each command runs in turn in one interpreter, and reports its exit code
+# and whether numpy, core and inspect (which dataclasses imports) are loaded
+_LOADED = """
+import contextlib, io, json, sys
+import rotsym.cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = rotsym.cli.main(argv)
+    loaded.append([code] + [m in sys.modules
+                            for m in ("numpy", "rotsym.core", "inspect")])
+print(json.dumps(loaded))
+"""
+
+
+def test_gf_and_streamed_builds_never_load_numpy(tmp_path):
+    # gf's series and the doubled pieces of f2, f3 and t are computed in
+    # ints and bytes; the analyze that follows is the first to load numpy
+    commands = [["gf", s, "--upto", "12"] for s in ("f2", "f3")]
+    commands += [["build", s, "--n", "26", "--max-n", "26",
+                  "--out", str(tmp_path / s)] for s in ("f2", "f3", "t")]
+    loaded = _fresh(_LOADED, json.dumps(commands + [["analyze", "f3", "--n", "9"]]))
+    assert loaded[:-1] == [[0, False, False, False]] * len(commands)
+    assert loaded[-1][:3] == [0, True, True]
+
+
 def test_cli_defaults_to_one_blas_thread():
     state = _fresh(_CLI_STATE)
-    assert state["numpy"]  # the CLI has loaded numpy by now
+    assert state["numpy"]  # the command has loaded numpy by now
     if state["threads"] is not None:  # /proc exists: OpenBLAS's pool adds a thread
         assert state["threads"] == 1
     assert state["blas"] == "1"
@@ -92,6 +124,7 @@ def test_cli_defaults_to_one_blas_thread():
 
 def test_cli_keeps_the_users_blas_thread_count():
     state = _fresh(_CLI_STATE, OPENBLAS_NUM_THREADS="2")
+    assert state["numpy"]
     assert state["blas"] == "2"
 
 

@@ -20,8 +20,9 @@ from rotsym import (
     wt_f2_closed,
     wt_f3_recurrence,
 )
+from rotsym.core import _transfer
 from rotsym.refdata import load_reference_tables
-from rotsym.theory import FAST_MIN_N, _transfer
+from rotsym.theory import FAST_MIN_N
 
 from oracles import nl_f2, orbit_table, wt_f2_recurrence, zero_count
 
