@@ -35,6 +35,7 @@ if TYPE_CHECKING:
     from .core import TruthTable
 
 MAX_VARS = 26          # 2^26-bit tables; the spectrum still fits int32
+FAST_MIN_N = {"f2": 5, "f3": 7}  # the least n of build_f2 and build_f3
 _TEXT_BYTES = 1 << 16  # packed bytes per write_text hex slice and builders piece
 
 # _BIT_REVERSED[b] is the byte b with its 8 bits in reverse order
@@ -83,9 +84,9 @@ class OpCounter:
 
 
 def _table_size(n: int) -> int:
-    """The packed bytes of a 2^n-bit table; n is checked against MAX_VARS,
-    so an oversized n allocates nothing."""
-    if n > MAX_VARS:
+    """The packed bytes of a 2^n-bit table; n is checked to lie in
+    1..MAX_VARS, so an oversized n allocates nothing."""
+    if not 1 <= n <= MAX_VARS:
         raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
     return max(1, (1 << n) >> 3)
 
@@ -133,7 +134,9 @@ def monomial_table_general(indices: Sequence[int], n: int) -> TruthTable:
 
 
 def _generator(generator: Iterable[int], n: int) -> frozenset[int]:
-    """The variable indices of a rotation orbit's monomial, checked."""
+    """The variable indices of a rotation orbit's monomial, checked after
+    n, as _table_size checks it."""
+    _table_size(n)
     gen = frozenset(generator)
     if not gen:
         raise ValueError("empty generator")
@@ -312,7 +315,9 @@ def doubled_pieces(selector: str, n: int, counter: OpCounter | None = None
 
 def write_text(fileobj, n: int,
                pieces: Iterable[tuple[bytes | bytearray, bool]]) -> None:
-    """Write the text form of a 2^n-bit table, n >= 3, to a text file.
+    """Write the text form of a 2^n-bit table to a text file: the "n=<k>"
+    header line, then the 2^n bits as hex, the bit of index 0 the line's
+    most significant bit; n = 1, 2 take one right-aligned digit.
 
     The table comes as its packed bytes in order, in (piece, complemented)
     pairs, so a builder can hand over one piece many times.  A piece is any
@@ -325,6 +330,9 @@ def write_text(fileobj, n: int,
     for piece, flipped in pieces:
         table = _BIT_REVERSED_FLIPPED if flipped else _BIT_REVERSED
         view = memoryview(piece)
+        if n < 3:  # the one byte's 2^n bits, at its top once reversed
+            fileobj.write(f"{table[view[0]] >> (8 - (1 << n)):x}")
+            continue
         for start in range(0, view.nbytes, _TEXT_BYTES):
             part = view[start:start + _TEXT_BYTES]
             fileobj.write(part.tobytes().translate(table).hex())
@@ -362,8 +370,8 @@ def build_f2(n: int, counter: OpCounter | None = None) -> TruthTable:
     complements are charged.  The table is built in one 2^n/8-byte buffer,
     which becomes the table's bytes without a copy.
     """
-    if n < 5:
-        raise ValueError("fast degree-2 build needs n >= 5")
+    if n < FAST_MIN_N["f2"]:
+        raise ValueError(f"fast degree-2 build needs n >= {FAST_MIN_N['f2']}")
     return _table(n, _layout(n, _F2_SEEDS, _TILDE, counter))
 
 
@@ -374,15 +382,15 @@ def build_f3(n: int, counter: OpCounter | None = None) -> TruthTable:
     with its last quarter and then its first half complemented.  Built in one
     byte buffer, as build_f2 is.
     """
-    if n < 7:
-        raise ValueError("fast degree-3 build needs n >= 7")
+    if n < FAST_MIN_N["f3"]:
+        raise ValueError(f"fast degree-3 build needs n >= {FAST_MIN_N['f3']}")
     return _table(n, _layout(n, _F3_SEEDS, _HAT, counter))
 
 
 def f2_block_complements(n: int) -> int:
     """Closed form of the charges actually made by build_f2: 2^(n-3) - 2."""
-    if n < 5:
-        raise ValueError("fast degree-2 build needs n >= 5")
+    if n < FAST_MIN_N["f2"]:
+        raise ValueError(f"fast degree-2 build needs n >= {FAST_MIN_N['f2']}")
     return (1 << (n - 3)) - 2
 
 

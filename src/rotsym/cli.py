@@ -5,7 +5,7 @@ output is deterministic for a fixed invocation; wall-clock timings appear
 only in bench's text output.
 
 numpy loads with the first TruthTable or spectrum a command makes, never at
-import: `gf`, and `build` of f2, f3 (from theory.FAST_MIN_N) and t, write
+import: `gf`, and `build` of f2, f3 (from builders.FAST_MIN_N) and t, write
 their output without it.
 """
 
@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .builders import (  # noqa: E402
+    FAST_MIN_N,
     MAX_VARS,
     OpCounter,
     f2_block_complements,
@@ -37,7 +38,6 @@ from .builders import (  # noqa: E402
 from .refdata import load_reference_tables, weight_table_columns  # noqa: E402
 from .theory import (  # noqa: E402
     FAMILY_GENERATORS,
-    FAST_MIN_N,
     builtin_gfs,
     conjecture_check,
     family_pieces,

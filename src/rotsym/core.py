@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from io import StringIO
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .builders import _BIT_REVERSED, MAX_VARS, _generator, write_text
+from .builders import _BIT_REVERSED, MAX_VARS, _generator, _table_size, write_text
 
 # The GEMM kernel (see _two_pass).  float32 holds every integer of magnitude
 # <= 2^24 exactly, so walsh_transform does the low 24 index bits in float32
@@ -81,10 +82,8 @@ class TruthTable:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VARS:
-            raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {self.n}")
+        nbytes = _table_size(self.n)
         data = np.frombuffer(self.data, dtype=np.uint8)
-        nbytes = max(1, self.size // 8)
         if data.size != nbytes:
             raise ValueError(f"need {nbytes} packed bytes for n={self.n},"
                              f" got {data.size}")
@@ -123,29 +122,20 @@ class TruthTable:
         """The 2^n values as a uint8 array in index order."""
         return np.unpackbits(self.data, bitorder="little", count=self.size)
 
-    # -- text format: "n=<k>" header, then the 2^n bits as hex, index-0 bit
-    #    as the most significant bit of the string --
-
     def to_hex(self) -> str:
-        if self.size < 8:  # n = 1, 2: one right-aligned hex digit
-            return f"{_BIT_REVERSED[self.data[0]] >> (8 - self.size):x}"
-        # reversing the bits of each byte puts index 0 first, as the
-        # string's top bit
-        return self.data.tobytes().translate(_BIT_REVERSED).hex()
+        """The hex line of to_text, without its newline."""
+        return self.to_text().split()[1]
 
     def to_text(self, fileobj=None) -> str | None:
-        """The "n=<k>" header line and the to_hex line.
+        """The text form that write_text writes: the "n=<k>" header line
+        and the hex line.
 
-        Returned as a str; or, given a text file, written to it by
-        write_text, and None returned.
+        Returned as a str; or, given a text file, written to it, and None
+        returned.
         """
-        if fileobj is None:
-            return f"n={self.n}\n{self.to_hex()}\n"
-        if self.size < 8:
-            fileobj.write(self.to_text())
-        else:
-            write_text(fileobj, self.n, [(self.data, False)])
-        return None
+        out = StringIO() if fileobj is None else fileobj
+        write_text(out, self.n, [(self.data, False)])
+        return out.getvalue() if fileobj is None else None
 
     @classmethod
     def from_text(cls, text: str) -> "TruthTable":
@@ -198,9 +188,7 @@ def anf_to_truth_table(n: int, terms: Iterable[Iterable[int]]) -> TruthTable:
     the XOR of the coefficients at the indices y with y & x == y.  This is
     the correctness oracle that every fast builder is checked against.
     """
-    if not 1 <= n <= MAX_VARS:
-        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
-    table = np.zeros(max(1, (1 << n) >> 3), dtype=np.uint8)
+    table = np.zeros(_table_size(n), dtype=np.uint8)
     for term in terms:
         index = 0
         for k in term:
@@ -674,7 +662,8 @@ def _transfer(generator: Iterable[int], n: int) -> np.ndarray:
     L-1 consecutive bits (D = 2^(L-1)), and the L-bit window w (x_i as its
     top bit) steps from state w >> 1 to state w mod D with the sign
     (-1)^(phi(w) + b x_i) in M_b.  For L = 1 both windows step from the one
-    state to itself, so its entry is their sum.
+    state to itself, so its entry is their sum.  n and the generator are
+    checked here, by _generator.
     """
     gen = sorted(_generator(generator, n))
     gaps = [(b - a - 1) % n + 1 for a, b in zip(gen, gen[1:] + gen[:1])]
@@ -691,7 +680,7 @@ def _transfer(generator: Iterable[int], n: int) -> np.ndarray:
     return m
 
 
-def _walks(generator: frozenset[int], n: int
+def _walks(generator: Iterable[int], n: int
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, type, int]:
     """The prefix and suffix products P and S of orbit_summary, and
     S_max[t, s] = max over a_lo of |S(a_lo)[t, s]|, in the float dtype
@@ -757,13 +746,6 @@ def _row_bounds(pre: np.ndarray, suf_max: np.ndarray) -> np.ndarray:
                            for r in range(0, len(pre), rows)])
 
 
-def _orbit(generator: Iterable[int], n: int) -> frozenset[int]:
-    """The generator of a rotation orbit of n variables, checked."""
-    if not 1 <= n <= MAX_VARS:
-        raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {n}")
-    return _generator(generator, n)
-
-
 def _panels(pre: np.ndarray, suf: np.ndarray):
     """The GEMM of rows of P against S, a panel at a time.
 
@@ -823,7 +805,7 @@ def orbit_summary(generator: Iterable[int], n: int) -> WalshSummary:
     grows as 4^(L-1), so this suits short windows such as those of f2
     and f3.
     """
-    pre, suf, suf_max, _, _ = _walks(_orbit(generator, n), n)
+    pre, suf, suf_max, _, _ = _walks(generator, n)
     height, gemm = _panels(pre, suf)
     tallies = [_tally(n, gemm(np.zeros(1, dtype=np.intp)))]
     w0, high, low, _ = tallies[0]

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .builders import (
+    FAST_MIN_N,
     MAX_VARS,
     OpCounter,
     _generator,
@@ -33,10 +34,8 @@ if TYPE_CHECKING:
 
 F3_REFERENCE_NL_RANGE = (3, 9)  # range covered by the published table
 
-# the two rotation-symmetric families: the monomial whose orbit defines each,
-# and the least n at which its fast builder applies
+# the monomial whose orbit defines each rotation-symmetric family
 FAMILY_GENERATORS = {"f2": (1, 2), "f3": (1, 2, 3)}
-FAST_MIN_N = {"f2": 5, "f3": 7}
 
 
 def wt_f2_closed(n: int) -> int:

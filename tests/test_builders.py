@@ -40,7 +40,9 @@ from oracles import (
     mobius_anf,
     operator_component,
     orbit_table,
+    packbits_hex,
     slow_table,
+    table_from_int,
     table_to_list,
     tilde,
     to_blocks_str,
@@ -483,6 +485,19 @@ def test_streamed_text_is_the_table_text_past_the_base(n):
         text, counter = streamed(selector, n)
         assert (text, counter) == table_text(selector, n), selector
         assert text == FAMILY_ANF[selector](n).to_text(), selector
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_write_text_is_the_table_text_at_small_n(n):
+    # n = 1, 2 are one right-aligned digit, not the one byte's two; a
+    # complemented piece is the complemented table's text
+    everything = (1 << (1 << n)) - 1
+    for bits in range(everything + 1):
+        t = table_from_int(n, bits)
+        for flipped, expected in ((False, t), (True, table_from_int(n, bits ^ everything))):
+            out = io.StringIO()
+            write_text(out, n, [(t.data, flipped)])
+            assert out.getvalue() == expected.to_text() == f"n={n}\n{packbits_hex(expected)}\n"
 
 
 def rotation_symmetric_tables():

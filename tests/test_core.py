@@ -752,30 +752,33 @@ def test_pc_profile_matches_int64_autocorrelation(n, kind, seed):
 
 
 def test_pc_profile_float64_has_a_witness():
-    # f3 with the points 0 and 1 flipped, at n = 18: some W is off the
-    # 2^(n-12) grid, so the rule takes float64 and matches the int64
-    # oracle; float32, forced by a test-local rule that puts every W on the
-    # grid, miscounts the balanced directions, so the float64 path is needed
+    # f3 with two points flipped, adjacent or far apart, at n = 18: some W
+    # is off the 2^(n-12) grid, so the rule takes float64 and matches the
+    # int64 oracle; float32, forced by a test-local rule that puts every W
+    # on the grid, miscounts the balanced directions, so the float64 path
+    # is needed
     n = 18
-    data = build_f3(n).data.copy()
-    data[0] ^= 0b11
-    spec = walsh_transform(TruthTable(n, data))
-    oracle = autocorrelation_pc_profile(spec.values)
-    dtypes = []
     kernel = core._two_pass
+    for points in ((0, 1), (211796, 122906)):
+        data = build_f3(n).data.copy()
+        for point in points:
+            data[point >> 3] ^= 1 << (point & 7)
+        spec = walsh_transform(TruthTable(n, data))
+        oracle = autocorrelation_pc_profile(spec.values)
+        dtypes = []
 
-    def recorded(buf, dtype, *args):
-        dtypes.append(dtype)
-        return kernel(buf, dtype, *args)
+        def recorded(buf, dtype, *args):
+            dtypes.append(dtype)
+            return kernel(buf, dtype, *args)
 
-    with mock.patch.object(core, "_two_pass", recorded):
-        assert spec.pc_profile() == oracle
-        assert set(dtypes) == {np.float64}
-        dtypes.clear()
-        with mock.patch.object(core, "_FLOAT_BITS", 64):
-            forced = spec.pc_profile()
-    assert set(dtypes) == {np.float32}
-    assert forced != oracle
+        with mock.patch.object(core, "_two_pass", recorded):
+            assert spec.pc_profile() == oracle, points
+            assert set(dtypes) == {np.float64}, points
+            dtypes.clear()
+            with mock.patch.object(core, "_FLOAT_BITS", 64):
+                forced = spec.pc_profile()
+        assert set(dtypes) == {np.float32}, points
+        assert forced != oracle, points
 
 
 @pytest.mark.parametrize("kind, itemsize, beyond",

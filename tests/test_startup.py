@@ -2,7 +2,8 @@
 load numpy, a command that computes with arrays loads it with one OpenBLAS
 thread unless the user chose a count, the CLI does not load fractions and
 builds no CSV digit table, no module of the package imports a name it never
-uses, every exported name has a caller, and README's library example runs.
+uses, every exported name has a caller, every module-level name is read,
+and README's library example runs.
 
 Each start-up check runs in a fresh interpreter, because numpy reads
 OPENBLAS_NUM_THREADS once, when it is first imported.
@@ -204,14 +205,10 @@ def _reads(tree: ast.AST, inside: tuple[str, ...] = ()) -> set[str]:
     return out
 
 
-def test_every_exported_name_has_a_caller():
-    # the library ships only what the CLI, the builds and the benchmark call:
-    # an exported name must be read in the package outside __init__.py, or
-    # in the benchmark, where bench_trace's quoted "module.name" spans count
+def _benchmark_reads() -> set[str]:
+    """The names the benchmark reads: as Name nodes, and as bench_trace's
+    quoted "module.name" spans."""
     read = set()
-    for path in sorted((SRC / "rotsym").glob("*.py")):
-        if path.name != "__init__.py":
-            read |= _reads(ast.parse(path.read_text(encoding="utf-8")))
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         read |= _reads(tree)
@@ -219,7 +216,38 @@ def test_every_exported_name_has_a_caller():
                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
                  and node.value.split(".")[0] in EXPORTED
                  and node.value.count(".") == 1}
+    return read
+
+
+def test_every_exported_name_has_a_caller():
+    # the library ships only what the CLI, the builds and the benchmark call:
+    # an exported name must be read in the package outside __init__.py, or
+    # in the benchmark
+    read = _benchmark_reads()
+    for path in sorted((SRC / "rotsym").glob("*.py")):
+        if path.name != "__init__.py":
+            read |= _reads(ast.parse(path.read_text(encoding="utf-8")))
     assert sorted(set(rotsym.__all__) - read) == []
+
+
+def test_every_module_level_name_is_read():
+    # no dead helpers: every function, class and constant a module of the
+    # package defines at its top level is read in the package or in the
+    # benchmark; dunder names are the interpreter's
+    read = _benchmark_reads()
+    defined = []
+    for path in sorted((SRC / "rotsym").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _reads(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.name, name.id) for target in targets
+                            for name in ast.walk(target) if isinstance(name, ast.Name)]
+    assert [f"{module}:{name}" for module, name in defined
+            if name not in read and not name.startswith("__")] == []
 
 
 def test_unknown_name_raises_attribute_error():
