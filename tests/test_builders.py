@@ -491,13 +491,13 @@ def test_streamed_text_is_the_table_text_past_the_base(n):
 def test_write_text_is_the_table_text_at_small_n(n):
     # n = 1, 2 are one right-aligned digit, not the one byte's two; a
     # complemented piece is the complemented table's text
-    everything = (1 << (1 << n)) - 1
-    for bits in range(everything + 1):
+    ones = (1 << (1 << n)) - 1
+    for bits in range(ones + 1):
         t = table_from_int(n, bits)
-        for flipped, expected in ((False, t), (True, table_from_int(n, bits ^ everything))):
+        for flipped, want in ((False, t), (True, table_from_int(n, bits ^ ones))):
             out = io.StringIO()
             write_text(out, n, [(t.data, flipped)])
-            assert out.getvalue() == expected.to_text() == f"n={n}\n{packbits_hex(expected)}\n"
+            assert out.getvalue() == want.to_text() == f"n={n}\n{packbits_hex(want)}\n"
 
 
 def rotation_symmetric_tables():
