@@ -7,11 +7,12 @@ as 4-bit blocks.  The doubling constructions reach a 2^n-bit table in
 O(2^n) work with roughly 2^(n-3) block complements, versus the (3n-1)/2 * 2^n
 operations of direct pointwise evaluation.  build_f2, build_f3, their
 components and the open chain t_chain grow the base of each segment, at most
-two (tilde) or four (hat) pieces of 64 KiB, by those doublings in place; past
+two (tilde) or four (hat) pieces of 16 KiB, by those doublings in place; past
 the base a doubling copies and complements whole pieces, so the segment is
 its base pieces, some complemented.  The builds fill one 2^n/8-byte buffer
 from those pieces, which the table then holds; doubled_pieces hands the same
-pieces to write_text, so `build` writes these tables without one.
+segments to write_text, which hexes each distinct piece of a segment once,
+so `build` writes these tables without one.
 monomial_table_general doubles in place in one buffer of the table's size.
 Any other rotation orbit is no doubling: theory.family_table
 tabulates its ANF with core.anf_to_truth_table, in a buffer of the same
@@ -27,7 +28,7 @@ core when they make one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -36,7 +37,7 @@ if TYPE_CHECKING:
 
 MAX_VARS = 26          # 2^26-bit tables; the spectrum still fits int32
 FAST_MIN_N = {"f2": 5, "f3": 7}  # the least n of build_f2 and build_f3
-_TEXT_BYTES = 1 << 16  # packed bytes per write_text hex slice and builders piece
+_TEXT_BYTES = 1 << 14  # packed bytes per write_text hex slice and builders piece
 
 # _BIT_REVERSED[b] is the byte b with its 8 bits in reverse order
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -220,7 +221,7 @@ def _on_flags(step, flags: bytearray, *args, counter: OpCounter | None) -> None:
         counter.charge_bits(tally.bits_complemented * _TEXT_BYTES)
 
 
-_Segment = tuple[list[bytearray], bytearray]  # distinct pieces, flags
+_Segment = tuple[list[bytearray], bytearray]  # distinct parts, flags
 
 
 def _segment(seed: bytes, shift: int, nbytes: int,
@@ -255,21 +256,31 @@ def _derived(segment: _Segment, shift: int, counter: OpCounter | None) -> _Segme
     return parts, flags
 
 
-def _pieces(segments: list[_Segment]) -> Iterator[tuple[bytearray, bool]]:
-    """The (piece, complemented) pairs of segments, in order."""
-    for parts, flags in segments:
-        for i, flag in enumerate(flags):
-            yield parts[i % len(parts)], flag != 0
+def _pieces(segment: _Segment, form: Callable[[bytearray, bool], object]
+            ) -> Iterator:
+    """A segment's pieces in order, each as form(part, complemented) makes
+    it: piece i is part i mod len(parts), complemented where flag i is set.
+
+    form runs once for each part and each flag value the flags hold, and
+    what it made is dropped when the segment's last piece is read.
+    """
+    parts, flags = segment
+    made = {flag: [form(part, flag != 0) for part in parts] for flag in set(flags)}
+    for i, flag in enumerate(flags):
+        yield made[flag][i % len(parts)]
 
 
 def _table(n: int, segments: list[_Segment]) -> TruthTable:
     """The table of segments, filled from their pieces in one buffer, which
-    becomes the table's bytes without a copy."""
+    becomes the table's bytes without a copy; each segment's parts are
+    complemented once, as its flags need."""
     buf = bytearray(_table_size(n))
     at = 0
-    for piece, flipped in _pieces(segments):
-        buf[at:at + len(piece)] = piece.translate(_COMPLEMENT) if flipped else piece
-        at += len(piece)
+    for segment in segments:
+        for piece in _pieces(segment, lambda part, flipped:
+                             part.translate(_COMPLEMENT) if flipped else part):
+            buf[at:at + len(piece)] = piece
+            at += len(piece)
     from .core import TruthTable
     return TruthTable(n, buf)
 
@@ -303,39 +314,54 @@ def _component(seeds: Sequence[bytes], shift: int, i: int, level: int,
 
 
 def doubled_pieces(selector: str, n: int, counter: OpCounter | None = None
-                   ) -> Iterator[tuple[bytearray, bool]]:
+                   ) -> list[_Segment]:
     """The bytes of t_chain(n), build_f2(n) or build_f3(n) (selector "t",
-    "f2" or "f3"; n at least the build's least) as write_text's pairs,
+    "f2" or "f3"; n at least the build's least) as write_text's segments,
     charged as those builds charge, from the segments' bases alone."""
     if selector == "t":
-        return _pieces(_component(_F2_SEEDS, _TILDE, 1, n, None))
+        return _component(_F2_SEEDS, _TILDE, 1, n, None)
     seeds, shift = {"f2": (_F2_SEEDS, _TILDE), "f3": (_F3_SEEDS, _HAT)}[selector]
-    return _pieces(_layout(n, seeds, shift, counter))
+    return _layout(n, seeds, shift, counter)
+
+
+def _hex(part, flipped: bool) -> str:
+    """The hex of part's packed bytes, each byte's bits reversed so that
+    the bit of index 0 leads, and complemented if flipped."""
+    return bytes(part).translate(
+        _BIT_REVERSED_FLIPPED if flipped else _BIT_REVERSED).hex()
 
 
 def write_text(fileobj, n: int,
-               pieces: Iterable[tuple[bytes | bytearray, bool]]) -> None:
+               segments: Iterable[tuple[Sequence, Sequence[int]]]) -> None:
     """Write the text form of a 2^n-bit table to a text file: the "n=<k>"
     header line, then the 2^n bits as hex, the bit of index 0 the line's
     most significant bit; n = 1, 2 take one right-aligned digit.
 
-    The table comes as its packed bytes in order, in (piece, complemented)
-    pairs, so a builder can hand over one piece many times.  A piece is any
-    buffer of bytes, such as a bytearray or a TruthTable's data, read
-    through a memoryview.  Each piece is written in hex slices of
-    _TEXT_BYTES packed bytes: the whole hex text, and the file's encoded
-    copy of it, are never held at once.
+    The table comes as its packed bytes in order, in the (parts, flags)
+    segments the builds make: piece i of a segment is part i mod
+    len(parts), complemented where flag i is set.  A part is any buffer of
+    bytes, such as a bytearray or a TruthTable's data.  Of a segment of
+    several parts, each at most _TEXT_BYTES, the hex of each part, plain
+    and complemented as the flags need, is formed once at the segment's
+    start and dropped at its end.  A segment of one part, which may be a
+    whole table, is written in hex slices of _TEXT_BYTES packed bytes.  So
+    the whole hex text, and the file's encoded copy of it, are never held
+    at once.
     """
     fileobj.write(f"n={n}\n")
-    for piece, flipped in pieces:
-        table = _BIT_REVERSED_FLIPPED if flipped else _BIT_REVERSED
-        view = memoryview(piece)
-        if n < 3:  # the one byte's 2^n bits, at its top once reversed
-            fileobj.write(f"{table[view[0]] >> (8 - (1 << n)):x}")
+    for parts, flags in segments:
+        if len(parts) > 1:
+            for text in _pieces((parts, flags), _hex):
+                fileobj.write(text)
             continue
-        for start in range(0, view.nbytes, _TEXT_BYTES):
-            part = view[start:start + _TEXT_BYTES]
-            fileobj.write(part.tobytes().translate(table).hex())
+        view = memoryview(parts[0])
+        for flag in flags:
+            if n < 3:  # the one byte's 2^n bits, at its top once reversed
+                top = int(_hex(view[:1], flag != 0), 16)
+                fileobj.write(f"{top >> (8 - (1 << n)):x}")
+                continue
+            for start in range(0, view.nbytes, _TEXT_BYTES):
+                fileobj.write(_hex(view[start:start + _TEXT_BYTES], flag != 0))
     fileobj.write("\n")
 
 

@@ -134,7 +134,7 @@ class TruthTable:
         returned.
         """
         out = StringIO() if fileobj is None else fileobj
-        write_text(out, self.n, [(self.data, False)])
+        write_text(out, self.n, [([self.data], bytes(1))])
         return out.getvalue() if fileobj is None else None
 
     @classmethod

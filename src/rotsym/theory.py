@@ -3,7 +3,7 @@
 The closed form of the degree-2 weight, the recurrence of the degree-3
 weight, rational generating functions for both families, the one dispatch
 from a selector to a table (family_table; builders makes the open chain t)
-or to the pieces `build` writes (family_pieces), and the
+or to the segments `build` writes (family_pieces), and the
 weight-equals-nonlinearity scan for the degree-3 family, whose
 nonlinearity comes from the transfer matrices (core.orbit_summary).
 All arithmetic is exact, in integers.
@@ -15,7 +15,7 @@ family_table and conjecture_check import core where they call it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .builders import (
     FAST_MIN_N,
@@ -127,16 +127,18 @@ def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
 
 def family_pieces(selector: str, n: int, generator: tuple[int, ...] = (),
                   counter: OpCounter | None = None
-                  ) -> Iterable[tuple[bytes | bytearray, bool]]:
-    """family_table's bytes as write_text's (piece, complemented) pairs.
+                  ) -> list[tuple[Sequence, Sequence[int]]]:
+    """family_table's bytes as write_text's (parts, flags) segments.
 
     t, and f2/f3 from FAST_MIN_N on, come straight from their doublings,
-    with no 2^n/8-byte table; any other table is built by family_table.
-    Bad arguments raise here, before any pair is read.
+    as the distinct base pieces of each segment and a flag per piece, with
+    no 2^n/8-byte table; any other table is built by family_table, one
+    segment of one part.  Bad arguments raise here, before any piece is
+    read.
     """
     if selector == "t" or n >= FAST_MIN_N.get(selector, n + 1):
         return doubled_pieces(selector, n, counter)
-    return [(family_table(selector, n, generator, counter).data, False)]
+    return [([family_table(selector, n, generator, counter).data], bytes(1))]
 
 
 def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:

@@ -1,5 +1,6 @@
 import io
 import itertools
+import os
 import random
 import tracemalloc
 
@@ -462,13 +463,18 @@ def table_text(selector, n):
     return family_table(selector, n, counter=counter).to_text(), counter
 
 
+# with _TEXT_BYTES pieces (16 KiB) a segment is first a full base of
+# 2^shift pieces at n = FULL_BASE (18) for t, one n later for f2 and two
+# later for f3, where its 2^shift pieces first fill half the table
+FULL_BASE = builders._TEXT_BYTES.bit_length() + 3
+
+
 @pytest.mark.parametrize("piece", [1, 2, 4])
 def test_streamed_text_is_the_table_text_with_small_pieces(monkeypatch, piece):
-    # with 64 KiB pieces a segment is first a full base of 2^shift pieces
-    # at n = 20 (t), 21 (f2) and 22 (f3), and first doubles past it one n
-    # later; pieces of a few bytes take those branches, and the derived
-    # segment's flags, at small n.  The tables built from them are the
-    # tables built without.
+    # a segment first doubles past its full base one n after FULL_BASE;
+    # pieces of a few bytes take those branches, and the derived segment's
+    # flags, at small n.  The tables built from them are the tables built
+    # without.
     cases = [(s, n) for s, least in STREAMED.items() for n in range(least, 17)]
     expected = {case: table_text(*case) for case in cases}
     monkeypatch.setattr(builders, "_TEXT_BYTES", piece)
@@ -477,10 +483,10 @@ def test_streamed_text_is_the_table_text_with_small_pieces(monkeypatch, piece):
         assert table_text(*case) == expected[case], case
 
 
-@pytest.mark.parametrize("n", [20, 21, 22, 23])
+@pytest.mark.parametrize("n", range(FULL_BASE, FULL_BASE + 6))
 def test_streamed_text_is_the_table_text_past_the_base(n):
-    # 64 KiB pieces: each selector's first full base and first doubling
-    # past it, and the ANF table besides
+    # each selector's first full base, its first doublings past it, and
+    # the ANF table besides
     for selector in STREAMED:
         text, counter = streamed(selector, n)
         assert (text, counter) == table_text(selector, n), selector
@@ -496,8 +502,27 @@ def test_write_text_is_the_table_text_at_small_n(n):
         t = table_from_int(n, bits)
         for flipped, want in ((False, t), (True, table_from_int(n, bits ^ ones))):
             out = io.StringIO()
-            write_text(out, n, [(t.data, flipped)])
+            write_text(out, n, [([t.data], bytes([flipped]))])
             assert out.getvalue() == want.to_text() == f"n={n}\n{packbits_hex(want)}\n"
+
+
+def test_streamed_text_memory_is_the_bases_and_one_segments_hex():
+    # f3 at n = 26 holds three bases of four _TEXT_BYTES parts (12 parts)
+    # and, of one segment at a time, each part's hex plain and complemented
+    # (16 parts' worth), besides a slice in flight; 40 parts bound that.
+    # Hex kept for the whole call (24 parts' hex, 48 parts' worth), or
+    # 64 KiB parts, would not fit
+    bound = 40 * builders._TEXT_BYTES
+    assert bound <= 640 << 10
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        for selector in STREAMED:
+            tracemalloc.start()
+            try:
+                write_text(sink, 26, family_pieces(selector, 26))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (selector, peak)
 
 
 def rotation_symmetric_tables():

@@ -80,7 +80,7 @@ NUMPY_NOOP = ("analyze", "f3", "--n", "3")
 def test_build_26_peak_rss_over_startup_is_a_few_tables(tmp_path, selector,
                                                          table):
     # f3 and t are written from their doublings' pieces without numpy: a
-    # few 64 KiB base pieces and one piece's hex, no table; a monomial's or
+    # few 16 KiB base pieces and one segment's hex, no table; a monomial's or
     # an orbit's byte buffer is the table (an orbit's ANF is transformed in
     # it), and the text writer holds it and one hex slice
     n = 26
@@ -114,12 +114,12 @@ def test_fault_inside_the_build_stream_leaves_no_file(tmp_path, capsys,
     written = []
     real = rotsym.builders._pieces
 
-    def fails_midway(segments):
-        for pair in real(segments):
+    def fails_midway(segment, form):
+        for piece in real(segment, form):
             if len(written) == 5:
                 raise exc
-            written.append(pair)
-            yield pair
+            written.append(piece)
+            yield piece
 
     monkeypatch.setattr(rotsym.builders, "_pieces", fails_midway)
     path = tmp_path / "F"

@@ -25,6 +25,7 @@ from rotsym import (
     walsh_transform,
 )
 from rotsym.core import MAX_VARS, WalshSpectrum, _gemm_bits, _row_bounds, _walks
+from rotsym.builders import _TEXT_BYTES
 from rotsym import core
 from rotsym.theory import FAMILY_GENERATORS
 
@@ -409,6 +410,16 @@ def test_walsh_summary_of_constant_tables(n):
     # pass 1 stores +-2^14, the largest magnitude int16 must hold
     for t, sign in ((zeros_table(n), 1), (ones_table(n), -1)):
         assert _summary_fields(t) == (sign << n, 1 << n, False)
+
+
+def test_walsh_summary_int16_store_has_a_witness(monkeypatch):
+    # the zeros at n = 16 are four chunks of 2^14 values, each storing
+    # W(0) = 2^14 in int16; chunks of 2^15 would store 2^15, which int16
+    # wraps to -2^15, so the two chunks' W(0) would read -2^16
+    t = zeros_table(16)
+    assert walsh_summary(t) == walsh_transform(t).summary()
+    monkeypatch.setattr(core, "_INT16_CHUNK", 1 << 15)
+    assert walsh_summary(t).w0 == -(1 << 16)
 
 
 def test_walsh_summary_one_constant_chunk():
@@ -1016,7 +1027,7 @@ def test_text_format_shape():
 
 
 def test_streamed_text_matches_returned_text():
-    # n = 1, 2 end in a partial byte; n = 20 is two _TEXT_BYTES slices
+    # n = 1, 2 end in a partial byte; n = 20 is several _TEXT_BYTES slices
     rng = random.Random(67)
     tables = [random_table(rng, n) for n in (*range(1, 13), 20)]
     tables += [zeros_table(1), ones_table(2), build_f3(12)]
@@ -1024,7 +1035,7 @@ def test_streamed_text_matches_returned_text():
         buf = io.StringIO()
         assert t.to_text(buf) is None
         assert buf.getvalue() == t.to_text()
-    assert (1 << 20) // 8 > 1 << 16  # two slices
+    assert (1 << 20) // 8 > _TEXT_BYTES  # several slices
 
 
 def test_build_memory_is_the_buffer_and_the_table():
