@@ -471,10 +471,9 @@ FULL_BASE = builders._TEXT_BYTES.bit_length() + 3
 
 @pytest.mark.parametrize("piece", [1, 2, 4])
 def test_streamed_text_is_the_table_text_with_small_pieces(monkeypatch, piece):
-    # a segment first doubles past its full base one n after FULL_BASE;
-    # pieces of a few bytes take those branches, and the derived segment's
-    # flags, at small n.  The tables built from them are the tables built
-    # without.
+    # pieces of a few bytes take the full-base and past-the-base branches,
+    # and the derived segment's flags, at small n.  The tables built from
+    # them are the tables built without.
     cases = [(s, n) for s, least in STREAMED.items() for n in range(least, 17)]
     expected = {case: table_text(*case) for case in cases}
     monkeypatch.setattr(builders, "_TEXT_BYTES", piece)
