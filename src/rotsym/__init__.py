@@ -25,7 +25,7 @@ _NAMES = {
     "builders": (
         "OpCounter", "build_f2", "build_f3",
         "f2_block_complements", "f2_component",
-        "f3_block_complements_claimed", "f3_component",
+        "f3_block_complements_claimed", "f3_component", "family_table",
         "monomial_table_general", "t_chain",
     ),
     "core": (
@@ -35,7 +35,7 @@ _NAMES = {
         "walsh_transform",
     ),
     "theory": (
-        "builtin_gfs", "conjecture_check", "family_table", "gf_series",
+        "builtin_gfs", "conjecture_check", "gf_series",
         "wt_f2_closed", "wt_f3_recurrence",
     ),
 }

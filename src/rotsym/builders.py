@@ -1,26 +1,27 @@
-"""Fast string-concatenation builders for rotation-symmetric truth tables.
+"""Rotation-symmetric truth tables by doubling, the one selector dispatch,
+and the table text format.
 
 Tables are assembled from named 4-bit blocks by doubling: u || step(u), where
 step complements the second half (tilde) or the last quarter (hat) of the
 copy.  Copies are free; an OpCounter charges only complemented bits, reported
 as 4-bit blocks.  The doubling constructions reach a 2^n-bit table in
 O(2^n) work with roughly 2^(n-3) block complements, versus the (3n-1)/2 * 2^n
-operations of direct pointwise evaluation.  build_f2, build_f3, their
-components and the open chain t_chain grow the base of each segment, at most
-two (tilde) or four (hat) pieces of 16 KiB, by those doublings in place; past
-the base a doubling copies and complements whole pieces, so the segment is
-its base pieces, some complemented.  The builds fill one 2^n/8-byte buffer
-from those pieces, which the table then holds; doubled_pieces hands the same
-segments to write_text, which hexes each distinct piece of a segment once,
-so `build` writes these tables without one.
+operations of direct pointwise evaluation.  _DOUBLINGS states each family's
+seeds and step once.  build_f2, build_f3, their components and the open
+chain t_chain grow the base of each segment, at most two (tilde) or four
+(hat) pieces of 16 KiB, by those doublings in place; past the base a
+doubling copies and complements whole pieces, so the segment is its base
+pieces, some complemented.  The builds fill one 2^n/8-byte buffer from
+those pieces, which the table then holds; family_pieces hands the same
+segments to write_text, so `build` writes these tables without one.
 monomial_table_general doubles in place in one buffer of the table's size.
-Any other rotation orbit is no doubling: theory.family_table
-tabulates its ANF with core.anf_to_truth_table, in a buffer of the same
-size.  The seeds are written in the paper's block notation and parsed
-straight into bytes; the published string operators, stated on bit strings in
-tests/oracles.py, are the tests' reference.
+Any other rotation orbit is no doubling: family_table, the selector's
+table, tabulates its ANF with core.anf_to_truth_table.  The seeds are
+written in the paper's block notation; the published string operators,
+stated on bit strings in tests/oracles.py, are the tests' reference.
+write_text writes the text form and read_text parses it.
 
-The doublings and the text writer work on bytes and bytearrays alone, so
+The doublings and the text format work on bytes and bytearrays alone, so
 this module imports neither numpy nor core, and `build f2|f3|t` writes its
 table without loading them.  The functions that return a TruthTable import
 core when they make one.
@@ -37,6 +38,8 @@ if TYPE_CHECKING:
 
 MAX_VARS = 26          # 2^26-bit tables; the spectrum still fits int32
 FAST_MIN_N = {"f2": 5, "f3": 7}  # the least n of build_f2 and build_f3
+# the monomial whose orbit defines each rotation-symmetric family
+FAMILY_GENERATORS = {"f2": (1, 2), "f3": (1, 2, 3)}
 _TEXT_BYTES = 1 << 14  # packed bytes per write_text hex slice and builders piece
 
 # _BIT_REVERSED[b] is the byte b with its 8 bits in reverse order
@@ -162,11 +165,13 @@ def _seed_bytes(notation: str) -> bytes:
     return bytes(lo | hi << 4 for lo, hi in zip(nibbles[::2], nibbles[1::2]))
 
 
-# the seeds of each family's segments: degree 2 at level 3 (8 bits), doubled
-# by tilde; degree 3 at level 4 (16 bits), doubled by hat
-_F2_SEEDS = tuple(map(_seed_bytes, ("VY", "XU" + MACRON)))
-_F3_SEEDS = tuple(map(_seed_bytes, ("DVDY", "VDVA", "XBXC")))
 _TILDE, _HAT = 1, 2  # a doubling complements the last 2^-shift of the copy
+# each family's doubling, (seeds of its segments, step): degree 2 at level 3
+# (8 bits), doubled by tilde; degree 3 at level 4 (16 bits), doubled by hat
+_DOUBLINGS = {
+    "f2": (tuple(map(_seed_bytes, ("VY", "XU" + MACRON))), _TILDE),
+    "f3": (tuple(map(_seed_bytes, ("DVDY", "VDVA", "XBXC"))), _HAT),
+}
 
 
 def _flip(seg: bytearray, lo: int, hi: int, counter: OpCounter | None) -> None:
@@ -285,24 +290,33 @@ def _table(n: int, segments: list[_Segment]) -> TruthTable:
     return TruthTable(n, buf)
 
 
-def _layout(n: int, seeds: Sequence[bytes], shift: int,
-            counter: OpCounter | None) -> list[_Segment]:
-    """The segments of a 2^n-bit build.
+def _check_fast(family: str, n: int) -> None:
+    """Check that n is at least the least n of family's fast build."""
+    if n < FAST_MIN_N[family]:
+        raise ValueError(f"fast degree-{len(FAMILY_GENERATORS[family])} build"
+                         f" needs n >= {FAST_MIN_N[family]}")
+
+
+def _layout(family: str, n: int, counter: OpCounter | None) -> list[_Segment]:
+    """The segments of family's 2^n-bit fast build.
 
     Segment i = 1..len(seeds) is seed i doubled to 2^(n-i) bits; the last
     segment, as long as the one before it, is that one derived.
     """
+    _check_fast(family, n)
+    seeds, shift = _DOUBLINGS[family]
     size = _table_size(n)
     segs = [_segment(seed, shift, size >> i, counter)
             for i, seed in enumerate(seeds, 1)]
     return segs + [_derived(segs[-1], shift, counter)]
 
 
-def _component(seeds: Sequence[bytes], shift: int, i: int, level: int,
+def _component(family: str, i: int, level: int,
                counter: OpCounter | None) -> list[_Segment]:
-    """Segment i of a build at its level, alone in a list: a seed doubled,
-    or the derived last one.  The least level is the seed's own, log2 of
-    its bits."""
+    """Segment i of family's build at its level, alone in a list: a seed
+    doubled, or the derived last one.  The least level is the seed's own,
+    log2 of its bits."""
+    seeds, shift = _DOUBLINGS[family]
     if not 1 <= i <= len(seeds) + 1:
         raise ValueError(f"component index must be 1..{len(seeds) + 1}, got {i}")
     seed = seeds[min(i, len(seeds)) - 1]
@@ -311,17 +325,6 @@ def _component(seeds: Sequence[bytes], shift: int, i: int, level: int,
         raise ValueError(f"components start at level {least}, got {level}")
     seg = _segment(seed, shift, _table_size(level), counter)
     return [_derived(seg, shift, counter) if i > len(seeds) else seg]
-
-
-def doubled_pieces(selector: str, n: int, counter: OpCounter | None = None
-                   ) -> list[_Segment]:
-    """The bytes of t_chain(n), build_f2(n) or build_f3(n) (selector "t",
-    "f2" or "f3"; n at least the build's least) as write_text's segments,
-    charged as those builds charge, from the segments' bases alone."""
-    if selector == "t":
-        return _component(_F2_SEEDS, _TILDE, 1, n, None)
-    seeds, shift = {"f2": (_F2_SEEDS, _TILDE), "f3": (_F3_SEEDS, _HAT)}[selector]
-    return _layout(n, seeds, shift, counter)
 
 
 def _hex(part, flipped: bool) -> str:
@@ -365,14 +368,56 @@ def write_text(fileobj, n: int,
     fileobj.write("\n")
 
 
+def _quoted(line: str) -> str:
+    """A text line for an error message: whole, or its first 32 characters."""
+    return repr(line) if len(line) <= 64 else f"{line[:32]!r}... ({len(line)} characters)"
+
+
+def read_text(text: str) -> tuple[int, bytes]:
+    """The n and packed bytes of a table's text form, as write_text writes
+    it; blank lines and the whitespace around a line are skipped, and any
+    other text raises ValueError, quoting the line at fault."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 2:
+        raise ValueError("truth-table text needs a header line and a hex line")
+    if len(lines) > 2:
+        raise ValueError("truth-table text has a line after the hex line")
+    header = lines[0]
+    digits = header[2:]
+    if not (header.startswith("n=") and digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad header line: {_quoted(header)}")
+    n = int(digits)
+    if not 1 <= n <= MAX_VARS:
+        raise ValueError(f"bad header line: {_quoted(header)} (n out of range)")
+    size = 1 << n
+    hexstr = lines[1]
+    bad_hex = f"bad hex line: {_quoted(hexstr)}"
+    width = -(-size // 4)
+    if len(hexstr) != width:
+        raise ValueError(f"{bad_hex} (expected {width} digits)")
+    # every two digits make one byte, so a line of `width` characters
+    # gives fewer bytes exactly when fromhex skipped whitespace in it
+    try:
+        raw = bytes.fromhex(hexstr if size >= 8 else "0" + hexstr)
+    except ValueError:
+        raise ValueError(bad_hex) from None
+    if len(raw) != max(1, size // 8):
+        raise ValueError(bad_hex)
+    if size < 8:  # n = 1, 2: align the one digit's bits to the byte's top
+        if raw[0] >> size:
+            raise ValueError(f"{bad_hex} (value out of range)")
+        raw = bytes([raw[0] << (8 - size)])
+    return n, raw.translate(_BIT_REVERSED)
+
+
 def f2_component(i: int, level: int, counter: OpCounter | None = None) -> TruthTable:
     """g_i^level of the degree-2 build (i = 1, 2, or the derived 3; level >= 3)."""
-    return _table(level, _component(_F2_SEEDS, _TILDE, i, level, counter))
+    return _table(level, _component("f2", i, level, counter))
 
 
 def f3_component(i: int, level: int, counter: OpCounter | None = None) -> TruthTable:
     """h_i^level of the degree-3 build (i = 1..3, or the derived 4; level >= 4)."""
-    return _table(level, _component(_F3_SEEDS, _HAT, i, level, counter))
+    return _table(level, _component("f3", i, level, counter))
 
 
 def t_chain(n: int) -> TruthTable:
@@ -396,9 +441,7 @@ def build_f2(n: int, counter: OpCounter | None = None) -> TruthTable:
     complements are charged.  The table is built in one 2^n/8-byte buffer,
     which becomes the table's bytes without a copy.
     """
-    if n < FAST_MIN_N["f2"]:
-        raise ValueError(f"fast degree-2 build needs n >= {FAST_MIN_N['f2']}")
-    return _table(n, _layout(n, _F2_SEEDS, _TILDE, counter))
+    return _table(n, _layout("f2", n, counter))
 
 
 def build_f3(n: int, counter: OpCounter | None = None) -> TruthTable:
@@ -408,15 +451,12 @@ def build_f3(n: int, counter: OpCounter | None = None) -> TruthTable:
     with its last quarter and then its first half complemented.  Built in one
     byte buffer, as build_f2 is.
     """
-    if n < FAST_MIN_N["f3"]:
-        raise ValueError(f"fast degree-3 build needs n >= {FAST_MIN_N['f3']}")
-    return _table(n, _layout(n, _F3_SEEDS, _HAT, counter))
+    return _table(n, _layout("f3", n, counter))
 
 
 def f2_block_complements(n: int) -> int:
     """Closed form of the charges actually made by build_f2: 2^(n-3) - 2."""
-    if n < FAST_MIN_N["f2"]:
-        raise ValueError(f"fast degree-2 build needs n >= {FAST_MIN_N['f2']}")
+    _check_fast("f2", n)
     return (1 << (n - 3)) - 2
 
 
@@ -429,3 +469,53 @@ def f3_block_complements_claimed(n: int) -> int:
     adjusting either.
     """
     return (1 << (n - 2)) + (1 << (n - 4)) + (1 << (n - 5)) - 12
+
+
+def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
+                 counter: OpCounter | None = None) -> TruthTable:
+    """The table a selector names, one per n.
+
+    f2/f3 use the fast builder from FAST_MIN_N on (charging counter) and
+    their orbit below it; t is the open chain; monomial and orbit need a
+    generator (the CLI's --generator).  An orbit is the ANF of the n
+    rotations of the generator's monomial, tabulated in place by
+    anf_to_truth_table, so rotations that coincide cancel in pairs.
+    """
+    if selector in FAST_MIN_N:
+        if n >= FAST_MIN_N[selector]:
+            # read from the module globals on each call, so a wrapper set on
+            # build_f2/build_f3 here (perfbench/bench_trace.py) sees the build
+            build = build_f2 if selector == "f2" else build_f3
+            return build(n, counter)
+        selector, generator = "orbit", FAMILY_GENERATORS[selector]
+    if selector == "t":
+        return t_chain(n)
+    if selector not in ("monomial", "orbit"):
+        raise ValueError(f"unknown selector {selector!r}")
+    if not generator:
+        raise ValueError(f"{selector} needs --generator")
+    if selector == "monomial":
+        return monomial_table_general(generator, n)
+    from .core import anf_to_truth_table
+    gen = _generator(generator, n)
+    return anf_to_truth_table(n, [[(k - 1 + d) % n + 1 for k in gen]
+                                  for d in range(n)])
+
+
+def family_pieces(selector: str, n: int, generator: tuple[int, ...] = (),
+                  counter: OpCounter | None = None
+                  ) -> list[tuple[Sequence, Sequence[int]]]:
+    """family_table's bytes as write_text's (parts, flags) segments,
+    charged as family_table charges.
+
+    t, and f2/f3 from FAST_MIN_N on, come straight from their doublings,
+    as the distinct base pieces of each segment and a flag per piece, with
+    no 2^n/8-byte table; any other table is built by family_table, one
+    segment of one part.  Bad arguments raise here, before any piece is
+    read.
+    """
+    if selector == "t":
+        return _component("f2", 1, n, None)
+    if n >= FAST_MIN_N.get(selector, n + 1):
+        return _layout(selector, n, counter)
+    return [([family_table(selector, n, generator, counter).data], bytes(1))]

@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 verification mismatch.  All csv/json
 output is deterministic for a fixed invocation; wall-clock timings appear
 only in bench's text output.
 
+Tables come from builders' one selector dispatch: `build` hands
+family_pieces' segments to builders.write_text, and `bench`, `analyze` with
+a table and theory.conjecture_check's scans take family_table's tables.
 numpy loads with the first TruthTable or spectrum a command makes, never at
 import: `gf`, and `build` of f2, f3 (from builders.FAST_MIN_N) and t, write
 their output without it.
@@ -27,21 +30,21 @@ from typing import TYPE_CHECKING
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .builders import (  # noqa: E402
+    FAMILY_GENERATORS,
     FAST_MIN_N,
     MAX_VARS,
     OpCounter,
     f2_block_complements,
     f3_block_complements_claimed,
     f3_component,
+    family_pieces,
+    family_table,
     write_text,
 )
 from .refdata import load_reference_tables, weight_table_columns  # noqa: E402
 from .theory import (  # noqa: E402
-    FAMILY_GENERATORS,
     builtin_gfs,
     conjecture_check,
-    family_pieces,
-    family_table,
     gf_series,
     wt_f2_closed,
     wt_f3_recurrence,

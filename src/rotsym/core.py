@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .builders import _BIT_REVERSED, MAX_VARS, _generator, _table_size, write_text
+from .builders import _generator, _table_size, read_text, write_text
 
 # The GEMM kernel (see _two_pass).  float32 holds every integer of magnitude
 # <= 2^24 exactly, so walsh_transform does the low 24 index bits in float32
@@ -57,11 +57,6 @@ _HADAMARD = {np.dtype(t): 1 - 2 * (np.bitwise_count(np.bitwise_and.outer(
 _SIGNS = (1 - 2 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)).astype(np.float32)
 # _SUPERSETS[y] has bit x set for the x in 0..7 with y & x == y
 _SUPERSETS = bytes(sum(1 << x for x in range(8) if y & x == y) for y in range(8))
-
-
-def _quoted(line: str) -> str:
-    """A text line for an error message: whole, or its first 32 characters."""
-    return repr(line) if len(line) <= 64 else f"{line[:32]!r}... ({len(line)} characters)"
 
 
 # ---------------------------------------------------------------------------
@@ -139,37 +134,8 @@ class TruthTable:
 
     @classmethod
     def from_text(cls, text: str) -> "TruthTable":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 2:
-            raise ValueError("truth-table text needs a header line and a hex line")
-        if len(lines) > 2:
-            raise ValueError("truth-table text has a line after the hex line")
-        header = lines[0]
-        digits = header[2:]
-        if not (header.startswith("n=") and digits.isascii() and digits.isdigit()):
-            raise ValueError(f"bad header line: {_quoted(header)}")
-        n = int(digits)
-        if not 1 <= n <= MAX_VARS:
-            raise ValueError(f"bad header line: {_quoted(header)} (n out of range)")
-        size = 1 << n
-        hexstr = lines[1]
-        bad_hex = f"bad hex line: {_quoted(hexstr)}"
-        width = -(-size // 4)
-        if len(hexstr) != width:
-            raise ValueError(f"{bad_hex} (expected {width} digits)")
-        # every two digits make one byte, so a line of `width` characters
-        # gives fewer bytes exactly when fromhex skipped whitespace in it
-        try:
-            raw = bytes.fromhex(hexstr if size >= 8 else "0" + hexstr)
-        except ValueError:
-            raise ValueError(bad_hex) from None
-        if len(raw) != max(1, size // 8):
-            raise ValueError(bad_hex)
-        if size < 8:  # n = 1, 2: align the one digit's bits to the byte's top
-            if raw[0] >> size:
-                raise ValueError(f"{bad_hex} (value out of range)")
-            raw = bytes([raw[0] << (8 - size)])
-        return cls(n, raw.translate(_BIT_REVERSED))
+        """The table of a text form (builders.read_text parses it)."""
+        return cls(*read_text(text))
 
     def __repr__(self) -> str:
         if self.size <= 64:

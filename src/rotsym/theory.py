@@ -1,41 +1,24 @@
 """Weight and nonlinearity theory for the rotation-symmetric families.
 
 The closed form of the degree-2 weight, the recurrence of the degree-3
-weight, rational generating functions for both families, the one dispatch
-from a selector to a table (family_table; builders makes the open chain t)
-or to the segments `build` writes (family_pieces), and the
-weight-equals-nonlinearity scan for the degree-3 family, whose
-nonlinearity comes from the transfer matrices (core.orbit_summary).
-All arithmetic is exact, in integers.
+weight, rational generating functions for both families, and the
+weight-equals-nonlinearity scan for the degree-3 family, whose weight is
+counted in builders.family_table's table and whose nonlinearity comes from
+the transfer matrices (core.orbit_summary).  All arithmetic is exact, in
+integers.
 
 Like builders, this module imports neither numpy nor core at the top: the
-series of `gf` and the pieces of `build f2|f3|t` need neither, and
-family_table and conjecture_check import core where they call it.
+series of `gf` need neither, and conjecture_check imports core where it
+calls it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .builders import (
-    FAST_MIN_N,
-    MAX_VARS,
-    OpCounter,
-    _generator,
-    build_f2,
-    build_f3,
-    doubled_pieces,
-    monomial_table_general,
-    t_chain,
-)
-
-if TYPE_CHECKING:
-    from .core import TruthTable
+from .builders import FAMILY_GENERATORS, MAX_VARS, family_table
 
 F3_REFERENCE_NL_RANGE = (3, 9)  # range covered by the published table
-
-# the monomial whose orbit defines each rotation-symmetric family
-FAMILY_GENERATORS = {"f2": (1, 2), "f3": (1, 2, 3)}
 
 
 def wt_f2_closed(n: int) -> int:
@@ -92,53 +75,6 @@ def builtin_gfs() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     f2 = ((0, 0, 0, 0, 0, 16, -8, -16), (1, -2, -2, 4))
     f3 = ((0, 0, 0, 1, 2, -4), (1, -2, -2, 2, 4))
     return f2, f3
-
-
-def family_table(selector: str, n: int, generator: tuple[int, ...] = (),
-                 counter: OpCounter | None = None) -> TruthTable:
-    """The table a selector names, one per n.
-
-    f2/f3 use the fast builder from FAST_MIN_N on (charging counter) and
-    their orbit below it; t is the open chain; monomial and orbit need a
-    generator (the CLI's --generator).  An orbit is the ANF of the n
-    rotations of the generator's monomial, tabulated in place by
-    anf_to_truth_table, so rotations that coincide cancel in pairs.
-    """
-    if selector in FAST_MIN_N:
-        if n >= FAST_MIN_N[selector]:
-            # read from the module globals on each call, so a wrapper set on
-            # build_f2/build_f3 here (perfbench/bench_trace.py) sees the build
-            build = build_f2 if selector == "f2" else build_f3
-            return build(n, counter)
-        selector, generator = "orbit", FAMILY_GENERATORS[selector]
-    if selector == "t":
-        return t_chain(n)
-    if selector not in ("monomial", "orbit"):
-        raise ValueError(f"unknown selector {selector!r}")
-    if not generator:
-        raise ValueError(f"{selector} needs --generator")
-    if selector == "monomial":
-        return monomial_table_general(generator, n)
-    from .core import anf_to_truth_table
-    gen = _generator(generator, n)
-    return anf_to_truth_table(n, [[(k - 1 + d) % n + 1 for k in gen]
-                                  for d in range(n)])
-
-
-def family_pieces(selector: str, n: int, generator: tuple[int, ...] = (),
-                  counter: OpCounter | None = None
-                  ) -> list[tuple[Sequence, Sequence[int]]]:
-    """family_table's bytes as write_text's (parts, flags) segments.
-
-    t, and f2/f3 from FAST_MIN_N on, come straight from their doublings,
-    as the distinct base pieces of each segment and a flag per piece, with
-    no 2^n/8-byte table; any other table is built by family_table, one
-    segment of one part.  Bad arguments raise here, before any piece is
-    read.
-    """
-    if selector == "t" or n >= FAST_MIN_N.get(selector, n + 1):
-        return doubled_pieces(selector, n, counter)
-    return [([family_table(selector, n, generator, counter).data], bytes(1))]
 
 
 def conjecture_check(n_lo: int, n_hi: int) -> list[dict]:

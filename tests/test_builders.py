@@ -23,9 +23,14 @@ from rotsym import (
     walsh_transform,
 )
 from rotsym import builders
-from rotsym.builders import MACRON, _seed_bytes
+from rotsym.builders import (
+    FAST_MIN_N,
+    MACRON,
+    _seed_bytes,
+    family_pieces,
+    family_table,
+)
 from rotsym.core import write_text
-from rotsym.theory import FAST_MIN_N, family_pieces, family_table
 
 from oracles import (
     BLOCKS,
@@ -432,6 +437,74 @@ def test_t_chain_matches_oracle():
         assert t_chain(n) == anf_to_truth_table(n, chain), n
 
 
+def rotation_symmetric_tables():
+    """A random generator's orbit table (n <= 12) or a fast build (n <= 18)."""
+    def orbit(n):
+        gen = st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+        return gen.map(lambda g: orbit_table(g, n))
+    return st.one_of(
+        st.integers(1, 12).flatmap(orbit),
+        st.integers(FAST_MIN_N["f2"], 18).map(build_f2),
+        st.integers(FAST_MIN_N["f3"], 18).map(build_f3),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotation_symmetric_tables())
+def test_rotation_symmetric_table_and_spectrum(table):
+    # x_k -> x_(k+1) moves each index bit one place down, x_n's to x_1's;
+    # that shift generates the cyclic group
+    n = table.n
+    idx = np.arange(1 << n)
+    rot = (idx >> 1) | ((idx & 1) << (n - 1))
+    values = table.to_array()
+    assert np.array_equal(values[rot], values)
+    spectrum = walsh_transform(table).values
+    assert np.array_equal(spectrum[rot], spectrum)
+
+
+# ---------------------------------------------------------------------------
+# the selector dispatch: a table, or the segments build writes
+# ---------------------------------------------------------------------------
+
+def test_f3_table_dispatch():
+    assert family_table("f3", 5) == orbit_table((1, 2, 3), 5)
+    assert family_table("f3", 8) == build_f3(8)
+
+
+def test_family_table_matches_anf_oracle():
+    # f2/f3 on both sides of FAST_MIN_N; the other selectors at the same n
+    cases = {"f2": (1, 2), "f3": (1, 2, 3), "orbit": (1, 2, 4),
+             "monomial": (2, 3)}
+    for selector, gen in cases.items():
+        for n in range(max(3, max(gen)), 10):
+            table = family_table(selector, n, gen)
+            if selector == "monomial":
+                assert table == anf_to_truth_table(n, [gen]), (selector, n)
+            else:
+                assert table == orbit_table(gen, n), (selector, n)
+    for n in range(3, 10):
+        chain = [(i, i + 1) for i in range(1, n)]
+        assert family_table("t", n) == anf_to_truth_table(n, chain)
+
+
+def test_family_table_counts_only_fast_builds():
+    for selector, n_min in FAST_MIN_N.items():
+        below, at = OpCounter(), OpCounter()
+        family_table(selector, n_min - 1, counter=below)
+        family_table(selector, n_min, counter=at)
+        assert below.bits_complemented == 0
+        assert at.bits_complemented > 0
+
+
+def test_family_table_rejects_bad_selectors():
+    for selector in ("monomial", "orbit"):
+        with pytest.raises(ValueError, match="needs --generator"):
+            family_table(selector, 5)
+    with pytest.raises(ValueError, match="unknown selector"):
+        family_table("f4", 5)
+
+
 # each family selector's table from its ANF: an orbit, or the open chain
 FAMILY_ANF = {
     "f2": lambda n: orbit_table((1, 2), n),
@@ -450,17 +523,35 @@ def test_family_table_matches_anf_property(selector, n):
 STREAMED = {"f2": FAST_MIN_N["f2"], "f3": FAST_MIN_N["f3"], "t": 3}
 
 
-def streamed(selector, n):
-    """build's text of a streamed selector, and what its stream charged."""
+def streamed(selector, n, generator=()):
+    """build's text of a selector, and what its pieces charged."""
     counter, out = OpCounter(), io.StringIO()
-    write_text(out, n, family_pieces(selector, n, counter=counter))
+    write_text(out, n, family_pieces(selector, n, generator, counter))
     return out.getvalue(), counter
 
 
-def table_text(selector, n):
+def table_text(selector, n, generator=()):
     """family_table's text and charges, for the streams to match."""
     counter = OpCounter()
-    return family_table(selector, n, counter=counter).to_text(), counter
+    return family_table(selector, n, generator, counter).to_text(), counter
+
+
+@pytest.mark.parametrize("selector, generator", [
+    ("f2", ()), ("f3", ()), ("t", ()), ("monomial", (2, 3)), ("orbit", (1, 2, 4))])
+def test_pieces_and_table_agree_on_every_branch(selector, generator):
+    # the dispatch's two outputs write the same text and charge the same:
+    # f2 and f3 on both sides of FAST_MIN_N, t, and the selectors whose
+    # pieces are their table.  Where the arguments are bad (orbit (1, 2, 4)
+    # at n = 3) both raise the same error
+    for n in range(3, 13):
+        outcomes = []
+        for side in (streamed, table_text):
+            try:
+                outcomes.append(side(selector, n, generator))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (selector, n)
+        assert isinstance(outcomes[0], str) == (selector == "orbit" and n == 3)
 
 
 # with _TEXT_BYTES pieces (16 KiB) a segment is first a full base of
@@ -522,29 +613,3 @@ def test_streamed_text_memory_is_the_bases_and_one_segments_hex():
             finally:
                 tracemalloc.stop()
             assert peak <= bound, (selector, peak)
-
-
-def rotation_symmetric_tables():
-    """A random generator's orbit table (n <= 12) or a fast build (n <= 18)."""
-    def orbit(n):
-        gen = st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
-        return gen.map(lambda g: orbit_table(g, n))
-    return st.one_of(
-        st.integers(1, 12).flatmap(orbit),
-        st.integers(FAST_MIN_N["f2"], 18).map(build_f2),
-        st.integers(FAST_MIN_N["f3"], 18).map(build_f3),
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(rotation_symmetric_tables())
-def test_rotation_symmetric_table_and_spectrum(table):
-    # x_k -> x_(k+1) moves each index bit one place down, x_n's to x_1's;
-    # that shift generates the cyclic group
-    n = table.n
-    idx = np.arange(1 << n)
-    rot = (idx >> 1) | ((idx & 1) << (n - 1))
-    values = table.to_array()
-    assert np.array_equal(values[rot], values)
-    spectrum = walsh_transform(table).values
-    assert np.array_equal(spectrum[rot], spectrum)

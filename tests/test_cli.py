@@ -225,7 +225,7 @@ def test_analyze_f2_f3_build_a_table_only_for_its_bytes(capsys, monkeypatch,
 
     def counted(selector, n, *args):
         built.append(n)
-        return rotsym.theory.family_table(selector, n, *args)
+        return rotsym.builders.family_table(selector, n, *args)
 
     monkeypatch.setattr(rotsym.cli, "family_table", counted)
     assert run(capsys, "analyze", selector, "--n", "3..12", "--pc")[0] == 0

@@ -24,10 +24,9 @@ from rotsym import (
     walsh_summary,
     walsh_transform,
 )
-from rotsym.core import MAX_VARS, WalshSpectrum, _gemm_bits, _row_bounds, _walks
-from rotsym.builders import _TEXT_BYTES
+from rotsym.core import WalshSpectrum, _gemm_bits, _row_bounds, _walks
+from rotsym.builders import FAMILY_GENERATORS, MAX_VARS, _TEXT_BYTES
 from rotsym import core
-from rotsym.theory import FAMILY_GENERATORS
 
 from oracles import (
     AffineTransform,

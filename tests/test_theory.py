@@ -3,13 +3,10 @@ import pytest
 
 import rotsym.theory
 from rotsym import (
-    OpCounter,
-    anf_to_truth_table,
     build_f2,
     build_f3,
     builtin_gfs,
     conjecture_check,
-    family_table,
     gf_series,
     is_bent,
     is_semi_bent_spectral,
@@ -22,7 +19,6 @@ from rotsym import (
 )
 from rotsym.core import _transfer
 from rotsym.refdata import load_reference_tables
-from rotsym.theory import FAST_MIN_N
 
 from oracles import nl_f2, orbit_table, wt_f2_recurrence, zero_count
 
@@ -253,41 +249,3 @@ def test_conjecture_range_validation():
         conjecture_check(5, 27)
     with pytest.raises(ValueError):
         conjecture_check(9, 3)
-
-
-def test_f3_table_dispatch():
-    assert family_table("f3", 5) == orbit_table((1, 2, 3), 5)
-    assert family_table("f3", 8) == build_f3(8)
-
-
-def test_family_table_matches_anf_oracle():
-    # f2/f3 on both sides of FAST_MIN_N; the other selectors at the same n
-    cases = {"f2": (1, 2), "f3": (1, 2, 3), "orbit": (1, 2, 4),
-             "monomial": (2, 3)}
-    for selector, gen in cases.items():
-        for n in range(max(3, max(gen)), 10):
-            table = family_table(selector, n, gen)
-            if selector == "monomial":
-                assert table == anf_to_truth_table(n, [gen]), (selector, n)
-            else:
-                assert table == orbit_table(gen, n), (selector, n)
-    for n in range(3, 10):
-        chain = [(i, i + 1) for i in range(1, n)]
-        assert family_table("t", n) == anf_to_truth_table(n, chain)
-
-
-def test_family_table_counts_only_fast_builds():
-    for selector, n_min in FAST_MIN_N.items():
-        below, at = OpCounter(), OpCounter()
-        family_table(selector, n_min - 1, counter=below)
-        family_table(selector, n_min, counter=at)
-        assert below.bits_complemented == 0
-        assert at.bits_complemented > 0
-
-
-def test_family_table_rejects_bad_selectors():
-    for selector in ("monomial", "orbit"):
-        with pytest.raises(ValueError, match="needs --generator"):
-            family_table(selector, 5)
-    with pytest.raises(ValueError, match="unknown selector"):
-        family_table("f4", 5)
